@@ -23,7 +23,7 @@ from .groups import (
     pair,
     reflections,
 )
-from .tableaux import Tableau, tableau_from_content
+from .tableaux import Tableau, content_violation, tableau_from_content
 
 
 class Functional:
@@ -42,10 +42,6 @@ class Functional:
 
     def pair(self, t: Reflection) -> int:
         return pair(self.coords, t)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Functional":
-        return cls(int(p) for p in text.split(","))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Functional) and self.coords == other.coords
@@ -173,18 +169,10 @@ def is_generic(f: Functional, cell: Cell) -> bool:
 def is_generic_integer(f: Functional) -> bool:
     """Zero pairings must have +1 and -1 pairings strictly between their slots.
 
-    Equivalent to is_generic(f, descent_cell(f, id)); cross-checked in tests.
+    This is the content-vector condition.  Equivalent to
+    is_generic(f, descent_cell(f, id)); cross-checked in tests.
     """
-    coords = f.coords
-    n = len(coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coords[j] != coords[i]:
-                continue
-            between = coords[i + 1 : j]
-            if coords[i] + 1 not in between or coords[i] - 1 not in between:
-                return False
-    return True
+    return content_violation(f.coords) is None
 
 
 def cell_tableau_bijection(f: Functional, q: Tableau) -> dict:
@@ -261,13 +249,7 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
             if t1.j <= k and t2.j <= k:
                 if c[t1.j - 1] - c[t1.i - 1] != c[t2.j - 1] - c[t2.i - 1]:
                     return False
-        for i in range(k):
-            for j in range(i + 1, k):
-                if c[i] == c[j]:
-                    between = c[i + 1 : j]
-                    if c[i] + 1 not in between or c[i] - 1 not in between:
-                        return False
-        return True
+        return content_violation(c[:k]) is None
 
     def search(k: int) -> Optional[tuple]:
         if k == n:

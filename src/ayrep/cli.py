@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import Functional, descent_cell
 from .errors import AyrepError
 from .groups import Permutation, identity
-from .induction import build_parabolic_from_shapes, induce, match_signed_forms
+from .induction import build_parabolic_from_shapes, induce, match_signed_forms, row_filling_pair
 from .reps import (
     ORTHOGONAL,
     SEMINORMAL,
@@ -28,29 +27,11 @@ from .reps import (
     is_irreducible,
     verify_coxeter,
 )
-from .tableaux import SkewShape, enumerate_standard, map_entries, row_tableau
+from .tableaux import SkewShape, enumerate_standard
 from .tops import top_elements
 from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = None
-    functional: tuple = None
-    w: tuple = None
-    shape: tuple = None
-    mu: tuple = ()
-    lam: tuple = None
-    mu2: tuple = None
-    j: tuple = None
-    shapes: tuple = None
-    form: str = SEMINORMAL
-    fmt: str = "text"
-    suites: tuple = ()
-    seed: int = 0
 
 
 def _fraction_str(x) -> str:
@@ -70,8 +51,23 @@ def _dump(payload: dict) -> list:
     return [json.dumps(payload, sort_keys=True, indent=2)]
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(",") if p != "")
+def _int_list(text: str) -> tuple:
+    """Comma-separated integers; empty parts are skipped."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _int_lists(text: str) -> tuple:
+    """Semicolon-separated comma lists of integers."""
+    return tuple(_int_list(part) for part in text.split(";") if part)
+
+
+def _names(text: str) -> tuple:
+    return tuple(text.split(","))
 
 
 def _rep_payload(rep: Representation) -> dict:
@@ -92,11 +88,12 @@ def _rep_payload(rep: Representation) -> dict:
     }
 
 
-def _cmd_cell(config: RunConfig) -> tuple:
-    f = Functional(config.functional)
-    w = Permutation(config.w) if config.w else identity(f.size)
+def _cmd_cell(args: argparse.Namespace) -> tuple:
+    f = Functional(args.f)
+    w = Permutation(args.w) if args.w else identity(f.size)
     cell = descent_cell(f, w)
-    if config.fmt == "json":
+    fmt = "json" if args.json else args.format
+    if fmt == "json":
         return 0, _dump(
             {
                 "command": "cell",
@@ -106,7 +103,7 @@ def _cmd_cell(config: RunConfig) -> tuple:
                 "boundary": [[t.i, t.j] for t in sorted(cell.boundary)],
             }
         )
-    if config.fmt == "dot":
+    if fmt == "dot":
         return 0, _cell_dot(f, cell)
     lines = [
         "members  " + " / ".join(m.one_line() for m in cell.members),
@@ -137,10 +134,10 @@ def _cell_dot(f: Functional, cell) -> list:
     return lines
 
 
-def _cmd_syt(config: RunConfig) -> tuple:
-    shape = SkewShape(config.shape, config.mu)
+def _cmd_syt(args: argparse.Namespace) -> tuple:
+    shape = SkewShape(args.shape, args.mu)
     tabs = enumerate_standard(shape)
-    if config.fmt == "json":
+    if args.json:
         return 0, _dump(
             {
                 "command": "syt",
@@ -156,12 +153,12 @@ def _cmd_syt(config: RunConfig) -> tuple:
     return 0, lines
 
 
-def _cmd_rep(config: RunConfig) -> tuple:
-    f = Functional(config.functional)
-    w = Permutation(config.w) if config.w else identity(f.size)
-    rep = build_from_functional(f, w, config.form)
+def _cmd_rep(args: argparse.Namespace) -> tuple:
+    f = Functional(args.f)
+    w = Permutation(args.w) if args.w else identity(f.size)
+    rep = build_from_functional(f, w, args.form)
     chi = character(rep)
-    if config.fmt == "json":
+    if args.json:
         payload = _rep_payload(rep)
         payload["command"] = "rep"
         if rep.is_exact:
@@ -185,14 +182,12 @@ def _cmd_rep(config: RunConfig) -> tuple:
     return 0, lines
 
 
-def _cmd_induce(config: RunConfig) -> tuple:
-    n = config.n
-    shapes = [_parse_ints(s) for s in config.shapes] if config.shapes else []
-    psi = build_parabolic_from_shapes(config.j, n, shapes, config.form)
-    induced = induce(psi, n)
+def _cmd_induce(args: argparse.Namespace) -> tuple:
+    psi = build_parabolic_from_shapes(args.j, args.n, args.shapes, args.form)
+    induced = induce(psi, args.n)
     chi = character(induced)
     ok = verify_coxeter(induced).ok
-    if config.fmt == "json":
+    if args.json:
         payload = _rep_payload(induced)
         payload["command"] = "induce"
         payload["coxeter_ok"] = ok
@@ -201,7 +196,7 @@ def _cmd_induce(config: RunConfig) -> tuple:
         }
         return (0 if ok else 1), _dump(payload)
     lines = [
-        f"induced dimension {induced.dim} from J={list(config.j)}",
+        f"induced dimension {induced.dim} from J={list(args.j)}",
         "character "
         + ", ".join(f"{r.one_line()}: {v}" for r, v in chi.values.items()),
         f"coxeter relations {'ok' if ok else 'FAILED'}",
@@ -209,18 +204,9 @@ def _cmd_induce(config: RunConfig) -> tuple:
     return (0 if ok else 1), lines
 
 
-def _cmd_bn(config: RunConfig) -> tuple:
-    lam = config.lam or ()
-    mu = config.mu2 or ()
-    k = sum(lam)
-    n = k + sum(mu)
-    p = row_tableau(SkewShape(lam)) if k else None
-    if sum(mu):
-        q0 = row_tableau(SkewShape(mu))
-        q = map_entries(q0, {e: e + k for e in q0.positions()})
-    else:
-        q = None
-    ext, classical, index_map = match_signed_forms(p, q, config.form)
+def _cmd_bn(args: argparse.Namespace) -> tuple:
+    p, q = row_filling_pair(args.lam, args.mu)
+    ext, classical, index_map = match_signed_forms(p, q, args.form)
     rel = verify_coxeter(ext)
     matches = all(
         ext.matrices[g].reindexed(index_map).equals(
@@ -230,7 +216,7 @@ def _cmd_bn(config: RunConfig) -> tuple:
     )
     irr = is_irreducible(ext) if ext.is_exact else None
     ok = rel.ok and matches and (irr is not False)
-    if config.fmt == "json":
+    if args.json:
         payload = _rep_payload(ext)
         payload["command"] = "bn"
         payload["coxeter_ok"] = rel.ok
@@ -238,7 +224,7 @@ def _cmd_bn(config: RunConfig) -> tuple:
         payload["irreducible"] = irr
         return (0 if ok else 1), _dump(payload)
     lines = [
-        f"signed group on {n} letters, shapes ({lam}, {mu}), dimension {ext.dim}",
+        f"signed group on {ext.n} letters, shapes ({args.lam}, {args.mu}), dimension {ext.dim}",
         f"coxeter relations {'ok' if rel.ok else 'FAILED'}",
         f"classical form match {'ok' if matches else 'FAILED'}",
     ]
@@ -247,12 +233,12 @@ def _cmd_bn(config: RunConfig) -> tuple:
     return (0 if ok else 1), lines
 
 
-def _cmd_tops(config: RunConfig) -> tuple:
-    report = top_elements(config.n)
+def _cmd_tops(args: argparse.Namespace) -> tuple:
+    report = top_elements(args.n)
     ok = report.oracle_matches_down and all(
         r.is_interval and r.irreducible and r.oracle_certified for r in report.rows
     )
-    if config.fmt == "json":
+    if args.json:
         payload = {
             "command": "tops",
             "n": report.n,
@@ -291,10 +277,10 @@ def _cmd_tops(config: RunConfig) -> tuple:
     return (0 if ok else 1), lines
 
 
-def _cmd_verify(config: RunConfig) -> tuple:
-    results = run_suites(config.suites, config.n, config.seed)
+def _cmd_verify(args: argparse.Namespace) -> tuple:
+    results = run_suites(args.suite, args.n, args.seed)
     ok = all(r.ok for r in results)
-    if config.fmt == "json":
+    if args.json:
         payload = {
             "command": "verify",
             "ok": ok,
@@ -328,10 +314,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple:
-    """Execute a parsed configuration; returns (exit_status, output lines)."""
+def run(args: argparse.Namespace) -> tuple:
+    """Execute parsed arguments; returns (exit_status, output lines)."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (AyrepError, ValueError) as exc:
         return 1, [f"error: {exc}"]
 
@@ -341,128 +327,66 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ayrep",
         description="exact cell representations of symmetric and signed groups",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_n=False):
-        p.add_argument("--json", action="store_true")
-        if need_n:
-            p.add_argument("--n", type=int, required=True)
-
-    p_cell = sub.add_parser("cell", help="descent cell of a functional")
+    p_cell = sub.add_parser("cell", parents=[common], help="descent cell of a functional")
     p_cell.add_argument("--n", type=int, required=True)
-    p_cell.add_argument("--f", required=True, help="comma-separated coordinates")
-    p_cell.add_argument("--w", help="base element, one-line notation")
+    p_cell.add_argument("--f", type=_int_list, required=True, help="comma-separated coordinates")
+    p_cell.add_argument("--w", type=_int_list, help="base element, one-line notation")
     p_cell.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p_cell.add_argument("--json", action="store_true")
 
-    p_syt = sub.add_parser("syt", help="standard fillings of a shape")
-    p_syt.add_argument("--shape", required=True)
-    p_syt.add_argument("--mu", default="")
-    p_syt.add_argument("--json", action="store_true")
+    p_syt = sub.add_parser("syt", parents=[common], help="standard fillings of a shape")
+    p_syt.add_argument("--shape", type=_int_list, required=True)
+    p_syt.add_argument("--mu", type=_int_list, default="")
 
-    p_rep = sub.add_parser("rep", help="representation matrices from a functional")
+    p_rep = sub.add_parser("rep", parents=[common],
+                            help="representation matrices from a functional")
     p_rep.add_argument("--n", type=int, required=True)
-    p_rep.add_argument("--f", required=True)
-    p_rep.add_argument("--w")
+    p_rep.add_argument("--f", type=_int_list, required=True)
+    p_rep.add_argument("--w", type=_int_list)
     p_rep.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
-    p_rep.add_argument("--json", action="store_true")
 
-    p_ind = sub.add_parser("induce", help="induce a parabolic cell representation")
+    p_ind = sub.add_parser("induce", parents=[common],
+                            help="induce a parabolic cell representation")
     p_ind.add_argument("--n", type=int, required=True)
-    p_ind.add_argument("--j", required=True, help="generator indices, e.g. 1,2,4")
-    p_ind.add_argument("--shapes", default="", help="semicolon-separated partitions")
+    p_ind.add_argument("--j", type=_int_list, required=True, help="generator indices, e.g. 1,2,4")
+    p_ind.add_argument("--shapes", type=_int_lists, default="",
+                       help="semicolon-separated partitions")
     p_ind.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
-    p_ind.add_argument("--json", action="store_true")
 
-    p_bn = sub.add_parser("bn", help="signed-group representation of a shape pair")
-    p_bn.add_argument("--lam", default="", help="first partition, e.g. 2,1")
-    p_bn.add_argument("--mu", default="", help="second partition")
+    p_bn = sub.add_parser("bn", parents=[common],
+                           help="signed-group representation of a shape pair")
+    p_bn.add_argument("--lam", type=_int_list, default="", help="first partition, e.g. 2,1")
+    p_bn.add_argument("--mu", type=_int_list, default="", help="second partition")
     p_bn.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
-    p_bn.add_argument("--json", action="store_true")
 
-    p_tops = sub.add_parser("tops", help="classify top elements")
+    p_tops = sub.add_parser("tops", parents=[common], help="classify top elements")
     p_tops.add_argument("--n", type=int, required=True)
-    p_tops.add_argument("--json", action="store_true")
 
-    p_ver = sub.add_parser("verify", help="run verification sweeps")
+    p_ver = sub.add_parser("verify", parents=[common], help="run verification sweeps")
     p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--suite", default="coxeter", help=f"comma list from {sorted(SUITES)}")
+    p_ver.add_argument("--suite", type=_names, default="coxeter",
+                       help=f"comma list from {sorted(SUITES)}")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--json", action="store_true")
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fmt = "json" if getattr(args, "json", False) else "text"
-
-    def checked_functional(text):
-        coords = _parse_ints(text)
-        if len(coords) != args.n:
-            parser.error(f"--f needs exactly {args.n} coordinates, got {len(coords)}")
-        return coords
-
-    if args.command == "cell":
-        fmt = "json" if args.json else args.format
-        return RunConfig(
-            command="cell",
-            n=args.n,
-            functional=checked_functional(args.f),
-            w=_parse_ints(args.w) if args.w else None,
-            fmt=fmt,
-        )
-    if args.command == "syt":
-        return RunConfig(
-            command="syt",
-            shape=_parse_ints(args.shape),
-            mu=_parse_ints(args.mu),
-            fmt=fmt,
-        )
-    if args.command == "rep":
-        return RunConfig(
-            command="rep",
-            n=args.n,
-            functional=checked_functional(args.f),
-            w=_parse_ints(args.w) if args.w else None,
-            form=args.form,
-            fmt=fmt,
-        )
-    if args.command == "induce":
-        return RunConfig(
-            command="induce",
-            n=args.n,
-            j=_parse_ints(args.j),
-            shapes=tuple(s for s in args.shapes.split(";") if s),
-            form=args.form,
-            fmt=fmt,
-        )
-    if args.command == "bn":
-        return RunConfig(
-            command="bn",
-            lam=_parse_ints(args.lam),
-            mu2=_parse_ints(args.mu),
-            form=args.form,
-            fmt=fmt,
-        )
-    if args.command == "tops":
-        return RunConfig(command="tops", n=args.n, fmt=fmt)
-    suites = tuple(args.suite.split(","))
-    unknown = [s for s in suites if s not in SUITES]
-    if unknown:
-        parser.error(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
-    return RunConfig(
-        command="verify",
-        n=args.n,
-        suites=suites,
-        seed=args.seed,
-        fmt=fmt,
-    )
+    if args.command in ("cell", "rep") and len(args.f) != args.n:
+        parser.error(f"--f needs exactly {args.n} coordinates, got {len(args.f)}")
+    if args.command == "verify":
+        unknown = [s for s in args.suite if s not in SUITES]
+        if unknown:
+            parser.error(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
+    return args
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv)
-    status, lines = run(config)
+    status, lines = run(parse_args(argv))
     for line in lines:
         print(line)
     return status

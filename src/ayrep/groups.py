@@ -32,9 +32,21 @@ _CAP_ENV = "AYREP_MAX_N"
 def group_cap(group_type: str) -> int:
     """Enumeration cap for the given family, overridable via AYREP_MAX_N."""
     env = os.environ.get(_CAP_ENV)
-    if env is not None:
+    if env is None:
+        return DEFAULT_CAPS[group_type]
+    try:
         return int(env)
-    return DEFAULT_CAPS[group_type]
+    except ValueError:
+        raise PreconditionError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
+
+
+def _check_cap(group_type: str, n: int) -> None:
+    cap = group_cap(group_type)
+    if n > cap:
+        raise SizeCapError(
+            f"type {group_type} enumeration capped at n={cap} (requested {n}); "
+            f"raise {_CAP_ENV} to override"
+        )
 
 
 class Permutation:
@@ -163,12 +175,6 @@ def reflections(n: int) -> tuple:
     return tuple(Reflection(i, j) for i, j in combinations(range(1, n + 1), 2))
 
 
-def transposition_perm(n: int, t: Reflection) -> Permutation:
-    img = list(range(1, n + 1))
-    img[t.i - 1], img[t.j - 1] = t.j, t.i
-    return Permutation._unsafe(tuple(img))
-
-
 def conjugated_reflection(w: Permutation, i: int) -> Reflection:
     """The reflection w s_i w^{-1}, i.e. the transposition of values w(i), w(i+1)."""
     return reflection(w.images[i - 1], w.images[i])
@@ -197,59 +203,23 @@ def enumerate_group(group_type: str, n: int) -> list:
     """
     if group_type not in ("A", "B"):
         raise ValueError(f"unknown group type {group_type!r}")
-    cap = group_cap(group_type)
-    if n > cap:
-        raise SizeCapError(
-            f"type {group_type} enumeration capped at n={cap} (requested {n}); "
-            f"raise {_CAP_ENV} to override"
-        )
     if n < 1:
         raise ValueError("n must be positive")
     if group_type == "A":
-        return list(_sym_group(n))
-    return [el for el, _word in _signed_group_data(n)]
+        return list(sym_group(n))
+    return [el for el, _word in signed_group_data(n)]
 
 
 def sym_group(n: int) -> tuple:
     """Cap-checked access to the cached enumeration of S_n."""
-    cap = group_cap("A")
-    if n > cap:
-        raise SizeCapError(
-            f"type A enumeration capped at n={cap} (requested {n}); "
-            f"raise {_CAP_ENV} to override"
-        )
-    return _sym_group(n)
+    _check_cap("A", n)
+    return parabolic_elements(n, frozenset(range(1, n)))
 
 
 def signed_group_data(n: int) -> tuple:
     """Cap-checked access to the signed group with one word per element."""
-    cap = group_cap("B")
-    if n > cap:
-        raise SizeCapError(
-            f"type B enumeration capped at n={cap} (requested {n}); "
-            f"raise {_CAP_ENV} to override"
-        )
+    _check_cap("B", n)
     return _signed_group_data(n)
-
-
-@lru_cache(maxsize=None)
-def _sym_group(n: int) -> tuple:
-    start = identity(n)
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, n):
-                ws = w.times_simple(i)
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
-        nxt.sort(key=lambda u: u.images)
-        order.extend(nxt)
-        frontier = nxt
-    return tuple(order)
 
 
 def reduced_word(w: Permutation) -> tuple:

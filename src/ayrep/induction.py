@@ -29,6 +29,8 @@ from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
     Representation,
+    _step_coefficients,
+    _two_term_matrices,
     character,
     verify_axiom_B,
 )
@@ -38,7 +40,7 @@ from .tableaux import (
     content_vector,
     enumerate_standard,
     map_entries,
-    relabel,
+    relabel_cell,
     row_tableau,
 )
 
@@ -104,27 +106,24 @@ def induce(psi: Representation, n: int) -> Representation:
     simples = {j: identity(n).times_simple(j) for j in J}
     psi_index = {m: k for k, m in enumerate(psi.basis)}
     pairs = [(m, r) for m in psi.basis for r in reps_sorted]
-    basis = tuple(m * r for m, r in pairs)
-    index = {w: k for k, w in enumerate(basis)}
     rep_set = set(reps_sorted)
-    mats = {}
-    for s in range(1, n):
-        mat = SquareMatrix(len(basis))
-        for col, (m, r) in enumerate(pairs):
-            rs = r.times_simple(s)
-            if rs in rep_set:
-                mat.set_entry(index[m * rs], col, _one(psi.normalization))
-                continue
-            p = rs * r.inverse()
-            j = next(j for j in J if p == simples[j])
-            a = psi.matrices[j].entry(psi_index[m], psi_index[m])
-            mat.set_entry(col, col, a)
-            mp = m.times_simple(j)
-            if mp in psi_index:
-                b = psi.matrices[j].entry(psi_index[mp], psi_index[m])
-                if b:
-                    mat.set_entry(index[mp * r], col, b)
-        mats[s] = mat
+    one = _one(psi.normalization)
+
+    def step(pair: tuple, s: int) -> tuple:
+        m, r = pair
+        rs = r.times_simple(s)
+        if rs in rep_set:
+            return 0, (m, rs), one
+        p = rs * r.inverse()
+        j = next(j for j in J if p == simples[j])
+        psi_j = psi.matrices[j]
+        k = psi_index[m]
+        mp = m.times_simple(j)
+        b = psi_j.entry(psi_index[mp], k) if mp in psi_index else 0
+        return psi_j.entry(k, k), (mp, r), b
+
+    mats = _two_term_matrices(pairs, range(1, n), step)
+    basis = tuple(m * r for m, r in pairs)
     return Representation("A", n, tuple(range(1, n)), basis, mats, psi.normalization)
 
 
@@ -163,11 +162,27 @@ def _letters(t: Optional[Tableau]) -> set:
 def _check_letter_split(p: Optional[Tableau], q: Optional[Tableau]):
     k = p.size if p is not None else 0
     n = k + (q.size if q is not None else 0)
+    if n == 0:
+        raise PreconditionError("the signed group needs at least one letter")
     if _letters(p) != set(range(1, k + 1)) or _letters(q) != set(range(k + 1, n + 1)):
         raise PreconditionError(
             "tableaux must cover the letter intervals 1..k and k+1..n"
         )
     return k, n
+
+
+def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
+    """Row fillings of lam on letters 1..k and of mu on letters k+1..n.
+
+    An empty shape gives None in its slot.
+    """
+    k = sum(lam)
+    p = row_tableau(SkewShape(tuple(lam))) if k else None
+    q = None
+    if sum(mu):
+        q0 = row_tableau(SkewShape(tuple(mu)))
+        q = map_entries(q0, {e: e + k for e in q0.positions()})
+    return p, q
 
 
 def _side_cell(t: Optional[Tableau], offset: int, n: int) -> list:
@@ -178,11 +193,10 @@ def _side_cell(t: Optional[Tableau], offset: int, n: int) -> list:
     size = t.size
     base = map_entries(t, {e: e - offset for e in t.positions()})
     out = []
-    for sigma in sym_group(size):
-        if relabel(base, sigma).is_standard():
-            images = list(range(1, offset + 1)) + [offset + v for v in sigma.images]
-            images += list(range(offset + size + 1, n + 1))
-            out.append(Permutation(images))
+    for sigma in relabel_cell(base):
+        images = list(range(1, offset + 1)) + [offset + v for v in sigma.images]
+        images += list(range(offset + size + 1, n + 1))
+        out.append(Permutation(images))
     return out
 
 
@@ -223,33 +237,19 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
     """
     k, n = _check_letter_split(p, q)
     members = tuple(sorted(shuffle_cell(p, q), key=lambda w: w.sort_key()))
-    index = {w: j for j, w in enumerate(members)}
     cont = _content_maps(p, q)
     one = _one(normalization)
-    mats = {}
-    m0 = SquareMatrix(len(members))
-    for j, pi in enumerate(members):
-        m0.set_entry(j, j, one if pi(1) <= k else -one)
-    mats[0] = m0
-    for g in range(1, n):
-        m = SquareMatrix(len(members))
-        for j, pi in enumerate(members):
-            x, y = pi(g), pi(g + 1)
-            target = pi.times_simple(g)
-            if (x <= k) != (y <= k):
-                m.set_entry(index[target], j, one)
-                continue
-            h = cont[y] - cont[x]
-            if normalization == SEMINORMAL:
-                a = Fraction(1, h)
-                b = Fraction(1) if x < y else 1 - a * a
-            else:
-                a = 1.0 / h
-                b = math.sqrt(1.0 - a * a)
-            m.set_entry(j, j, a)
-            if target in index:
-                m.set_entry(index[target], j, b)
-        mats[g] = m
+
+    def step(pi: Permutation, g: int) -> tuple:
+        if g == 0:
+            return (one if pi(1) <= k else -one), None, None
+        x, y = pi(g), pi(g + 1)
+        if (x <= k) != (y <= k):
+            return 0, pi.times_simple(g), one
+        a, b = _step_coefficients(cont[y] - cont[x], x < y, normalization)
+        return a, pi.times_simple(g), b
+
+    mats = _two_term_matrices(members, range(0, n), step)
     return Representation("B", n, tuple(range(0, n)), members, mats, normalization)
 
 

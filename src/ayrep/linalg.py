@@ -81,12 +81,6 @@ class SquareMatrix:
             )
         return self.max_deviation_from(other) <= tol
 
-    def trace(self):
-        total = 0
-        for j, col in self.cols.items():
-            total += col.get(j, 0)
-        return total
-
     def reindexed(self, index_map: Sequence[int]) -> "SquareMatrix":
         """Conjugate by the basis relabeling j -> index_map[j]."""
         cols = {}

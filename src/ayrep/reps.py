@@ -16,16 +16,16 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cells import Functional, boundary_reflections, descent_cell, genericity_violation, _reflection_sets
-from .errors import GenericityError, PreconditionError, SizeCapError
+from .errors import GenericityError, PreconditionError
 from .groups import (
     ClassData,
     Permutation,
+    _check_cap,
     braid_order,
     class_data_parabolic,
     class_data_signed,
     class_data_symmetric,
     conjugated_reflection,
-    group_cap,
     left_descents_in,
     parabolic_elements,
     reduced_word,
@@ -58,39 +58,49 @@ class Representation:
     def is_exact(self) -> bool:
         return self.normalization == SEMINORMAL
 
-    def index_of(self, label) -> int:
-        return self.basis.index(label)
 
+def _step_coefficients(h, up: bool, normalization: str) -> tuple:
+    """Diagonal a = 1/h and neighbor coefficient b for a step with signed pairing h.
 
-def _coefficients(p: int, up: bool, normalization: str):
-    """Diagonal and off-diagonal coefficients for a step with pairing p."""
+    Seminormal: b = 1 going up, 1 - a^2 coming down.  Orthogonal: b = sqrt(1 - a^2)
+    both ways.
+    """
     if normalization == SEMINORMAL:
-        a = Fraction(1, p) if up else Fraction(-1, p)
-        b = Fraction(1) if up else 1 - Fraction(1, p) ** 2
-    else:
-        a = (1.0 / p) if up else (-1.0 / p)
-        b = math.sqrt(1.0 - (1.0 / p) ** 2)
-    return a, b
+        a = Fraction(1, h)
+        return a, (Fraction(1) if up else 1 - a * a)
+    a = 1.0 / h
+    return a, math.sqrt(1.0 - a * a)
 
 
-def _build_on_members(members: tuple, gens: Sequence[int], f: Functional,
-                      normalization: str) -> dict:
-    index = {w: k for k, w in enumerate(members)}
-    dim = len(members)
+def _two_term_matrices(basis: Sequence, gens: Sequence[int], step) -> dict:
+    """Generator matrices sending each basis vector v to a v + b v'.
+
+    `step(v, g)` returns (a, v', b); the b term is dropped when v' is not in
+    the basis.
+    """
+    index = {v: k for k, v in enumerate(basis)}
     mats = {}
     for g in gens:
-        m = SquareMatrix(dim)
-        for j, w in enumerate(members):
-            ws = w.times_simple(g)
-            t = conjugated_reflection(w, g)
-            p = f.pair(t)
-            up = w.length() < ws.length()
-            a, b = _coefficients(p, up, normalization)
+        m = SquareMatrix(len(basis))
+        for j, v in enumerate(basis):
+            a, neighbor, b = step(v, g)
             m.set_entry(j, j, a)
-            if ws in index:
-                m.set_entry(index[ws], j, b)
+            if neighbor in index:
+                m.set_entry(index[neighbor], j, b)
         mats[g] = m
     return mats
+
+
+def _functional_step(f: Functional, normalization: str):
+    """Step on permutations: the pairing of the letters w(g), w(g+1)."""
+    coords = f.coords
+
+    def step(w: Permutation, g: int) -> tuple:
+        x, y = w.images[g - 1], w.images[g]
+        a, b = _step_coefficients(coords[y - 1] - coords[x - 1], x < y, normalization)
+        return a, w.times_simple(g), b
+
+    return step
 
 
 def build_from_functional(f: Functional, w: Permutation,
@@ -107,7 +117,7 @@ def build_from_functional(f: Functional, w: Permutation,
     if bad is not None:
         raise GenericityError(f"functional not generic for the cell: {bad[1]}", bad[0])
     n = f.size
-    mats = _build_on_members(cell.members, range(1, n), f, normalization)
+    mats = _two_term_matrices(cell.members, range(1, n), _functional_step(f, normalization))
     return Representation("A", n, tuple(range(1, n)), cell.members, mats, normalization)
 
 
@@ -117,8 +127,7 @@ def build_parabolic(f: Functional, J: Sequence[int], n: int,
     J = tuple(sorted(set(J)))
     if not set(J) <= set(range(1, n)):
         raise PreconditionError(f"J must be generator indices within 1..{n - 1}")
-    if n > group_cap("A"):
-        raise SizeCapError(f"parabolic build capped at n={group_cap('A')}")
+    _check_cap("A", n)
     A = boundary_reflections(f)
     elements = parabolic_elements(n, frozenset(J))
     members = tuple(
@@ -131,7 +140,7 @@ def build_parabolic(f: Functional, J: Sequence[int], n: int,
     bad = genericity_violation(f, members, interior, boundary, J)
     if bad is not None:
         raise GenericityError(f"functional not generic for the parabolic cell: {bad[1]}", bad[0])
-    mats = _build_on_members(members, J, f, normalization)
+    mats = _two_term_matrices(members, J, _functional_step(f, normalization))
     return Representation("A", n, J, members, mats, normalization)
 
 
@@ -150,20 +159,15 @@ def build_orthogonal_skew(shape: SkewShape) -> Representation:
     term drops when the swap is not standard (|h| = 1).
     """
     basis = tuple(enumerate_standard(shape))
-    index = {q: k for k, q in enumerate(basis)}
     n = shape.size
-    mats = {}
-    for g in range(1, n):
-        m = SquareMatrix(len(basis))
-        for j, q in enumerate(basis):
-            pos = q.positions()
-            (r1, c1), (r2, c2) = pos[g], pos[g + 1]
-            h = (c2 - r2) - (c1 - r1)
-            m.set_entry(j, j, 1.0 / h)
-            swapped = _swap_adjacent(q, g)
-            if swapped.is_standard():
-                m.set_entry(index[swapped], j, math.sqrt(1.0 - 1.0 / h**2))
-        mats[g] = m
+
+    def step(q: Tableau, g: int) -> tuple:
+        pos = q.positions()
+        (r1, c1), (r2, c2) = pos[g], pos[g + 1]
+        a, b = _step_coefficients((c2 - r2) - (c1 - r1), r1 < r2, ORTHOGONAL)
+        return a, _swap_adjacent(q, g), b
+
+    mats = _two_term_matrices(basis, range(1, n), step)
     return Representation("A", n, tuple(range(1, n)), basis, mats, ORTHOGONAL)
 
 
@@ -245,9 +249,6 @@ class Character:
     order: int
     values: dict  # class representative -> value
     sizes: dict  # class representative -> class size
-
-    def value_at_rep(self, rep_element):
-        return self.values[rep_element]
 
     @property
     def dimension(self):

@@ -23,7 +23,7 @@ from .errors import (
     NotStandardError,
     PreconditionError,
 )
-from .groups import Permutation, partitions
+from .groups import Permutation, partitions, sym_group
 
 
 class SkewShape:
@@ -126,10 +126,6 @@ class Tableau:
     def entry_map(self) -> dict:
         """Map (row, col) -> entry."""
         return {box: v for v, box in self.positions().items()}
-
-    def entry_at(self, r: int, c: int):
-        m = self.shape.mu[r - 1]
-        return self.rows[r - 1][c - m - 1]
 
     def is_increasing(self) -> bool:
         """Rows increase left to right, columns increase downwards, entries distinct."""
@@ -413,6 +409,14 @@ def relabel(q: Tableau, pi: Permutation) -> Tableau:
     return Tableau(q.shape, [tuple(inv(v) for v in row) for row in q.rows])
 
 
+def relabel_cell(q: Tableau) -> frozenset:
+    """{pi : relabel(q, pi) is standard}, by brute force over the whole group.
+
+    The oracle for descent cells: it uses no functional and no descent data.
+    """
+    return frozenset(pi for pi in sym_group(q.size) if relabel(q, pi).is_standard())
+
+
 def map_entries(q: Tableau, mapping: dict) -> Tableau:
     """Replace entries through an arbitrary injective map (used for letter sets)."""
     return Tableau(q.shape, [tuple(mapping[v] for v in row) for row in q.rows])
@@ -511,18 +515,20 @@ def inversions(q: Tableau) -> int:
 # shape enumeration -----------------------------------------------------------
 
 
+def compositions(rest: int):
+    """Ordered lists of positive parts summing to rest."""
+    if rest == 0:
+        yield []
+        return
+    for first in range(1, rest + 1):
+        for tail in compositions(rest - first):
+            yield [first] + tail
+
+
 @lru_cache(maxsize=None)
 def connected_skew_shapes(m: int) -> tuple:
     """All connected skew shapes with m boxes, up to translation."""
     out = []
-
-    def compositions(rest):
-        if rest == 0:
-            yield []
-            return
-        for first in range(1, rest + 1):
-            for tail in compositions(rest - first):
-                yield [first] + tail
 
     for lengths in compositions(m):
         offsets = [[0]]
@@ -559,14 +565,6 @@ def skew_shape_family(n: int) -> tuple:
     boundary-equivalent representations, so one canonical gap suffices).
     """
     shapes = []
-
-    def compositions(rest):
-        if rest == 0:
-            yield []
-            return
-        for first in range(1, rest + 1):
-            for tail in compositions(rest - first):
-                yield [first] + tail
 
     for comp_sizes in compositions(n):
         def choose(idx, chosen):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cells import Functional
-from .errors import PreconditionError
-from .groups import Permutation, group_cap, identity, partitions, sym_group, weak_interval
+from .groups import Permutation, identity, partitions, sym_group, weak_interval
 from .reps import build_from_functional, is_irreducible
 from .tableaux import (
     SkewShape,
@@ -24,6 +23,7 @@ from .tableaux import (
     enumerate_standard,
     reading_words,
     relabel,
+    relabel_cell,
     row_tableau,
 )
 
@@ -35,13 +35,11 @@ def straight_cell_sets(n: int) -> tuple:
     The cell is computed directly from relabeling standardness, independent
     of any functional machinery.
     """
-    group = sym_group(n)
     out = []
     for lam in partitions(n):
         shape = SkewShape(lam)
         for q in enumerate_standard(shape):
-            members = frozenset(pi for pi in group if relabel(q, pi).is_standard())
-            out.append((lam, q, members))
+            out.append((lam, q, relabel_cell(q)))
     return tuple(out)
 
 
@@ -49,8 +47,6 @@ def is_top_brute(pi: Permutation) -> bool:
     """Whether [id, pi] is a translated straight-shape cell carrying an
     irreducible representation (verified through the exact character norm)."""
     n = pi.size
-    if n > group_cap("A"):
-        raise PreconditionError("size exceeds the enumeration cap")
     interval = frozenset(weak_interval(pi))
     candidates = straight_cell_sets(n)
     for sigma in sorted(interval, key=lambda w: w.sort_key()):
@@ -104,24 +100,13 @@ def top_elements(n: int) -> TopReport:
     maximal element (when the cell is an interval) is the candidate, and the
     two column readings of the row filling are compared against it.
     """
-    if n > group_cap("A"):
-        raise PreconditionError("size exceeds the enumeration cap")
-    group = sym_group(n)
     rows = []
-    oracle = frozenset(pi for pi in group if is_top_brute(pi))
+    oracle = frozenset(pi for pi in sym_group(n) if is_top_brute(pi))
     for lam in partitions(n):
         shape = SkewShape(lam)
         r = row_tableau(shape)
-        members = frozenset(pi for pi in group if relabel(r, pi).is_standard())
-        maximal = [
-            pi
-            for pi in members
-            if all(
-                pi.times_simple(i) not in members
-                or pi.times_simple(i).length() < pi.length()
-                for i in range(1, n)
-            )
-        ]
+        members = relabel_cell(r)
+        maximal = _maximal_members(members, n)
         assert maximal, "a finite nonempty cell has a maximal element"
         maximum = max(maximal, key=lambda w: w.sort_key())
         is_interval = len(maximal) == 1 and members == frozenset(weak_interval(maximum))
@@ -158,11 +143,8 @@ def top_elements(n: int) -> TopReport:
     )
 
 
-def maximal_elements_of_cell(q: Tableau) -> frozenset:
-    """Length-maximal members of a filling's cell (for the interval analysis)."""
-    n = q.size
-    group = sym_group(n)
-    members = frozenset(pi for pi in group if relabel(q, pi).is_standard())
+def _maximal_members(members: frozenset, n: int) -> frozenset:
+    """Members with no generator step up that stays inside the set."""
     return frozenset(
         pi
         for pi in members
@@ -171,6 +153,11 @@ def maximal_elements_of_cell(q: Tableau) -> frozenset:
             for i in range(1, n)
         )
     )
+
+
+def maximal_elements_of_cell(q: Tableau) -> frozenset:
+    """Length-maximal members of a filling's cell (for the interval analysis)."""
+    return _maximal_members(relabel_cell(q), q.size)
 
 
 def column_tableau_check(lam: tuple) -> bool:

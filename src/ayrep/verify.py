@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from .cells import (
     BasicFlat,
@@ -39,6 +39,7 @@ from .induction import (
     classical_induced_character,
     induce,
     match_signed_forms,
+    row_filling_pair,
     shuffle_cell,
 )
 from .reps import (
@@ -58,8 +59,7 @@ from .tableaux import (
     count_standard,
     enumerate_standard,
     hook_length_count,
-    map_entries,
-    relabel,
+    relabel_cell,
     row_tableau,
     skew_shape_family,
     straight_shapes,
@@ -283,7 +283,7 @@ def _brute_minimal_family(n: int) -> set:
     family = set()
     for shape in skew_shape_family(n):
         for q in enumerate_standard(shape):
-            members = frozenset(pi for pi in group if relabel(q, pi).is_standard())
+            members = relabel_cell(q)
             for sigma in group:
                 family.add(frozenset(sigma * w for w in members))
     return family
@@ -319,20 +319,13 @@ def minimal_suite(n_max: int = 4, seed: int = 0, samples: int = 150) -> SuiteRes
             if flag:
                 sigma, q = witness
                 translated = frozenset(sigma.inverse() * w for w in candidate)
-                direct = frozenset(
-                    pi for pi in group if relabel(q, pi).is_standard()
-                )
-                if translated != direct:
+                if translated != relabel_cell(q):
                     bad.append(f"n={n}: witness tableau does not regenerate the cell")
             agreements += 1
         details.append(
             f"n={n}: {agreements} subsets agree (family size {len(family)})"
         )
     return _result("minimal", details, bad)
-
-
-def _shape_lists(size: int) -> list:
-    return list(partitions(size))
 
 
 def induction_suite(n_max: int = 5) -> SuiteResult:
@@ -350,7 +343,7 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
                 subsets.append(J)
         for J in subsets:
             intervals = j_intervals(J)
-            pools = [_shape_lists(b - a + 1) for a, b in intervals]
+            pools = [partitions(b - a + 1) for a, b in intervals]
             for combo in product(*pools):
                 psi = build_parabolic_from_shapes(J, n, list(combo))
                 induced = induce(psi, n)
@@ -372,10 +365,7 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
         for k in range(1, n):
             for lam in partitions(k):
                 for mu in partitions(n - k):
-                    p = row_tableau(SkewShape(lam))
-                    q0 = row_tableau(SkewShape(mu))
-                    q = map_entries(q0, {e: e + k for e in q0.positions()})
-                    cellset = shuffle_cell(p, q)
+                    cellset = shuffle_cell(*row_filling_pair(lam, mu))
                     expected = comb(n, k) * hook_length_count(lam) * hook_length_count(mu)
                     if len(cellset) != expected:
                         bad.append(
@@ -395,12 +385,7 @@ def bn_suite(n_max: int = 4, tol: float = 1e-9) -> SuiteResult:
         for k in range(0, n + 1):
             for lam in partitions(k):
                 for mu in partitions(n - k):
-                    p = row_tableau(SkewShape(lam)) if k else None
-                    if n - k:
-                        q0 = row_tableau(SkewShape(mu))
-                        q = map_entries(q0, {e: e + k for e in q0.positions()})
-                    else:
-                        q = None
+                    p, q = row_filling_pair(lam, mu)
                     ext, classical, index_map = match_signed_forms(p, q, SEMINORMAL)
                     rel = verify_coxeter(ext)
                     if not rel.ok:
@@ -508,26 +493,31 @@ SUITES = {
 }
 
 
+# The largest n_max each suite runs at under a size bound; `flat` takes none.
+_N_MAX_LIMITS = {
+    "coxeter": inf,
+    "axiomB": inf,
+    "cells": inf,
+    "regular": inf,
+    "specht": inf,
+    "minimal": 5,
+    "induction": 5,
+    "tops": 5,
+    "bn": 4,
+    "convexity": 5,
+}
+
+
 def run_suites(names, n: int = None, seed: int = 0) -> list:
     """Run the named suites scaled down to the requested size bound."""
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        fn = SUITES[name]
         kwargs = {}
-        if n is not None:
-            if name in ("coxeter", "axiomB", "cells", "regular", "specht"):
-                kwargs["n_max"] = n
-            elif name in ("minimal", "induction", "tops"):
-                kwargs["n_max"] = min(n, 5)
-            elif name == "bn":
-                kwargs["n_max"] = min(n, 4)
-            elif name == "convexity":
-                kwargs["n_max"] = min(n, 5)
+        if n is not None and name in _N_MAX_LIMITS:
+            kwargs["n_max"] = min(n, _N_MAX_LIMITS[name])
         if name == "minimal":
             kwargs["seed"] = seed
-        if name == "coxeter" and n is not None and n < 5:
-            kwargs["include_sample_6"] = False
-        results.append(fn(**kwargs))
+        results.append(SUITES[name](**kwargs))
     return results

@@ -16,7 +16,7 @@ from ayrep.cells import (
     is_minimal_ay_cell,
 )
 from ayrep.errors import PreconditionError
-from ayrep.groups import Permutation, identity, is_convex, reflection, _sym_group
+from ayrep.groups import Permutation, identity, is_convex, reflection, sym_group
 from ayrep.tableaux import SkewShape, Tableau, content_vector, enumerate_standard, relabel
 
 
@@ -117,14 +117,14 @@ def test_is_minimal_ay_cell_examples():
     sigma, q = witness
     translated = {sigma.inverse() * w for w in {identity(3), P(1, 3, 2)}}
     regenerated = {
-        pi for pi in _sym_group(3) if relabel(q, pi).is_standard()
+        pi for pi in sym_group(3) if relabel(q, pi).is_standard()
     }
     assert translated == regenerated
 
     flag2, _ = is_minimal_ay_cell({identity(3), P(2, 3, 1)})
     assert not flag2
 
-    for w in _sym_group(3):
+    for w in sym_group(3):
         flag3, witness3 = is_minimal_ay_cell({w})
         assert flag3
         assert witness3[0] == w

@@ -107,6 +107,20 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         parse_args(["cell", "--n", "3", "--f", "0,2"])  # length mismatch
     assert err.value.code == 2
+    for argv in (
+        ["cell", "--n", "2", "--f", "a,b"],
+        ["induce", "--n", "3", "--j", "x"],
+        ["syt", "--shape", "1,x"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+
+
+def test_bn_with_both_shapes_empty_is_an_error():
+    status, lines = _run(["bn", "--lam", "", "--mu", ""])
+    assert status == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_invalid_shape_reports_error():

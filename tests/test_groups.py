@@ -3,7 +3,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ayrep.errors import SizeCapError
+from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
     SignedPermutation,
@@ -19,12 +19,12 @@ from ayrep.groups import (
     reflections,
     simple,
     weak_interval,
-    _sym_group,
+    sym_group,
 )
 
 
 def perms(n):
-    return list(_sym_group(n))
+    return list(sym_group(n))
 
 
 @st.composite
@@ -232,6 +232,9 @@ def test_enumerate_group_cap(monkeypatch):
         enumerate_group("A", 4)
     monkeypatch.setenv("AYREP_MAX_N", "8")
     assert len(enumerate_group("A", 4)) == 24
+    monkeypatch.setenv("AYREP_MAX_N", "x")
+    with pytest.raises(PreconditionError, match="AYREP_MAX_N"):
+        enumerate_group("A", 4)
 
 
 def test_signed_permutations():

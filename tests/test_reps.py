@@ -4,7 +4,7 @@ import pytest
 
 from ayrep.cells import Functional, descent_cell
 from ayrep.errors import GenericityError, PreconditionError
-from ayrep.groups import Permutation, _sym_group, identity, reduced_word
+from ayrep.groups import Permutation, sym_group, identity, reduced_word
 from ayrep.linalg import SquareMatrix
 from ayrep.reps import (
     ORTHOGONAL,
@@ -102,7 +102,7 @@ def test_verify_coxeter_detects_perturbation():
 
 
 def test_axiom_b_on_regular_representation():
-    group = list(_sym_group(3))
+    group = list(sym_group(3))
     index = {w: k for k, w in enumerate(group)}
     mats = {}
     for g in (1, 2):
@@ -151,7 +151,7 @@ def test_is_irreducible_examples():
 def test_character_constant_on_classes():
     rep = build_from_functional(Functional((0, 2, -1)), identity(3))
     chi = character(rep)
-    for w in _sym_group(3):
+    for w in sym_group(3):
         by_class = chi.values[
             next(r for r in chi.values if r.cycle_type() == w.cycle_type())
         ]
@@ -244,7 +244,7 @@ def test_traces_agree_between_normalizations(shape):
     f = Functional(content_vector(row_tableau(shape)))
     exact = build_from_functional(f, identity(n), SEMINORMAL)
     floaty = build_from_functional(f, identity(n), ORTHOGONAL)
-    for w in _sym_group(n):
+    for w in sym_group(n):
         assert abs(
             float(character_value(exact, w)) - character_value(floaty, w)
         ) <= 1e-9

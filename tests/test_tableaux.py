@@ -9,7 +9,7 @@ from ayrep.errors import (
     NotStandardError,
     PreconditionError,
 )
-from ayrep.groups import Permutation, identity, partitions, _sym_group
+from ayrep.groups import Permutation, identity, partitions, sym_group
 from ayrep.tableaux import (
     SkewShape,
     Tableau,
@@ -184,7 +184,7 @@ def test_relabel_bijection_onto_standard_fillings(n):
         shape = SkewShape(lam)
         q = row_tableau(shape)
         images = {}
-        for pi in _sym_group(n):
+        for pi in sym_group(n):
             r = relabel(q, pi)
             if r.is_standard():
                 assert r not in images.values()
