@@ -4,11 +4,20 @@ Columns hold images of basis vectors: entry (i, j) is the coefficient of
 basis vector i in the image of basis vector j.  Generator matrices in this
 package have at most two nonzero entries per column, so everything stays
 dict-of-dict sparse.
+
+Word traces and relation checks run on integers.  Each exact matrix M is
+scaled by the lcm s of its entry denominators, so that N = s*M has integer
+entries; seminormal entries are 1/h, 1 and 1 - 1/h^2, so s divides h^2.
+Then M1 * ... * Mk = (N1 * ... * Nk) / (s1 * ... * sk) exactly, and each
+basis vector is pushed through the word in Python ints with a single
+division at the end.  Matrices with float entries (the orthogonal form) run
+the same loop with scale 1, in the same order of operations as before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 
@@ -18,10 +27,6 @@ class SquareMatrix:
     def __init__(self, dim: int, cols: dict = None):
         self.dim = dim
         self.cols = cols if cols is not None else {}
-
-    @classmethod
-    def identity(cls, dim: int, one=Fraction(1)) -> "SquareMatrix":
-        return cls(dim, {j: {j: one} for j in range(dim)})
 
     def set_entry(self, i: int, j: int, value) -> None:
         if value == 0:
@@ -63,14 +68,6 @@ class SquareMatrix:
                 worst = max(worst, abs(self.entry(i, j) - other.entry(i, j)))
         return worst
 
-    def is_identity(self, tol=None) -> bool:
-        if tol is None:
-            for j in range(self.dim):
-                if self.cols.get(j, {}) != {j: self.entry(j, j)} or self.entry(j, j) != 1:
-                    return False
-            return True
-        return self.max_deviation_from(SquareMatrix.identity(self.dim, 1.0)) <= tol
-
     def equals(self, other: "SquareMatrix", tol=None) -> bool:
         if self.dim != other.dim:
             return False
@@ -95,23 +92,78 @@ class SquareMatrix:
         return f"SquareMatrix(dim={self.dim}, nnz={sum(len(c) for c in self.cols.values())})"
 
 
+def _scaled(m: SquareMatrix) -> tuple:
+    """(s, columns, kind): columns[j] lists the (i, s * m[i, j]) of column j.
+
+    kind is the type of the entries: float if any is a float (then s = 1 and
+    the entries are kept), else Fraction if any is one, else int.
+    """
+    entries = [v for col in m.cols.values() for v in col.values()]
+    columns = [()] * m.dim
+    if any(isinstance(v, float) for v in entries):
+        for j, col in m.cols.items():
+            columns[j] = tuple(col.items())
+        return 1, columns, float
+    s = lcm(*(v.denominator for v in entries))
+    for j, col in m.cols.items():
+        columns[j] = tuple((i, v.numerator * (s // v.denominator)) for i, v in col.items())
+    kind = Fraction if any(isinstance(v, Fraction) for v in entries) else int
+    return s, columns, kind
+
+
+def _push(chain: Sequence, j: int) -> dict:
+    """Image of basis vector j under chain[0] * chain[1] * ..., sparse, zeros dropped."""
+    vec = {j: 1}
+    for columns in reversed(chain):
+        out: dict = {}
+        for k, x in vec.items():
+            for i, a in columns[k]:
+                v = out.get(i, 0) + a * x
+                if v == 0:
+                    out.pop(i, None)
+                else:
+                    out[i] = v
+        vec = out
+        if not vec:
+            break
+    return vec
+
+
 def word_trace(matrices: Sequence[SquareMatrix], dim: int):
-    """Trace of the product matrices[0] * matrices[1] * ... without forming it."""
+    """Trace of the product matrices[0] * matrices[1] * ... without forming it.
+
+    Exact words give int 0 when no diagonal term survives and a Fraction
+    otherwise (an int when every entry is an int); float words give a float.
+    """
     if not matrices:
         return dim if dim else 0
-    total = 0
+    forms = {}
+    for m in matrices:
+        if id(m) not in forms:
+            forms[id(m)] = _scaled(m)
+    chain = [forms[id(m)][1] for m in matrices]
+    kinds = {kind for _, _, kind in forms.values()}
+    total, survived = 0, False
     for j in range(dim):
-        vec = {j: 1}
-        for m in reversed(matrices):
-            vec = m.apply(vec)
-            if not vec:
-                break
-        total += vec.get(j, 0)
-    return total
+        vec = _push(chain, j)
+        if j in vec:
+            total += vec[j]
+            survived = True
+    if float in kinds or Fraction not in kinds or not survived:
+        return total
+    return Fraction(total, prod(forms[id(m)][0] for m in matrices))
 
 
 def power_is_identity(m: SquareMatrix, k: int, tol=None) -> bool:
-    acc = m
-    for _ in range(k - 1):
-        acc = acc * m
-    return acc.is_identity(tol)
+    """Whether m^k is the identity, exactly or (given tol) entrywise within tol."""
+    s, columns, _ = _scaled(m)
+    chain = [columns] * k
+    one = s**k
+    for j in range(m.dim):
+        vec = _push(chain, j)
+        if tol is None:
+            if vec != {j: one}:
+                return False
+        elif abs(vec.pop(j, 0) / one - 1) > tol or any(abs(v / one) > tol for v in vec.values()):
+            return False
+    return True

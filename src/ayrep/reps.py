@@ -301,15 +301,15 @@ def character_value(rep: Representation, element) -> object:
 
 
 def char_inner(c1: Character, c2: Character) -> Fraction:
-    """(1/|W|) sum over the group of the product of the two characters."""
+    """(1/|W|) sum over the group of the product of the two characters, exactly."""
     if c1.kind != c2.kind:
         raise PreconditionError("characters live on different groups")
+    if any(isinstance(v, float) for c in (c1, c2) for v in c.values.values()):
+        raise PreconditionError("the character inner product is taken in exact arithmetic")
     total = 0
     for rep_element, v in c1.values.items():
         total += c1.sizes[rep_element] * v * c2.values[rep_element]
-    if isinstance(total, Fraction) or isinstance(total, int):
-        return Fraction(total, c1.order)
-    return total / c1.order
+    return Fraction(total, c1.order)
 
 
 def is_irreducible(rep: Representation) -> bool:

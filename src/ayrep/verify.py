@@ -78,7 +78,13 @@ class SuiteResult:
         return self.ok
 
 
-def _result(name, details, bad):
+def _result(name, details, bad, checked: int):
+    """The suite's verdict; `checked` counts what it examined (any measure).
+
+    A sweep that examined nothing has no verdict to give, so it fails.
+    """
+    if not checked and not bad:
+        return SuiteResult(name, False, (*details, "no checks performed"), ())
     return SuiteResult(name, not bad, tuple(details), tuple(bad))
 
 
@@ -110,7 +116,7 @@ def coxeter_suite(n_max: int = 5, include_sample_6: bool = True,
         if not report.ok:
             bad.append(f"orthogonal {shape}: {report.failures[0]}")
         checked += 1
-    return _result("coxeter", [f"{checked} shapes checked (exact and tol {tol})"], bad)
+    return _result("coxeter", [f"{checked} shapes checked (exact and tol {tol})"], bad, checked)
 
 
 def axiom_b_suite(n_max: int = 5) -> SuiteResult:
@@ -124,7 +130,7 @@ def axiom_b_suite(n_max: int = 5) -> SuiteResult:
             if not report.ok:
                 bad.append(f"{shape}: {report.failures[0]}")
             checked += 1
-    return _result("axiomB", [f"{checked} representations checked"], bad)
+    return _result("axiomB", [f"{checked} representations checked"], bad, checked)
 
 
 def cells_suite(n_max: int = 6) -> SuiteResult:
@@ -144,7 +150,7 @@ def cells_suite(n_max: int = 6) -> SuiteResult:
             except AssertionError as exc:
                 bad.append(f"{shape}: {exc}")
             checked += 1
-    return _result("cells", [f"{checked} shapes checked up to n={n_max}"], bad)
+    return _result("cells", [f"{checked} shapes checked up to n={n_max}"], bad, checked)
 
 
 def regular_suite(n_max: int = 5) -> SuiteResult:
@@ -162,7 +168,7 @@ def regular_suite(n_max: int = 5) -> SuiteResult:
             if value != expected:
                 bad.append(f"n={n}: character at {cls_rep.one_line()} is {value}")
         details.append(f"n={n}: dim {rep.dim}, regular character exact")
-    return _result("regular", details, bad)
+    return _result("regular", details, bad, len(details))
 
 
 def sample_flats() -> list:
@@ -190,8 +196,20 @@ def sample_flats() -> list:
     return flats
 
 
+def _same_matrices(a, b) -> bool:
+    """Same basis in the same order and the same generator matrix entries."""
+    if a.basis != b.basis or a.matrices.keys() != b.matrices.keys():
+        return False
+    return all(m.cols == b.matrices[g].cols for g, m in a.matrices.items())
+
+
 def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> SuiteResult:
-    """Characters agree across generic functionals on a flat and base elements."""
+    """Characters agree across generic functionals on a flat and base elements.
+
+    The representation is built from every base element of the cell; its
+    character is traced again only when its basis or matrices differ from
+    the representation last traced for the same functional.
+    """
     bad, details = [], []
     flats = sample_flats()
     for flat in flats:
@@ -211,12 +229,15 @@ def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> Sui
             used_cells += 1
             tables = []
             for f in generics:
+                traced = None  # (rep, character) last traced for this f
                 for v in cell.members:
                     rep = build_from_functional(f, v, SEMINORMAL)
                     if frozenset(rep.basis) != cell.member_set:
                         bad.append(f"{flat}: cell drift for f={f!r}, v={v.one_line()}")
                         continue
-                    tables.append((f, v, character(rep)))
+                    if traced is None or not _same_matrices(rep, traced[0]):
+                        traced = (rep, character(rep))
+                    tables.append((f, v, traced[1]))
             first = tables[0][2]
             for f, v, chi in tables[1:]:
                 if chi != first:
@@ -237,7 +258,7 @@ def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> Sui
                 f"{used_cells} cells x {points_needed} functionals agree"
             )
     details.insert(0, f"{len(flats)} flats checked")
-    return _result("flat", details, bad)
+    return _result("flat", details, bad, len(flats))
 
 
 def specht_suite(n_max: int = 5, dim_sum_max: int = 6) -> SuiteResult:
@@ -274,7 +295,7 @@ def specht_suite(n_max: int = 5, dim_sum_max: int = 6) -> SuiteResult:
         if total != factorial(n):
             bad.append(f"n={n}: sum of squared dimensions {total} != {factorial(n)}")
     details.append(f"dimension identity checked up to n={dim_sum_max}")
-    return _result("specht", details, bad)
+    return _result("specht", details, bad, checked + dim_sum_max)
 
 
 def _brute_minimal_family(n: int) -> set:
@@ -325,7 +346,7 @@ def minimal_suite(n_max: int = 4, seed: int = 0, samples: int = 150) -> SuiteRes
         details.append(
             f"n={n}: {agreements} subsets agree (family size {len(family)})"
         )
-    return _result("minimal", details, bad)
+    return _result("minimal", details, bad, len(details))
 
 
 def induction_suite(n_max: int = 5) -> SuiteResult:
@@ -373,7 +394,7 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
                         )
                     size_checked += 1
     details.append(f"{size_checked} shuffle-cell sizes match the product formula")
-    return _result("induction", details, bad)
+    return _result("induction", details, bad, checked + size_checked)
 
 
 def bn_suite(n_max: int = 4, tol: float = 1e-9) -> SuiteResult:
@@ -411,7 +432,7 @@ def bn_suite(n_max: int = 4, tol: float = 1e-9) -> SuiteResult:
         if dims_sq != expected:
             bad.append(f"n={n}: sum of squared dimensions {dims_sq} != {expected}")
         details.append(f"n={n}: {count} pairs verified, sum dim^2 = {dims_sq}")
-    return _result("bn", details, bad)
+    return _result("bn", details, bad, len(details))
 
 
 def tops_suite(n_max: int = 5) -> SuiteResult:
@@ -436,13 +457,13 @@ def tops_suite(n_max: int = 5) -> SuiteResult:
             f"oracle size={len(report.oracle)}; top-to-bottom column reading matches oracle="
             f"{report.oracle_matches_down}, bottom-to-top matches={report.oracle_matches_up}"
         )
-    return _result("tops", details, bad)
+    return _result("tops", details, bad, len(details))
 
 
 def convexity_suite(n_max: int = 5, coord_bound: int = 3,
                     equiv_n_max: int = 4, equiv_bound: int = 2) -> SuiteResult:
     """Descent cells are convex; the two genericity tests coincide."""
-    bad, details = [], []
+    bad, details, checked = [], [], 0
     for n in range(2, n_max + 1):
         refl = reflections(n)
         patterns = set()
@@ -462,6 +483,7 @@ def convexity_suite(n_max: int = 5, coord_bound: int = 3,
                 if not is_convex(cell.members):
                     bad.append(f"n={n}: non-convex descent cell over A={sorted(A)}")
                 convex_count += 1
+        checked += convex_count
         details.append(
             f"n={n}: {len(patterns)} +-1 patterns, {convex_count} distinct cells convex"
         )
@@ -475,7 +497,7 @@ def convexity_suite(n_max: int = 5, coord_bound: int = 3,
                 bad.append(f"f={coords}: integer test {direct} != cell test {via_cell}")
             agree += 1
     details.append(f"{agree} functionals agree on the two genericity tests")
-    return _result("convexity", details, bad)
+    return _result("convexity", details, bad, checked + agree)
 
 
 SUITES = {

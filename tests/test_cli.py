@@ -88,6 +88,21 @@ def test_verify_command_exit_status():
     assert any(line.startswith("[PASS] cells") for line in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "0", "--suite", "cells"],
+    ["verify", "--n", "1", "--suite", "regular"],
+])
+def test_verify_that_checks_nothing_fails(argv):
+    status, lines = _run(argv)
+    assert status == 1
+    assert lines[0] == f"[FAIL] {argv[-1]}"
+    assert lines[-1] == "    no checks performed"
+    status, lines = _run(argv + ["--json"])
+    (suite,) = json.loads("\n".join(lines))["suites"]
+    assert status == 1 and suite["ok"] is False
+    assert suite["details"][-1] == "no checks performed"
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as err:
         _run(["verify", "--n", "3", "--suite", "nonsense"])

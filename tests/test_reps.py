@@ -284,6 +284,16 @@ def test_diagonal_matches_relabeled_hook_distance(n):
                 assert rep.matrices[g].entry(j, j) == Fraction(1, h)
 
 
+def test_char_inner_rejects_float_characters():
+    rep = build_from_functional(Functional((0, 1, 2)), identity(3), ORTHOGONAL)
+    chi = character(rep)
+    exact = character(build_from_functional(Functional((0, 1, 2)), identity(3)))
+    for pair in ((chi, chi), (chi, exact), (exact, chi)):
+        with pytest.raises(PreconditionError):
+            char_inner(*pair)
+    assert char_inner(exact, exact) == 1
+
+
 def test_character_word_independent_of_reduced_word():
     rep = build_from_functional(Functional((0, 2, -1)), identity(3))
     w = Permutation((3, 2, 1))
