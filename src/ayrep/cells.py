@@ -15,13 +15,14 @@ from .errors import PreconditionError
 from .groups import (
     Permutation,
     Reflection,
-    sym_group,
+    _check_cap,
     conjugated_reflection,
     identity,
     is_convex,
     left_descents_in,
     pair,
     reflections,
+    sym_group,
 )
 from .tableaux import Tableau, content_violation, tableau_from_content
 
@@ -84,23 +85,55 @@ def make_cell(members: Iterable[Permutation]) -> Cell:
 
 
 def descent_cell(f: Functional, w: Permutation) -> Cell:
-    """All group elements whose descents on the +-1 reflections match w's."""
+    """All group elements whose descents on the +-1 reflections match w's.
+
+    Found by walking inside the cell from w (see `_walk_cell`).  The walk is
+    complete because the cell is convex (an intersection of the half-spaces
+    of the reflections paired to +-1), and a convex set is connected: each
+    member is joined to w by a geodesic that never leaves it.
+    """
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    A = boundary_reflections(f)
-    target = left_descents_in(A, w)
-    members = [v for v in sym_group(w.size) if left_descents_in(A, v) == target]
-    return Cell(tuple(sorted(members, key=lambda u: u.sort_key())), *_reflection_sets(members))
+    _check_cap("A", w.size)
+    return Cell(*_walk_cell(boundary_reflections(f), w, range(1, w.size)))
 
 
-def _reflection_sets(members: list, gens=None) -> tuple:
+def _walk_cell(A: frozenset, start: Permutation, gens) -> tuple:
+    """Breadth-first walk from start along the steps w -> w s_i, i in gens.
+
+    The step changes the left inversion set by the one reflection
+    t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
+    not in A; t goes to the interior set if it does and to the boundary set
+    otherwise.  Returns (members sorted by (length, word), interior, boundary).
+    """
+    # The walk runs on one-line tuples and (low, high) value pairs; a pair
+    # hashes and compares equal to its Reflection, so it is looked up in A.
+    seen = {start.images}
+    order = [start.images]
+    interior, boundary = set(), set()
+    for img in order:
+        for i in gens:
+            x, y = img[i - 1], img[i]
+            t = (x, y) if x < y else (y, x)
+            if t in A:
+                boundary.add(t)
+                continue
+            interior.add(t)
+            nxt = img[:i - 1] + (y, x) + img[i + 1:]
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    members = sorted(map(Permutation._unsafe, order), key=lambda u: u.sort_key())
+    return (tuple(members), frozenset(map(Reflection._make, interior)),
+            frozenset(map(Reflection._make, boundary)))
+
+
+def _reflection_sets(members: list) -> tuple:
     member_set = frozenset(members)
     n = members[0].size
-    if gens is None:
-        gens = range(1, n)
     interior, boundary = set(), set()
     for w in members:
-        for i in gens:
+        for i in range(1, n):
             t = conjugated_reflection(w, i)
             if w.times_simple(i) in member_set:
                 interior.add(t)
@@ -110,15 +143,23 @@ def _reflection_sets(members: list, gens=None) -> tuple:
 
 
 def descent_partition(n: int, A: frozenset) -> list:
-    """Partition of the group into descent classes over the reflection set A."""
-    buckets: dict = {}
-    for v in sym_group(n):
-        key = frozenset(left_descents_in(A, v))
-        buckets.setdefault(key, []).append(v)
-    cells = []
-    for key in sorted(buckets, key=lambda k: sorted(k)):
-        members = sorted(buckets[key], key=lambda u: u.sort_key())
-        cells.append(Cell(tuple(members), *_reflection_sets(members)))
+    """Partition of the group into descent classes over the reflection set A.
+
+    Each class is walked from its first element in the group's order; the
+    classes come ordered by their sorted descent sets.
+    """
+    group = sym_group(n)
+    by_images = {v.images: v for v in group}
+    cells, seen = [], set()
+    for v in group:
+        if v in seen:
+            continue
+        members, interior, boundary = _walk_cell(A, v, range(1, n))
+        # the group's own elements, shared by every partition's cells
+        members = tuple(by_images[w.images] for w in members)
+        seen.update(members)
+        cells.append(Cell(members, interior, boundary))
+    cells.sort(key=lambda c: sorted(left_descents_in(A, c.members[0])))
     return cells
 
 
@@ -270,15 +311,9 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
 
 
 def _identity_cell_members(coords: tuple) -> frozenset:
-    f = Functional(coords)
-    A = boundary_reflections(f)
-    n = f.size
-    out = []
-    for v in sym_group(n):
-        inv = v.inverse().images
-        if all(inv[t.i - 1] < inv[t.j - 1] for t in A):
-            out.append(v)
-    return frozenset(out)
+    n = len(coords)
+    members, _, _ = _walk_cell(boundary_reflections(Functional(coords)), identity(n), range(1, n))
+    return frozenset(members)
 
 
 # basic flats -----------------------------------------------------------------

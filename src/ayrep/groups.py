@@ -266,26 +266,34 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     """Whether every geodesic of the right Cayley graph between two members
     stays inside the set.
 
-    Uses the fact that x lies on a geodesic from u to v exactly when the left
-    inversion set of x is sandwiched between the intersection and the union of
-    those of u and v (checked against a brute-force path search in the tests).
+    Criterion: a nonempty K is convex exactly when, for every boundary edge
+    (w in K, ws not in K), all of K lies on w's side of the wall w s w^-1,
+    i.e. no member's left inversion set differs from w's on that reflection.
+    (<=) A geodesic from K to any x outside leaves K by a boundary edge and
+    crosses its wall once, so these half-spaces cut out K: an intersection
+    of convex sets.  (=>) ws lies on a geodesic from w to any member across
+    the wall, its inversion set being sandwiched between theirs.
+    Costs O(|K| n); checked against the sandwich test and a brute-force path
+    search in the tests.
     """
     K = set(members)
     if not K:
         raise PreconditionError("convexity of the empty set is undefined")
     n = next(iter(K)).size
     masks = _inversion_masks(n)
-    if len(K) <= 1 or len(K) == len(masks):
+    union, common = 0, ~0
+    for w in K:
+        union |= masks[w]
+        common &= masks[w]
+    split = union & ~common  # reflections whose walls cut through K
+    if not split:
         return True
-    inside = [masks[w] for w in K]
-    outside = [m for w, m in masks.items() if w not in K]
-    for mu in inside:
-        for mv in inside:
-            lo = mu & mv
-            hi = mu | mv
-            for mx in outside:
-                if mx & lo == lo and mx & hi == mx:
-                    return False
+    for w in K:
+        mw = masks[w]
+        for i in range(1, n):
+            ws = w.times_simple(i)
+            if ws not in K and (mw ^ masks[ws]) & split:
+                return False
     return True
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cells import Functional, boundary_reflections, descent_cell, genericity_violation, _reflection_sets
+from .cells import Functional, boundary_reflections, descent_cell, genericity_violation, _walk_cell
 from .errors import GenericityError, PreconditionError
 from .groups import (
     ClassData,
@@ -26,8 +26,7 @@ from .groups import (
     class_data_signed,
     class_data_symmetric,
     conjugated_reflection,
-    left_descents_in,
-    parabolic_elements,
+    identity,
     reduced_word,
     signed_reduced_word,
 )
@@ -128,15 +127,7 @@ def build_parabolic(f: Functional, J: Sequence[int], n: int,
     if not set(J) <= set(range(1, n)):
         raise PreconditionError(f"J must be generator indices within 1..{n - 1}")
     _check_cap("A", n)
-    A = boundary_reflections(f)
-    elements = parabolic_elements(n, frozenset(J))
-    members = tuple(
-        sorted(
-            (v for v in elements if not left_descents_in(A, v)),
-            key=lambda u: u.sort_key(),
-        )
-    )
-    interior, boundary = _reflection_sets(list(members), J)
+    members, interior, boundary = _walk_cell(boundary_reflections(f), identity(n), J)
     bad = genericity_violation(f, members, interior, boundary, J)
     if bad is not None:
         raise GenericityError(f"functional not generic for the parabolic cell: {bad[1]}", bad[0])
@@ -226,7 +217,7 @@ def verify_axiom_B(rep: Representation) -> VerificationReport:
             a = col.get(j, 0)
             b = col.get(index[ws], 0) if ws in index else 0
             t = conjugated_reflection(w, g)
-            direction = w.length() < ws.length()
+            direction = w.images[g - 1] < w.images[g]  # the step goes up
             key = (t, direction)
             if ws in index:
                 if key in seen and seen[key] != (a, b):

@@ -5,9 +5,11 @@ import pytest
 from ayrep.cells import (
     BasicFlat,
     Functional,
+    _walk_cell,
     boundary_reflections,
     cell_tableau_bijection,
     descent_cell,
+    descent_partition,
     flat_determined_reflections,
     flat_integer_points,
     flat_partition,
@@ -16,8 +18,29 @@ from ayrep.cells import (
     is_minimal_ay_cell,
 )
 from ayrep.errors import PreconditionError
-from ayrep.groups import Permutation, identity, is_convex, reflection, sym_group
-from ayrep.tableaux import SkewShape, Tableau, content_vector, enumerate_standard, relabel
+from ayrep.groups import (
+    Permutation,
+    conjugated_reflection,
+    identity,
+    is_convex,
+    left_descents_in,
+    parabolic_elements,
+    partitions,
+    reflection,
+    reflections,
+    sym_group,
+)
+from ayrep.induction import j_intervals, parabolic_functional
+from ayrep.reps import build_parabolic
+from ayrep.tableaux import (
+    SkewShape,
+    Tableau,
+    content_vector,
+    enumerate_standard,
+    relabel,
+    row_tableau,
+    skew_shape_family,
+)
 
 
 def P(*images):
@@ -181,8 +204,6 @@ def test_flat_inconsistent():
 def test_monotone_positions_on_generic_cells(n):
     """Reflections paired to 0 or +-1 order the positions identically across
     the whole identity cell."""
-    from ayrep.groups import reflections
-
     for coords in product(range(-2, 3), repeat=n):
         f = Functional(coords)
         if not is_generic_integer(f):
@@ -213,3 +234,84 @@ def test_flat_integer_points_lie_on_flat():
     for f in points:
         assert f.pair(reflection(1, 2)) == 1
     assert len({f.coords for f in points}) == len(points)
+
+
+# walking a cell against scanning the whole group ------------------------------
+
+
+def _with_reflection_sets(members, gens):
+    """(members in (length, word) order, interior, boundary) of a member set."""
+    members = sorted(members, key=lambda w: w.sort_key())
+    member_set = set(members)
+    interior, boundary = set(), set()
+    for w in members:
+        for i in gens:
+            t = conjugated_reflection(w, i)
+            (interior if w.times_simple(i) in member_set else boundary).add(t)
+    return tuple(members), frozenset(interior), frozenset(boundary)
+
+
+def _scan_classes(elements, A):
+    """Descent classes over A by scanning every element, keyed by descent set."""
+    buckets = {}
+    for v in elements:
+        buckets.setdefault(frozenset(left_descents_in(A, v)), []).append(v)
+    return buckets
+
+
+def _as_triple(cell):
+    return cell.members, cell.interior, cell.boundary
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_descent_cell_walk_matches_scan_on_skew_shapes(n):
+    gens = range(1, n)
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        buckets = _scan_classes(sym_group(n), boundary_reflections(f))
+        expected = _with_reflection_sets(buckets[frozenset()], gens)
+        assert _as_triple(descent_cell(f, identity(n))) == expected, shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_descent_cell_walk_matches_scan_from_every_base_element(n):
+    gens = range(1, n)
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        A = boundary_reflections(f)
+        expected = {
+            key: _with_reflection_sets(members, gens)
+            for key, members in _scan_classes(sym_group(n), A).items()
+        }
+        for v in sym_group(n):
+            assert _as_triple(descent_cell(f, v)) == expected[frozenset(left_descents_in(A, v))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_descent_partition_matches_bucket_scan(n):
+    """Every +-1 pattern the convexity suite visits (coordinates within +-3)."""
+    patterns = {
+        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
+        for coords in product(range(-3, 4), repeat=n)
+    }
+    for A in patterns:
+        buckets = _scan_classes(sym_group(n), A)
+        expected = [
+            _with_reflection_sets(buckets[key], range(1, n))
+            for key in sorted(buckets, key=sorted)
+        ]
+        assert [_as_triple(c) for c in descent_partition(n, A)] == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_parabolic_cells_match_scan(n):
+    gens = range(1, n)
+    for mask in range(1 << (n - 1)):
+        J = tuple(g for g in gens if mask >> (g - 1) & 1)
+        elements = parabolic_elements(n, frozenset(J))
+        for shapes in product(*(partitions(b - a + 1) for a, b in j_intervals(J))):
+            f = parabolic_functional(J, n, shapes)
+            A = boundary_reflections(f)
+            expected = _with_reflection_sets(_scan_classes(elements, A)[frozenset()], J)
+            assert _walk_cell(A, identity(n), J) == expected
+            assert build_parabolic(f, J, n).basis == expected[0]

@@ -91,6 +91,8 @@ def test_verify_command_exit_status():
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "0", "--suite", "cells"],
     ["verify", "--n", "1", "--suite", "regular"],
+    ["verify", "--n", "0", "--suite", "specht"],
+    ["verify", "--n", "1", "--suite", "convexity"],
 ])
 def test_verify_that_checks_nothing_fails(argv):
     status, lines = _run(argv)

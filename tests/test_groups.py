@@ -1,8 +1,13 @@
+import itertools
+import random
 from collections import deque
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ayrep.cells import descent_partition
 from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
@@ -161,9 +166,6 @@ def _on_some_geodesic(n, u, v):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_convexity_matches_geodesic_oracle(n):
-    import itertools
-    import random
-
     rng = random.Random(7)
     group = perms(n)
     candidates = []
@@ -192,6 +194,87 @@ def test_convexity_examples():
 def test_weak_intervals_convex(n):
     for w in perms(n):
         assert is_convex(weak_interval(w))
+
+
+@lru_cache(maxsize=None)
+def _left_inversion_masks(n):
+    """Left inversion set of every element, as a bitmask over reflections(n)."""
+    refl = reflections(n)
+    masks = {}
+    for w in perms(n):
+        descents = left_descents_in(refl, w)
+        masks[w] = sum(1 << k for k, t in enumerate(refl) if t in descents)
+    return masks
+
+
+def _sandwich_convex(members):
+    """Oracle: no outside element lies on a geodesic between two members.
+
+    x lies on a geodesic from u to v exactly when its left inversion set is
+    sandwiched between the intersection and the union of theirs.  Only an x
+    sandwiched between the intersection and the union over all of K can be.
+    """
+    K = set(members)
+    masks = _left_inversion_masks(next(iter(K)).size)
+    inside = [masks[w] for w in K]
+    lo_all, hi_all = reduce(and_, inside), reduce(or_, inside)
+    outside = [
+        m for w, m in masks.items()
+        if w not in K and m & lo_all == lo_all and m | hi_all == hi_all
+    ]
+    for a, mu in enumerate(inside):
+        for mv in inside[a + 1:]:
+            lo, hi = mu & mv, mu | mv
+            if any(mx & lo == lo and mx | hi == hi for mx in outside):
+                return False
+    return True
+
+
+def _suite_descent_cells(n):
+    """The distinct descent cells over the +-1 patterns of coordinates in -3..3."""
+    refl = reflections(n)
+    patterns = {
+        frozenset(t for t in refl if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
+        for coords in itertools.product(range(-3, 4), repeat=n)
+    }
+    return sorted(
+        {c.member_set for A in patterns for c in descent_partition(n, A)},
+        key=lambda K: sorted(w.sort_key() for w in K),
+    )
+
+
+def _near_misses(K):
+    """K with one outside neighbour added, and K with its first or last member dropped."""
+    n = next(iter(K)).size
+    out = []
+    members = sorted(K, key=lambda w: w.sort_key())
+    for w in members:
+        steps = [w.times_simple(i) for i in range(1, n) if w.times_simple(i) not in K]
+        if steps:
+            out.append(K | {steps[0]})
+            break
+    if len(members) > 1:
+        out.extend([K - {members[0]}, K - {members[-1]}])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_convexity_matches_sandwich_oracle(n):
+    rng = random.Random(n)
+    group = perms(n)
+    convex = _suite_descent_cells(n) + [frozenset(weak_interval(w)) for w in group]
+    candidates = list(convex)
+    for K in convex:
+        candidates.extend(_near_misses(K))
+    for _ in range(200):
+        candidates.append(frozenset(rng.sample(group, rng.randint(1, len(group)))))
+    verdicts = []
+    for K in candidates:
+        verdicts.append(is_convex(K))
+        assert verdicts[-1] == _sandwich_convex(K), sorted(w.one_line() for w in K)
+    assert all(verdicts[:len(convex)])
+    if n >= 3:
+        assert not all(verdicts)
 
 
 # cosets and enumeration ----------------------------------------------------------

@@ -3,7 +3,8 @@
 Each file under tests/pinned/ is the stdout of one `ayrep` invocation.  They
 fix every generator matrix entry of the cell, parabolic, induced and signed
 builders, exact and float, which the character and relation checks elsewhere
-do not.
+do not, and the member order, reflection sets and edge list of a descent
+cell.
 """
 
 from pathlib import Path
@@ -23,6 +24,9 @@ CASES = {
                                 "--form", "orthogonal-float", "--json"],
     "bn_orthogonal_float": ["bn", "--lam", "2", "--mu", "1", "--form", "orthogonal-float",
                             "--json"],
+    "cell_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--json"],
+    "cell_base_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--w", "2,1,3,5,4", "--json"],
+    "cell_dot": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--format", "dot"],
 }
 
 

@@ -121,6 +121,14 @@ def test_axiom_b_on_regular_representation():
     assert not verify_axiom_B(bad).ok
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_axiom_b_step_direction_is_the_descent_test(n):
+    """verify_axiom_B reads "w s_g is longer than w" off the one-line word."""
+    for w in sym_group(n):
+        for g in range(1, n):
+            assert (w.images[g - 1] < w.images[g]) == (w.length() < w.times_simple(g).length())
+
+
 def test_axiom_b_on_sign_singleton():
     rep = build_from_functional(Functional((0, -1, -2)), identity(3))
     assert rep.dim == 1
