@@ -62,10 +62,11 @@ class Permutation:
         self._length = None
 
     @classmethod
-    def _unsafe(cls, images: tuple) -> "Permutation":
+    def _unsafe(cls, images: tuple, length: int = None) -> "Permutation":
+        """No validation; `length`, when given, must be the inversion count."""
         p = object.__new__(cls)
         p.images = images
-        p._length = None
+        p._length = length
         return p
 
     @property

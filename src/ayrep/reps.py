@@ -5,6 +5,14 @@ C_{ws} carries off-diagonal coefficient 1, coming back carries 1 - a^2 where
 a is the reciprocal pairing of the conjugated reflection.  The orthogonal
 variant puts sqrt(1 - a^2) on both sides and is kept in floating point purely
 for display and cross-checks; characters agree between the two.
+
+A coefficient depends only on the pairing h, the direction of the step and
+the normalization, so `_step_coefficients` is one memoised table shared by
+every builder: each distinct coefficient is a single immutable Fraction (or
+float) that all matrices hold, and comparing two builds' columns mostly
+takes the identity shortcut.  The cell and parabolic builders step on
+one-line tuples (w s_i swaps positions i and i+1) rather than on Permutation
+objects; the basis they return is still the Permutation members.
 """
 
 from __future__ import annotations
@@ -25,9 +33,9 @@ from .groups import (
     class_data_parabolic,
     class_data_signed,
     class_data_symmetric,
-    conjugated_reflection,
     identity,
     reduced_word,
+    reflection,
     signed_reduced_word,
 )
 from .linalg import SquareMatrix, power_is_identity, word_trace
@@ -58,11 +66,12 @@ class Representation:
         return self.normalization == SEMINORMAL
 
 
+@lru_cache(maxsize=None)
 def _step_coefficients(h, up: bool, normalization: str) -> tuple:
     """Diagonal a = 1/h and neighbor coefficient b for a step with signed pairing h.
 
     Seminormal: b = 1 going up, 1 - a^2 coming down.  Orthogonal: b = sqrt(1 - a^2)
-    both ways.
+    both ways.  Memoised: equal arguments return the same shared objects.
     """
     if normalization == SEMINORMAL:
         a = Fraction(1, h)
@@ -75,29 +84,33 @@ def _two_term_matrices(basis: Sequence, gens: Sequence[int], step) -> dict:
     """Generator matrices sending each basis vector v to a v + b v'.
 
     `step(v, g)` returns (a, v', b); the b term is dropped when v' is not in
-    the basis.
+    the basis, and zero coefficients are never stored.  Each column is a
+    fresh dict, written diagonal first.
     """
     index = {v: k for k, v in enumerate(basis)}
     mats = {}
     for g in gens:
-        m = SquareMatrix(len(basis))
+        cols = {}
         for j, v in enumerate(basis):
             a, neighbor, b = step(v, g)
-            m.set_entry(j, j, a)
-            if neighbor in index:
-                m.set_entry(index[neighbor], j, b)
-        mats[g] = m
+            col = {j: a} if a else {}
+            k = index.get(neighbor)
+            if k is not None and b:
+                col[k] = b
+            if col:
+                cols[j] = col
+        mats[g] = SquareMatrix(len(basis), cols)
     return mats
 
 
 def _functional_step(f: Functional, normalization: str):
-    """Step on permutations: the pairing of the letters w(g), w(g+1)."""
+    """Step on one-line tuples: the pairing of the letters w(g), w(g+1)."""
     coords = f.coords
 
-    def step(w: Permutation, g: int) -> tuple:
-        x, y = w.images[g - 1], w.images[g]
+    def step(img: tuple, g: int) -> tuple:
+        x, y = img[g - 1], img[g]
         a, b = _step_coefficients(coords[y - 1] - coords[x - 1], x < y, normalization)
-        return a, w.times_simple(g), b
+        return a, img[:g - 1] + (y, x) + img[g + 1:], b
 
     return step
 
@@ -116,7 +129,8 @@ def build_from_functional(f: Functional, w: Permutation,
     if bad is not None:
         raise GenericityError(f"functional not generic for the cell: {bad[1]}", bad[0])
     n = f.size
-    mats = _two_term_matrices(cell.members, range(1, n), _functional_step(f, normalization))
+    mats = _two_term_matrices([w.images for w in cell.members], range(1, n),
+                              _functional_step(f, normalization))
     return Representation("A", n, tuple(range(1, n)), cell.members, mats, normalization)
 
 
@@ -131,7 +145,7 @@ def build_parabolic(f: Functional, J: Sequence[int], n: int,
     bad = genericity_violation(f, members, interior, boundary, J)
     if bad is not None:
         raise GenericityError(f"functional not generic for the parabolic cell: {bad[1]}", bad[0])
-    mats = _two_term_matrices(members, J, _functional_step(f, normalization))
+    mats = _two_term_matrices([w.images for w in members], J, _functional_step(f, normalization))
     return Representation("A", n, J, members, mats, normalization)
 
 
@@ -201,31 +215,32 @@ def verify_axiom_B(rep: Representation) -> VerificationReport:
     """
     if rep.group_type != "A":
         raise PreconditionError("local-action verification is defined for type A bases")
-    index = {w: k for k, w in enumerate(rep.basis)}
+    # Columns are read in place; neighbors are found on the one-line words.
+    index = {w.images: k for k, w in enumerate(rep.basis)}
     failures = []
     seen: dict = {}
     for g in rep.gens:
-        m = rep.matrices[g]
+        cols = rep.matrices[g].cols
         for j, w in enumerate(rep.basis):
-            ws = w.times_simple(g)
-            col = m.column(j)
-            allowed = {j} | ({index[ws]} if ws in index else set())
-            if not set(col) <= allowed:
+            img = w.images
+            x, y = img[g - 1], img[g]
+            k = index.get(img[:g - 1] + (y, x) + img[g + 1:])
+            col = cols.get(j, {})
+            if len(col) > (j in col) + (k is not None and k in col):
                 # steps leaving the basis may only carry the diagonal term
                 failures.append(f"s{g} at {w.one_line()}: support outside C_w, C_ws")
                 continue
-            a = col.get(j, 0)
-            b = col.get(index[ws], 0) if ws in index else 0
-            t = conjugated_reflection(w, g)
-            direction = w.images[g - 1] < w.images[g]  # the step goes up
-            key = (t, direction)
-            if ws in index:
-                if key in seen and seen[key] != (a, b):
-                    failures.append(
-                        f"s{g} at {w.one_line()}: coefficients differ for {t} going "
-                        f"{'up' if direction else 'down'}"
-                    )
-                seen[key] = (a, b)
+            if k is None:
+                continue
+            # the ordered letter pair names the reflection w s_g w^-1 and the
+            # direction of the step (x < y: it goes up)
+            coefficients = (col.get(j, 0), col.get(k, 0))
+            if (x, y) in seen and seen[x, y] != coefficients:
+                failures.append(
+                    f"s{g} at {w.one_line()}: coefficients differ for {reflection(x, y)} going "
+                    f"{'up' if x < y else 'down'}"
+                )
+            seen[x, y] = coefficients
     return VerificationReport(not failures, tuple(failures))
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from ayrep.cells import (
     flat_determined_reflections,
     flat_integer_points,
     flat_partition,
+    genericity_violation,
     is_generic,
     is_generic_integer,
     is_minimal_ay_cell,
@@ -315,3 +317,71 @@ def test_parabolic_cells_match_scan(n):
             expected = _with_reflection_sets(_scan_classes(elements, A)[frozenset()], J)
             assert _walk_cell(A, identity(n), J) == expected
             assert build_parabolic(f, J, n).basis == expected[0]
+
+
+# lengths carried through the walk; the corner test on one-line words ----------
+
+
+def _inversions(images):
+    n = len(images)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if images[a] > images[b])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_walked_lengths_are_inversion_counts(n):
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        starts = sym_group(n) if n <= 4 else [identity(n)]
+        for v in starts:
+            for w in descent_cell(f, v).members:
+                assert w.length() == _inversions(w.images), (shape, w)
+
+
+def _permutation_genericity_violation(f, members, interior, boundary, gens=None):
+    """The genericity test with its corner condition stepping on Permutations."""
+    for t in sorted(interior):
+        if f.pair(t) in (-1, 0, 1):
+            return ("interior", f"<f,{t}> = {f.pair(t)}")
+    for t in sorted(boundary):
+        if abs(f.pair(t)) != 1:
+            return ("boundary", f"<f,{t}> = {f.pair(t)}")
+    members = sorted(members, key=lambda w: w.sort_key())
+    member_set = frozenset(members)
+    if gens is None:
+        gens = range(1, f.size)
+    gen_set = set(gens)
+    for w in members:
+        for i in gen_set:
+            if i + 1 not in gen_set:
+                continue
+            if w.times_simple(i) in member_set or w.times_simple(i + 1) in member_set:
+                continue
+            t1 = conjugated_reflection(w, i)
+            t2 = conjugated_reflection(w, i + 1)
+            if f.pair(t1) != f.pair(t2):
+                return (
+                    "corner",
+                    f"at {w.one_line()}: <f,{t1}> = {f.pair(t1)} != <f,{t2}> = {f.pair(t2)}",
+                )
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_corner_test_matches_permutation_version_on_descent_cells(n):
+    for coords in product(range(-2, 3), repeat=n):
+        f = Functional(coords)
+        for cell in descent_partition(n, boundary_reflections(f)):
+            args = (f, cell.members, cell.interior, cell.boundary)
+            assert genericity_violation(*args) == _permutation_genericity_violation(*args)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_corner_test_matches_permutation_version_on_random_subsets(n):
+    rng = random.Random(n)
+    group = list(sym_group(n))
+    for _ in range(200):
+        members = rng.sample(group, rng.randint(1, len(group)))
+        f = Functional(rng.randint(-2, 2) for _ in range(n))
+        gens = rng.choice([None, [g for g in range(1, n) if rng.random() < 0.7]])
+        args = (f, members, frozenset(), frozenset(), gens)
+        assert genericity_violation(*args) == _permutation_genericity_violation(*args)

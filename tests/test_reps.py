@@ -1,16 +1,22 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ayrep.cells import Functional, descent_cell
 from ayrep.errors import GenericityError, PreconditionError
-from ayrep.groups import Permutation, sym_group, identity, reduced_word
+from ayrep.groups import Permutation, partitions, sym_group, identity, reduced_word
+from ayrep.induction import j_intervals, parabolic_functional
 from ayrep.linalg import SquareMatrix
 from ayrep.reps import (
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
+    _step_coefficients,
+    _two_term_matrices,
     build_from_functional,
+    build_parabolic,
     build_orthogonal_skew,
     char_inner,
     character,
@@ -22,6 +28,7 @@ from ayrep.reps import (
 )
 from ayrep.tableaux import (
     SkewShape,
+    Tableau,
     content_vector,
     enumerate_standard,
     relabel,
@@ -70,8 +77,6 @@ def test_fully_generic_gives_regular_character():
 
 
 def test_orthogonal_skew_examples():
-    import math
-
     rep = build_orthogonal_skew(SkewShape((2, 1)))
     col = rep.matrices[2].column(0)
     assert col[0] == pytest.approx(-0.5)
@@ -310,3 +315,148 @@ def test_character_word_independent_of_reduced_word():
     direct = word_trace([rep.matrices[i] for i in reduced_word(w)], rep.dim)
     other = word_trace([rep.matrices[i] for i in (2, 1, 2)], rep.dim)
     assert direct == other
+
+
+# the builder against a plain per-entry reference ----------------------------------
+
+
+def _reference_matrices(basis, gens, pairing, neighbor, up, normalization):
+    """Generator matrices by the rule in the `reps` docstring, one entry at a time.
+
+    C_v goes to a C_v + b C_v' with a = 1/h for the pairing h of the step;
+    b = 1 going up and 1 - a^2 coming down (seminormal), sqrt(1 - a^2) both
+    ways (orthogonal); the b term drops when v' is not in the basis.  Every
+    coefficient is a fresh object.
+    """
+    index = {v: k for k, v in enumerate(basis)}
+    mats = {}
+    for g in gens:
+        m = SquareMatrix(len(basis))
+        for j, v in enumerate(basis):
+            h = pairing(v, g)
+            if normalization == SEMINORMAL:
+                a = Fraction(1, h)
+                b = Fraction(1) if up(v, g) else 1 - a * a
+            else:
+                a = 1.0 / h
+                b = math.sqrt(1.0 - a * a)
+            m.set_entry(j, j, a)
+            if neighbor(v, g) in index:
+                m.set_entry(index[neighbor(v, g)], j, b)
+        mats[g] = m
+    return mats
+
+
+def _reference_on_permutations(rep, coords):
+    return _reference_matrices(
+        rep.basis, rep.gens,
+        lambda w, g: coords[w(g + 1) - 1] - coords[w(g) - 1],
+        lambda w, g: w.times_simple(g),
+        lambda w, g: w.times_simple(g).length() > w.length(),
+        rep.normalization,
+    )
+
+
+def _assert_same_entries(rep, reference):
+    """Same stored keys in the same order, equal values of the same type, no zeros."""
+    assert rep.matrices.keys() == reference.keys()
+    for g, m in reference.items():
+        got = rep.matrices[g].cols
+        assert list(got) == list(m.cols), g
+        for j, col in m.cols.items():
+            assert list(got[j]) == list(col), (g, j)
+            for i, value in col.items():
+                assert got[j][i] == value and type(got[j][i]) is type(value), (g, i, j)
+        assert all(v != 0 for col in got.values() for v in col.values())
+
+
+@pytest.mark.parametrize("normalization", [SEMINORMAL, ORTHOGONAL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_builder_matches_reference_on_skew_shapes(n, normalization):
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        rep = build_from_functional(f, identity(n), normalization)
+        _assert_same_entries(rep, _reference_on_permutations(rep, f.coords))
+
+
+@pytest.mark.parametrize("normalization", [SEMINORMAL, ORTHOGONAL])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_builder_matches_reference_from_every_base_element(n, normalization):
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        for v in descent_cell(f, identity(n)).members:
+            rep = build_from_functional(f, v, normalization)
+            _assert_same_entries(rep, _reference_on_permutations(rep, f.coords))
+
+
+@pytest.mark.parametrize("normalization", [SEMINORMAL, ORTHOGONAL])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parabolic_builder_matches_reference(n, normalization):
+    gens = range(1, n)
+    for mask in range(1 << (n - 1)):
+        J = tuple(g for g in gens if mask >> (g - 1) & 1)
+        for shapes in product(*(partitions(b - a + 1) for a, b in j_intervals(J))):
+            f = parabolic_functional(J, n, shapes)
+            rep = build_parabolic(f, J, n, normalization)
+            _assert_same_entries(rep, _reference_on_permutations(rep, f.coords))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orthogonal_skew_builder_matches_reference(n):
+    def content(q, k):
+        r, c = q.positions()[k]
+        return c - r
+
+    def swapped(q, g):
+        swap = {g: g + 1, g + 1: g}
+        return Tableau(q.shape, [tuple(swap.get(v, v) for v in row) for row in q.rows])
+
+    for shape in skew_shape_family(n):
+        rep = build_orthogonal_skew(shape)
+        reference = _reference_matrices(
+            rep.basis, rep.gens,
+            lambda q, g: content(q, g + 1) - content(q, g),
+            swapped,
+            None,  # the orthogonal form does not depend on the direction
+            ORTHOGONAL,
+        )
+        _assert_same_entries(rep, reference)
+
+
+def test_two_term_builder_stores_no_zeros():
+    steps = {("u", 1): (0, "v", Fraction(1)), ("v", 1): (Fraction(1, 2), "u", 0),
+             ("u", 2): (0, "w", Fraction(1)), ("v", 2): (0.0, "u", 0.0)}
+    mats = _two_term_matrices(("u", "v"), (1, 2), lambda v, g: steps[v, g])
+    assert mats[1].cols == {0: {1: Fraction(1)}, 1: {1: Fraction(1, 2)}}
+    assert mats[2].cols == {}
+
+
+def test_shared_coefficients_but_not_columns():
+    f = Functional(content_vector(row_tableau(SkewShape((3, 2)))))
+    first = build_from_functional(f, identity(5))
+    second = build_from_functional(f, identity(5))
+    for g, m in first.matrices.items():
+        for j, col in m.cols.items():
+            other = second.matrices[g].cols[j]
+            assert col is not other
+            assert all(col[i] is other[i] for i in col)
+    before = {g: m.to_dense() for g, m in second.matrices.items()}
+    first.matrices[1].set_entry(0, 0, Fraction(7))
+    first.matrices[2].set_entry(1, 0, 0)
+    assert {g: m.to_dense() for g, m in second.matrices.items()} == before
+    assert first.matrices[1].entry(0, 0) == 7
+
+
+@pytest.mark.parametrize("up", [True, False])
+@pytest.mark.parametrize("h", [s * k for k in range(2, 13) for s in (1, -1)])
+def test_step_coefficients_equal_fresh_values(h, up):
+    a, b = _step_coefficients(h, up, SEMINORMAL)
+    fresh_a = Fraction(1, h)
+    fresh_b = Fraction(1) if up else 1 - fresh_a * fresh_a
+    assert (a, b) == (fresh_a, fresh_b)
+    assert type(a) is Fraction and type(b) is Fraction
+    assert _step_coefficients(h, up, SEMINORMAL) == (a, b)
+
+    a, b = _step_coefficients(h, up, ORTHOGONAL)
+    assert (a, b) == (1.0 / h, math.sqrt(1.0 - (1.0 / h) ** 2))
+    assert type(a) is float and type(b) is float
