@@ -31,7 +31,6 @@ from .groups import (
     Permutation,
     Reflection,
     SignedPermutation,
-    enumerate_group,
     identity,
     is_convex,
     left_descents_in,

@@ -162,8 +162,8 @@ def descent_partition(n: int, A: frozenset) -> list:
         if v in seen:
             continue
         members, interior, boundary = _walk_cell(A, v, range(1, n))
-        # the group's own elements, shared by every partition's cells
-        members = tuple(by_images[w.images] for w in members)
+        # the group's shared elements, from a list as in _walk_cell
+        members = tuple([by_images[w.images] for w in members])
         seen.update(members)
         cells.append(Cell(members, interior, boundary))
     cells.sort(key=lambda c: sorted(left_descents_in(A, c.members[0])))

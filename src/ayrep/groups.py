@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError, SizeCapError
@@ -103,9 +104,6 @@ class Permutation:
                 1 for a in range(n) for b in range(a + 1, n) if img[a] > img[b]
             )
         return self._length
-
-    def right_descents(self) -> set:
-        return {i for i in range(1, len(self.images)) if self.images[i - 1] > self.images[i]}
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
@@ -195,46 +193,31 @@ def left_descents_in(candidates: Iterable[Reflection], w: Permutation) -> set:
     return {t for t in candidates if inv[t.i - 1] > inv[t.j - 1]}
 
 
-def enumerate_group(group_type: str, n: int) -> list:
-    """All elements of S_n ("A") or of the signed permutation group ("B").
-
-    Breadth-first closure over the simple generators, so the returned list is
-    graded by length and deterministic.  Raises SizeCapError above the
-    configured cap.
-    """
-    if group_type not in ("A", "B"):
-        raise ValueError(f"unknown group type {group_type!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if group_type == "A":
-        return list(sym_group(n))
-    return [el for el, _word in signed_group_data(n)]
-
-
 def sym_group(n: int) -> tuple:
     """Cap-checked access to the cached enumeration of S_n."""
     _check_cap("A", n)
     return parabolic_elements(n, frozenset(range(1, n)))
 
 
-def signed_group_data(n: int) -> tuple:
-    """Cap-checked access to the signed group with one word per element."""
-    _check_cap("B", n)
-    return _signed_group_data(n)
+def reduced_word(w) -> tuple:
+    """One reduced word (g_1,...,g_k) with w = s_{g_1} * ... * s_{g_k}.
 
-
-def reduced_word(w: Permutation) -> tuple:
-    """One reduced word (i_1,...,i_k) with w = s_{i_1} * ... * s_{i_k}."""
+    Peels the first right descent off a one-line list until none is left:
+    g = 0 when w(1) < 0 (signed w only), else the least i with w(i) > w(i+1).
+    Each peel shortens w by one, so the word is reduced.
+    """
+    img = list(w.images)
     word = []
-    cur = w
     while True:
-        descents = cur.right_descents()
-        if not descents:
-            break
-        i = min(descents)
-        cur = cur.times_simple(i)
-        word.append(i)
-    return tuple(reversed(word))
+        if img and img[0] < 0:
+            g = 0
+            img[0] = -img[0]
+        else:
+            g = next((i for i in range(1, len(img)) if img[i - 1] > img[i]), None)
+            if g is None:
+                return tuple(reversed(word))
+            img[g - 1], img[g] = img[g], img[g - 1]
+        word.append(g)
 
 
 def weak_interval(w: Permutation) -> set:
@@ -373,15 +356,6 @@ class SignedPermutation:
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return SignedPermutation._unsafe(tuple(self(v) for v in other.images))
 
-    def times_gen(self, g: int) -> "SignedPermutation":
-        """Right multiplication: g=0 flips the sign in slot 1, g>=1 swaps slots g, g+1."""
-        img = list(self.images)
-        if g == 0:
-            img[0] = -img[0]
-        else:
-            img[g - 1], img[g] = img[g], img[g - 1]
-        return SignedPermutation._unsafe(tuple(img))
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
@@ -402,36 +376,9 @@ class SignedPermutation:
         return f"SignedPermutation({self.one_line()})"
 
 
-def signed_identity(n: int) -> SignedPermutation:
-    return SignedPermutation._unsafe(tuple(range(1, n + 1)))
-
-
-@lru_cache(maxsize=None)
-def _signed_group_data(n: int) -> tuple:
-    """BFS enumeration of the signed group with one reduced word per element."""
-    start = signed_identity(n)
-    words = {start: ()}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in range(0, n):
-                wg = w.times_gen(g)
-                if wg not in words:
-                    words[wg] = words[w] + (g,)
-                    nxt.append(wg)
-        nxt.sort(key=lambda u: u.images)
-        order.extend(nxt)
-        frontier = nxt
-    return tuple((el, words[el]) for el in order)
-
-
 def signed_reduced_word(w: SignedPermutation) -> tuple:
-    for el, word in signed_group_data(w.size):
-        if el == w:
-            return word
-    raise ValueError("element not found")
+    """`reduced_word` under its type-B name, which perfbench reports."""
+    return reduced_word(w)
 
 
 def braid_order(group_type: str, g: int, h: int) -> int:
@@ -466,59 +413,79 @@ def partitions(n: int) -> tuple:
 
 
 class ClassData(NamedTuple):
-    """Conjugacy classes: representatives, sizes, and an element -> rep map."""
+    """Conjugacy classes: the group order, representatives and class sizes."""
 
     order: int
     reps: tuple
     sizes: dict
-    to_rep: dict
 
 
-def _cycle_type_rep(n: int, parts: tuple) -> Permutation:
-    img = []
-    start = 1
-    for p in parts:
-        block = list(range(start + 1, start + p)) + [start]
-        img.extend(block)
+def _z(parts: tuple) -> int:
+    """The centralizer order z of a cycle type: prod of k^m_k m_k!."""
+    return prod(k ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
+
+
+def _consecutive_cycles(parts: tuple, negative: tuple = ()) -> list:
+    """One-line images of consecutive cycles of the given lengths; the cycles
+    of `negative` follow, each with its closing image negated."""
+    img, start = [], 1
+    for p, sign in [(p, 1) for p in parts] + [(p, -1) for p in negative]:
+        img.extend(range(start + 1, start + p))
+        img.append(sign * start)
         start += p
-    return Permutation(img)
+    return img
 
 
-@lru_cache(maxsize=None)
+def _letter_blocks(n: int, J) -> tuple:
+    """The sizes of the letter blocks of S_J in order, singletons included."""
+    sizes = []
+    for i in range(1, n + 1):
+        if i - 1 in J:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(sizes)
+
+
+def block_cycle_type(w: Permutation, J) -> tuple:
+    """The cycle type of w on each letter block of S_J; w must lie in S_J."""
+    out, start = [], 0
+    for size in _letter_blocks(w.size, J):
+        block = w.images[start:start + size]
+        out.append(Permutation._unsafe(tuple(v - start for v in block)).cycle_type())
+        start += size
+    return tuple(out)
+
+
 def class_data_symmetric(n: int) -> ClassData:
-    reps = {parts: _cycle_type_rep(n, parts) for parts in partitions(n)}
-    elements = sym_group(n)
-    sizes = {rep: 0 for rep in reps.values()}
-    to_rep = {}
-    for w in elements:
-        rep = reps[w.cycle_type()]
-        sizes[rep] += 1
-        to_rep[w] = rep
-    return ClassData(len(elements), tuple(reps.values()), sizes, to_rep)
-
-
-def _brute_class_data(elements: Sequence) -> ClassData:
-    elements = list(elements)
-    remaining = set(elements)
-    reps, sizes, to_rep = [], {}, {}
-    inverses = {g: g.inverse() for g in elements}
-    for g in elements:
-        if g not in remaining:
-            continue
-        orbit = {x * g * inverses[x] for x in elements}
-        remaining -= orbit
-        reps.append(g)
-        sizes[g] = len(orbit)
-        for h in orbit:
-            to_rep[h] = g
-    return ClassData(len(elements), tuple(reps), sizes, to_rep)
+    return class_data_parabolic(n, frozenset(range(1, n)))
 
 
 @lru_cache(maxsize=None)
 def class_data_signed(n: int) -> ClassData:
-    return _brute_class_data([el for el, _ in signed_group_data(n)])
+    """Classes of the signed group by (alpha, beta), the cycle types of its
+    positive and negative cycles; (alpha, beta) has 2^n n! / (z_alpha z_beta
+    2^(l(alpha) + l(beta))) elements."""
+    _check_cap("B", n)
+    order = 2**n * factorial(n)
+    sizes = {}  # representative -> size, in class order
+    for k in range(n + 1):
+        for alpha, beta in product(partitions(n - k), partitions(k)):
+            rep = SignedPermutation(_consecutive_cycles(alpha, beta))
+            sizes[rep] = order // (_z(alpha) * _z(beta) * 2 ** (len(alpha) + len(beta)))
+    return ClassData(order, tuple(sizes), sizes)
 
 
 @lru_cache(maxsize=None)
 def class_data_parabolic(n: int, J: frozenset) -> ClassData:
-    return _brute_class_data(parabolic_elements(n, J))
+    """Classes of S_J by block-wise cycle type: one partition per letter block.
+
+    A class's representative is made of consecutive cycles and it has
+    prod |b|! / z elements; for S_n these are the partitions(n) in order.
+    """
+    blocks = _letter_blocks(n, J)
+    order = prod(map(factorial, blocks))
+    sizes = {}  # representative -> size, in class order
+    for types in product(*map(partitions, blocks)):
+        sizes[Permutation(_consecutive_cycles(sum(types, ())))] = order // prod(map(_z, types))
+    return ClassData(order, tuple(sizes), sizes)

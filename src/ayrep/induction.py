@@ -18,12 +18,12 @@ from .cells import Functional
 from .errors import PreconditionError
 from .groups import (
     Permutation,
-    sym_group,
-    class_data_parabolic,
+    block_cycle_type,
     class_data_symmetric,
     identity,
     minimal_coset_reps,
     parabolic_elements,
+    sym_group,
 )
 from .linalg import SquareMatrix
 from .reps import (
@@ -103,7 +103,6 @@ def induce(psi: Representation, n: int) -> Representation:
     if not axiom.ok:
         raise PreconditionError(f"input violates the two-term local action: {axiom.failures[0]}")
     reps_sorted = sorted(minimal_coset_reps(n, J), key=lambda r: r.sort_key())
-    simples = {j: identity(n).times_simple(j) for j in J}
     psi_index = {m: k for k, m in enumerate(psi.basis)}
     pairs = [(m, r) for m in psi.basis for r in reps_sorted]
     rep_set = set(reps_sorted)
@@ -114,8 +113,8 @@ def induce(psi: Representation, n: int) -> Representation:
         rs = r.times_simple(s)
         if rs in rep_set:
             return 0, (m, rs), one
-        p = rs * r.inverse()
-        j = next(j for j in J if p == simples[j])
+        # Deodhar's lemma: rs = s_j r, i.e. r(s), r(s+1) are the letters j, j+1
+        j = min(r(s), r(s + 1))
         psi_j = psi.matrices[j]
         k = psi_index[m]
         mp = m.times_simple(j)
@@ -139,15 +138,14 @@ def classical_induced_character(psi: Representation, n: int) -> dict:
     J = frozenset(psi.gens)
     sub_elements = parabolic_elements(n, J)
     sub_set = set(sub_elements)
-    sub_classes = class_data_parabolic(n, J)
-    chi = character(psi)
+    chi = {block_cycle_type(r, J): v for r, v in character(psi).values.items()}
     out = {}
     for g in class_data_symmetric(n).reps:
         total = 0
         for x in sym_group(n):
             y = x * g * x.inverse()
             if y in sub_set:
-                total += chi.values[sub_classes.to_rep[y]]
+                total += chi[block_cycle_type(y, J)]
         out[g] = Fraction(total, len(sub_elements))
     return out
 

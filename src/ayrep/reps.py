@@ -26,17 +26,14 @@ from typing import Sequence
 from .cells import Functional, boundary_reflections, descent_cell, genericity_violation, _walk_cell
 from .errors import GenericityError, PreconditionError
 from .groups import (
-    ClassData,
     Permutation,
     _check_cap,
     braid_order,
     class_data_parabolic,
     class_data_signed,
-    class_data_symmetric,
     identity,
     reduced_word,
     reflection,
-    signed_reduced_word,
 )
 from .linalg import SquareMatrix, power_is_identity, word_trace
 from .tableaux import SkewShape, Tableau, enumerate_standard
@@ -264,37 +261,22 @@ class Character:
         raise KeyError("no identity class")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Character)
-            and self.kind == other.kind
-            and self.values == other.values
-        )
+        if not isinstance(other, Character):
+            return False
+        _require_exact((self, other), "characters are compared in exact arithmetic")
+        return self.kind == other.kind and self.values == other.values
 
     def __hash__(self):
         return hash((self.kind, tuple(sorted((k.images, v) for k, v in self.values.items()))))
 
 
-def _class_data_for(rep: Representation) -> ClassData:
-    if rep.group_type == "B":
-        return class_data_signed(rep.n)
-    if rep.gens == tuple(range(1, rep.n)):
-        return class_data_symmetric(rep.n)
-    return class_data_parabolic(rep.n, frozenset(rep.gens))
-
-
-def _word_for(rep: Representation, element) -> tuple:
-    if rep.group_type == "B":
-        return signed_reduced_word(element)
-    return reduced_word(element)
-
-
 def character(rep: Representation) -> Character:
     """Trace of one reduced word per conjugacy class representative."""
-    data = _class_data_for(rep)
+    data = (class_data_signed(rep.n) if rep.group_type == "B"
+            else class_data_parabolic(rep.n, frozenset(rep.gens)))
     values = {}
     for cls_rep in data.reps:
-        word = _word_for(rep, cls_rep)
-        mats = [rep.matrices[g] for g in word]
+        mats = [rep.matrices[g] for g in reduced_word(cls_rep)]
         values[cls_rep] = word_trace(mats, rep.dim)
     kind = (rep.group_type, rep.n, rep.gens)
     return Character(kind, data.order, values, dict(data.sizes))
@@ -302,16 +284,19 @@ def character(rep: Representation) -> Character:
 
 def character_value(rep: Representation, element) -> object:
     """Trace of the rep at one element, via a reduced word."""
-    word = _word_for(rep, element)
-    return word_trace([rep.matrices[g] for g in word], rep.dim)
+    return word_trace([rep.matrices[g] for g in reduced_word(element)], rep.dim)
+
+
+def _require_exact(chars: tuple, what: str) -> None:
+    if any(isinstance(v, float) for c in chars for v in c.values.values()):
+        raise PreconditionError(what)
 
 
 def char_inner(c1: Character, c2: Character) -> Fraction:
     """(1/|W|) sum over the group of the product of the two characters, exactly."""
     if c1.kind != c2.kind:
         raise PreconditionError("characters live on different groups")
-    if any(isinstance(v, float) for c in (c1, c2) for v in c.values.values()):
-        raise PreconditionError("the character inner product is taken in exact arithmetic")
+    _require_exact((c1, c2), "the character inner product is taken in exact arithmetic")
     total = 0
     for rep_element, v in c1.values.items():
         total += c1.sizes[rep_element] * v * c2.values[rep_element]

@@ -134,6 +134,15 @@ def test_usage_error_exit_code():
         assert err.value.code == 2
 
 
+def test_bn_above_the_signed_cap_is_an_error(monkeypatch):
+    monkeypatch.delenv("AYREP_MAX_N", raising=False)
+    status, lines = _run(["bn", "--lam", "3,3"])
+    assert status == 1
+    assert lines == [
+        "error: type B enumeration capped at n=5 (requested 6); raise AYREP_MAX_N to override"
+    ]
+
+
 def test_bn_with_both_shapes_empty_is_an_error():
     status, lines = _run(["bn", "--lam", "", "--mu", ""])
     assert status == 1

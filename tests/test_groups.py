@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 from collections import deque
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_, mul, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +13,21 @@ from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
     SignedPermutation,
-    enumerate_group,
+    block_cycle_type,
+    class_data_parabolic,
+    class_data_signed,
+    class_data_symmetric,
     identity,
     is_convex,
     left_descents_in,
     minimal_coset_reps,
     pair,
     parabolic_elements,
+    partitions,
     reduced_word,
     reflection,
     reflections,
+    signed_reduced_word,
     simple,
     weak_interval,
     sym_group,
@@ -48,6 +54,33 @@ def _bfs_distances(n):
         w = queue.popleft()
         for i in range(1, n):
             ws = w.times_simple(i)
+            if ws not in dist:
+                dist[ws] = dist[w] + 1
+                queue.append(ws)
+    return dist
+
+
+def _signed_gen(n, g):
+    """s_0 flips the sign of 1; s_g for g >= 1 swaps g and g+1."""
+    img = list(range(1, n + 1))
+    if g == 0:
+        img[0] = -1
+    else:
+        img[g - 1], img[g] = img[g], img[g - 1]
+    return SignedPermutation(img)
+
+
+def _signed_bfs_distances(n):
+    """Graph distance from the identity in the right Cayley graph of B_n,
+    for every element of B_n."""
+    gens = [_signed_gen(n, g) for g in range(n)]
+    start = SignedPermutation(range(1, n + 1))
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for s in gens:
+            ws = w * s
             if ws not in dist:
                 dist[ws] = dist[w] + 1
                 queue.append(ws)
@@ -86,14 +119,37 @@ def test_simple_step_changes_length_by_one(w, data):
     assert abs(w.times_simple(i).length() - w.length()) == 1
 
 
+def _min_descent_word(w):
+    """Strip the least right descent until none is left, on Permutations."""
+    word, cur = [], w
+    while True:
+        descents = [i for i in range(1, cur.size) if cur(i) > cur(i + 1)]
+        if not descents:
+            return tuple(reversed(word))
+        cur = cur.times_simple(descents[0])
+        word.append(descents[0])
+
+
 def test_reduced_word_reproduces_element():
-    for w in perms(4):
-        word = reduced_word(w)
-        assert len(word) == w.length()
-        prod = identity(4)
-        for i in word:
-            prod = prod * simple(4, i)
-        assert prod == w
+    for n in range(1, 7):
+        dist = _bfs_distances(n)
+        for w in perms(n):
+            word = reduced_word(w)
+            assert len(word) == dist[w] == w.length()
+            assert reduce(mul, (simple(n, i) for i in word), identity(n)) == w
+            assert word == _min_descent_word(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_signed_reduced_word_is_a_shortest_word(n):
+    dist = _signed_bfs_distances(n)
+    assert len(dist) == 2**n * math.factorial(n)
+    gens = [_signed_gen(n, g) for g in range(n)]
+    start = SignedPermutation(range(1, n + 1))
+    for w, d in dist.items():
+        word = signed_reduced_word(w)
+        assert len(word) == d
+        assert reduce(mul, (gens[g] for g in word), start) == w
 
 
 # descents and pairing ----------------------------------------------------------
@@ -301,34 +357,95 @@ def test_coset_rep_counts(n):
         assert len(reps) * len(subgroup) == math.factorial(n)
 
 
-def test_enumerate_group_examples():
-    assert len(enumerate_group("A", 3)) == 6
-    assert len(enumerate_group("B", 2)) == 8
-    assert enumerate_group("A", 1) == [identity(1)]
+def test_sym_group_examples():
+    assert len(sym_group(3)) == 6
+    assert sym_group(1) == (identity(1),)
 
 
-def test_enumerate_group_cap(monkeypatch):
+def test_group_caps(monkeypatch):
     with pytest.raises(SizeCapError):
-        enumerate_group("A", 8)
+        sym_group(8)
+    with pytest.raises(SizeCapError, match=r"type B enumeration capped at n=5 \(requested 6\)"):
+        class_data_signed(6)
     monkeypatch.setenv("AYREP_MAX_N", "3")
     with pytest.raises(SizeCapError):
-        enumerate_group("A", 4)
+        sym_group(4)
     monkeypatch.setenv("AYREP_MAX_N", "8")
-    assert len(enumerate_group("A", 4)) == 24
+    assert len(sym_group(4)) == 24
     monkeypatch.setenv("AYREP_MAX_N", "x")
     with pytest.raises(PreconditionError, match="AYREP_MAX_N"):
-        enumerate_group("A", 4)
+        sym_group(4)
 
 
 def test_signed_permutations():
     w = SignedPermutation((-2, 1, 3))
     assert (w * w.inverse()).is_identity()
     assert w.inverse().inverse() == w
-    b2 = enumerate_group("B", 2)
-    assert len(set(b2)) == 8
-    s0 = SignedPermutation((1, 2)).times_gen(0)
+    assert len(_signed_bfs_distances(2)) == 8
+    s0 = SignedPermutation((1, 2)) * _signed_gen(2, 0)
     assert s0.images == (-1, 2)
     assert SignedPermutation.from_one_line("-2,1").one_line() == "-2,1"
+
+
+# conjugacy classes -------------------------------------------------------------
+
+
+def _brute_class_data(elements):
+    """Conjugacy classes by conjugating one element of each class by the whole
+    group: (representatives, sizes, element -> representative)."""
+    elements = list(elements)
+    remaining = set(elements)
+    reps, sizes, to_rep = [], {}, {}
+    inverses = {g: g.inverse() for g in elements}
+    for g in elements:
+        if g not in remaining:
+            continue
+        orbit = {x * g * inverses[x] for x in elements}
+        remaining -= orbit
+        reps.append(g)
+        sizes[g] = len(orbit)
+        for h in orbit:
+            to_rep[h] = g
+    return reps, sizes, to_rep
+
+
+def _assert_same_classes(data, elements):
+    """The closed-form class data partitions `elements` as the brute force does."""
+    brute_reps, brute_sizes, to_rep = _brute_class_data(elements)
+    assert data.order == len(elements)
+    hit = [to_rep[r] for r in data.reps]  # each representative lies in the group
+    assert sorted(hit, key=lambda g: g.images) == sorted(brute_reps, key=lambda g: g.images)
+    for r, b in zip(data.reps, hit):
+        assert data.sizes[r] == brute_sizes[b]
+    assert sum(data.sizes.values()) == data.order
+    return to_rep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_parabolic_class_data_matches_brute_force(n):
+    for mask in range(1 << (n - 1)):
+        J = frozenset(i + 1 for i in range(n - 1) if mask >> i & 1)
+        data = class_data_parabolic(n, J)
+        to_rep = _assert_same_classes(data, parabolic_elements(n, J))
+        # the block-wise cycle type names the class, as the induction oracle reads it
+        keys = {r: block_cycle_type(r, J) for r in data.reps}
+        assert len(set(keys.values())) == len(keys)
+        by_key = {k: to_rep[r] for r, k in keys.items()}
+        for y, b in to_rep.items():
+            assert by_key[block_cycle_type(y, J)] == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symmetric_class_data_is_by_partition(n):
+    data = class_data_symmetric(n)
+    assert [r.cycle_type() for r in data.reps] == list(partitions(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_class_data_matches_brute_force(n):
+    data = class_data_signed(n)
+    _assert_same_classes(data, _signed_bfs_distances(n))
+    assert sum(1 for r in data.reps if r.is_identity()) == 1
 
 
 def test_serialization():

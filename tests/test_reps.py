@@ -307,6 +307,17 @@ def test_char_inner_rejects_float_characters():
     assert char_inner(exact, exact) == 1
 
 
+def test_character_equality_rejects_float_characters():
+    rep = build_from_functional(Functional((0, 1, 2)), identity(3), ORTHOGONAL)
+    chi = character(rep)
+    exact = character(build_from_functional(Functional((0, 1, 2)), identity(3)))
+    for a, b in ((chi, chi), (chi, exact), (exact, chi)):
+        with pytest.raises(PreconditionError):
+            a == b
+    assert exact == character(build_from_functional(Functional((0, 1, 2)), identity(3)))
+    assert exact != "not a character"
+
+
 def test_character_word_independent_of_reduced_word():
     rep = build_from_functional(Functional((0, 2, -1)), identity(3))
     w = Permutation((3, 2, 1))
