@@ -17,6 +17,7 @@ from .cells import (
     is_generic,
     is_generic_integer,
     is_minimal_ay_cell,
+    minimal_coset_reps,
 )
 from .errors import (
     AyrepError,
@@ -34,7 +35,6 @@ from .groups import (
     identity,
     is_convex,
     left_descents_in,
-    minimal_coset_reps,
     pair,
     reflection,
     weak_interval,

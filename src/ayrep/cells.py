@@ -80,11 +80,6 @@ def boundary_reflections(f: Functional) -> frozenset:
     return frozenset(t for t in reflections(f.size) if abs(f.pair(t)) == 1)
 
 
-def make_cell(members: Iterable[Permutation]) -> Cell:
-    members = sorted(set(members), key=lambda w: w.sort_key())
-    return Cell(tuple(members), *_reflection_sets(members))
-
-
 def descent_cell(f: Functional, w: Permutation) -> Cell:
     """All group elements whose descents on the +-1 reflections match w's.
 
@@ -133,6 +128,20 @@ def _walk_cell(A: frozenset, start: Permutation, gens) -> tuple:
     members = tuple([Permutation._unsafe(img, length) for length, img in order])
     return (members, frozenset(map(Reflection._make, interior)),
             frozenset(map(Reflection._make, boundary)))
+
+
+def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
+    """Minimal-length representatives of the right cosets of <s_j : j in J>.
+
+    Returns {w : no left descent of w lies in J}: the descent cell of the
+    identity over the simple reflections (j, j+1), j in J, found by the walk.
+    """
+    J = set(J)
+    if not J <= set(range(1, n)):
+        raise ValueError(f"J must be a set of generator indices 1..{n - 1}")
+    _check_cap("A", n)
+    A = frozenset(reflection(j, j + 1) for j in J)
+    return set(_walk_cell(A, identity(n), range(1, n))[0])
 
 
 def _reflection_sets(members: list) -> tuple:

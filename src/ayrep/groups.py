@@ -264,6 +264,7 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     if not K:
         raise PreconditionError("convexity of the empty set is undefined")
     n = next(iter(K)).size
+    _check_cap("A", n)  # outside the cache, which would skip it once filled
     masks = _inversion_masks(n)
     union, common = 0, ~0
     for w in K:
@@ -279,22 +280,6 @@ def is_convex(members: Iterable[Permutation]) -> bool:
             if ws not in K and (mw ^ masks[ws]) & split:
                 return False
     return True
-
-
-def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
-    """Minimal-length representatives of the right cosets of <s_j : j in J>.
-
-    Returns {w : no left descent of w lies in J}.
-    """
-    J = set(J)
-    if not J <= set(range(1, n)):
-        raise ValueError(f"J must be a set of generator indices 1..{n - 1}")
-    reps = set()
-    for w in sym_group(n):
-        inv = w.inverse().images
-        if all(inv[j - 1] < inv[j] for j in J):
-            reps.add(w)
-    return reps
 
 
 @lru_cache(maxsize=None)
@@ -461,12 +446,16 @@ def class_data_symmetric(n: int) -> ClassData:
     return class_data_parabolic(n, frozenset(range(1, n)))
 
 
-@lru_cache(maxsize=None)
 def class_data_signed(n: int) -> ClassData:
     """Classes of the signed group by (alpha, beta), the cycle types of its
     positive and negative cycles; (alpha, beta) has 2^n n! / (z_alpha z_beta
     2^(l(alpha) + l(beta))) elements."""
     _check_cap("B", n)
+    return _class_data_signed(n)
+
+
+@lru_cache(maxsize=None)
+def _class_data_signed(n: int) -> ClassData:
     order = 2**n * factorial(n)
     sizes = {}  # representative -> size, in class order
     for k in range(n + 1):

@@ -14,14 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .cells import Functional
+from .cells import Functional, descent_cell, minimal_coset_reps
 from .errors import PreconditionError
 from .groups import (
     Permutation,
     block_cycle_type,
     class_data_symmetric,
     identity,
-    minimal_coset_reps,
     parabolic_elements,
     sym_group,
 )
@@ -40,7 +39,6 @@ from .tableaux import (
     content_vector,
     enumerate_standard,
     map_entries,
-    relabel_cell,
     row_tableau,
 )
 
@@ -183,36 +181,21 @@ def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     return p, q
 
 
-def _side_cell(t: Optional[Tableau], offset: int, n: int) -> list:
-    """Permutations of the letter block (embedded in S_n) whose relabeling of t
-    stays standard."""
-    if t is None or t.size == 0:
-        return [identity(n)]
-    size = t.size
-    base = map_entries(t, {e: e - offset for e in t.positions()})
-    out = []
-    for sigma in relabel_cell(base):
-        images = list(range(1, offset + 1)) + [offset + v for v in sigma.images]
-        images += list(range(offset + size + 1, n + 1))
-        out.append(Permutation(images))
-    return out
-
-
 def shuffle_cell(p: Tableau, q: Optional[Tableau]) -> set:
-    """All products of the two block cells with the minimal coset shuffles."""
+    """All products a*b*w of p's cell on letters 1..k, q's cell on letters
+    k+1..n, and a minimal coset representative w of S_k x S_(n-k).
+
+    That is the identity descent cell of one functional: p's contents, then
+    q's contents shifted clear of them, so that no pairing across the two
+    letter blocks is +-1.  Since w^-1 increases on each letter block, x^-1
+    orders each block as a^-1 and b^-1 do, for x = a*b*w.
+    """
     k, n = _check_letter_split(p, q)
-    left = _side_cell(p, 0, n)
-    right = _side_cell(q, k, n)
-    omega = minimal_coset_reps(n, set(range(1, n)) - {k} if 0 < k < n else set(range(1, n)))
-    out = set()
-    for a in left:
-        for b in right:
-            ab = a * b
-            for w in omega:
-                out.add(ab * w)
-    if len(out) != len(left) * len(right) * len(omega):
-        raise PreconditionError("shuffle products collided; invalid input tableaux")
-    return out
+    cp = content_vector(p) if p is not None else ()
+    cq = content_vector(map_entries(q, {e: e - k for e in q.positions()})) if q is not None else ()
+    shift = max(cp) - min(cq) + 2 if cp and cq else 0
+    f = Functional(cp + tuple(c + shift for c in cq))
+    return set(descent_cell(f, identity(n)).members)
 
 
 def _content_maps(p: Optional[Tableau], q: Optional[Tableau]) -> dict:

@@ -13,28 +13,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cells import Functional
-from .groups import Permutation, identity, partitions, sym_group, weak_interval
+from .groups import Permutation, _check_cap, identity, partitions, sym_group, weak_interval
 from .reps import build_from_functional, is_irreducible
 from .tableaux import (
     SkewShape,
     Tableau,
-    column_tableau,
     content_vector,
     enumerate_standard,
     reading_words,
-    relabel,
     relabel_cell,
     row_tableau,
 )
 
 
-@lru_cache(maxsize=None)
 def straight_cell_sets(n: int) -> tuple:
     """(partition, filling, cell) for every standard filling of a straight shape.
 
     The cell is computed directly from relabeling standardness, independent
     of any functional machinery.
     """
+    _check_cap("A", n)  # outside the cache, which would skip it once filled
+    return _straight_cell_sets(n)
+
+
+@lru_cache(maxsize=None)
+def _straight_cell_sets(n: int) -> tuple:
     out = []
     for lam in partitions(n):
         shape = SkewShape(lam)
@@ -158,14 +161,3 @@ def _maximal_members(members: frozenset, n: int) -> frozenset:
 def maximal_elements_of_cell(q: Tableau) -> frozenset:
     """Length-maximal members of a filling's cell (for the interval analysis)."""
     return _maximal_members(relabel_cell(q), q.size)
-
-
-def column_tableau_check(lam: tuple) -> bool:
-    """relabel(row filling, maximum of its cell) is the column filling."""
-    shape = SkewShape(lam)
-    r = row_tableau(shape)
-    maxima = maximal_elements_of_cell(r)
-    if len(maxima) != 1:
-        return False
-    (m,) = maxima
-    return relabel(r, m) == column_tableau(shape)

@@ -5,6 +5,7 @@ import pytest
 
 from ayrep.cells import (
     BasicFlat,
+    Cell,
     Functional,
     _walk_cell,
     boundary_reflections,
@@ -91,12 +92,10 @@ def test_is_generic_examples():
 
 def test_is_generic_preconditions():
     f = Functional((0, 2, -1))
-    from ayrep.cells import make_cell
-
-    no_id = make_cell({P(2, 1, 3)})
+    no_id = Cell((P(2, 1, 3),), frozenset(), frozenset())
     with pytest.raises(PreconditionError):
         is_generic(f, no_id)
-    non_convex = make_cell({identity(3), P(2, 3, 1)})
+    non_convex = Cell((identity(3), P(2, 3, 1)), frozenset(), frozenset())
     with pytest.raises(PreconditionError):
         is_generic(f, non_convex)
 

@@ -143,6 +143,19 @@ def test_bn_above_the_signed_cap_is_an_error(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bn", "--lam", "4", "--mu", "4"],
+    ["induce", "--n", "8", "--j", "1", "--shapes", "2"],
+])
+def test_builders_above_the_symmetric_cap_are_an_error(monkeypatch, argv):
+    monkeypatch.delenv("AYREP_MAX_N", raising=False)
+    status, lines = _run(argv)
+    assert status == 1
+    assert lines == [
+        "error: type A enumeration capped at n=7 (requested 8); raise AYREP_MAX_N to override"
+    ]
+
+
 def test_bn_with_both_shapes_empty_is_an_error():
     status, lines = _run(["bn", "--lam", "", "--mu", ""])
     assert status == 1

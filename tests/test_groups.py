@@ -8,7 +8,7 @@ from operator import and_, mul, or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ayrep.cells import descent_partition
+from ayrep.cells import _walk_cell, descent_partition, minimal_coset_reps
 from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
@@ -20,7 +20,6 @@ from ayrep.groups import (
     identity,
     is_convex,
     left_descents_in,
-    minimal_coset_reps,
     pair,
     parabolic_elements,
     partitions,
@@ -32,6 +31,7 @@ from ayrep.groups import (
     weak_interval,
     sym_group,
 )
+from ayrep.tops import straight_cell_sets
 
 
 def perms(n):
@@ -346,6 +346,26 @@ def test_minimal_coset_reps_examples():
     assert len(minimal_coset_reps(4, {1, 3})) == 6
 
 
+def _brute_coset_reps(n, J):
+    """{w in S_n : w^-1(j) < w^-1(j+1) for all j in J}, by scanning the group."""
+    return {v.inverse() for v in sym_group(n) if all(v(j) < v(j + 1) for j in J)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coset_reps_walk_matches_group_scan(n):
+    for mask in range(1 << (n - 1)):
+        J = {i + 1 for i in range(n - 1) if mask >> i & 1}
+        assert minimal_coset_reps(n, J) == _brute_coset_reps(n, J)
+        A = frozenset(reflection(j, j + 1) for j in J)
+        members = _walk_cell(A, identity(n), range(1, n))[0]
+        assert list(members) == sorted(members, key=lambda w: w.sort_key())
+
+
+def test_minimal_coset_reps_rejects_bad_generators():
+    with pytest.raises(ValueError, match="generator indices"):
+        minimal_coset_reps(3, {3})
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_coset_rep_counts(n):
     import math
@@ -367,9 +387,20 @@ def test_group_caps(monkeypatch):
         sym_group(8)
     with pytest.raises(SizeCapError, match=r"type B enumeration capped at n=5 \(requested 6\)"):
         class_data_signed(6)
-    monkeypatch.setenv("AYREP_MAX_N", "3")
-    with pytest.raises(SizeCapError):
-        sym_group(4)
+    # each cap is checked on every call, not only when a cache is filled
+    checks = [
+        sym_group,
+        class_data_signed,
+        lambda n: is_convex([identity(n)]),
+        lambda n: minimal_coset_reps(n, {1}),
+        straight_cell_sets,
+    ]
+    for check in checks:
+        monkeypatch.setenv("AYREP_MAX_N", "4")
+        check(4)
+        monkeypatch.setenv("AYREP_MAX_N", "3")
+        with pytest.raises(SizeCapError, match=r"capped at n=3 \(requested 4\)"):
+            check(4)
     monkeypatch.setenv("AYREP_MAX_N", "8")
     assert len(sym_group(4)) == 24
     monkeypatch.setenv("AYREP_MAX_N", "x")

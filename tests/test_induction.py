@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from ayrep.errors import PreconditionError
-from ayrep.groups import partitions
+from ayrep.errors import NotStandardError, PreconditionError
+from ayrep.groups import Permutation, identity, partitions, sym_group
 from ayrep.induction import (
     bn_classical,
     build_parabolic_from_shapes,
@@ -13,6 +14,7 @@ from ayrep.induction import (
     induce,
     j_intervals,
     match_signed_forms,
+    row_filling_pair,
     shuffle_cell,
 )
 from ayrep.linalg import SquareMatrix, power_is_identity
@@ -26,7 +28,15 @@ from ayrep.reps import (
     verify_axiom_B,
     verify_coxeter,
 )
-from ayrep.tableaux import SkewShape, hook_length_count, map_entries, row_tableau
+from ayrep.tableaux import (
+    SkewShape,
+    Tableau,
+    enumerate_standard,
+    hook_length_count,
+    map_entries,
+    relabel_cell,
+    row_tableau,
+)
 
 
 def _by_type(chi_values):
@@ -101,6 +111,54 @@ def test_shuffle_cell_examples():
 
     with pytest.raises(PreconditionError):
         shuffle_cell(p2, _letters_shifted((1,), 5))
+
+
+def _block_cell(t, offset, n):
+    """The relabel cell of t's letter block, embedded in S_n."""
+    if t is None:
+        return [identity(n)]
+    base = map_entries(t, {e: e - offset for e in t.positions()})
+    return [
+        Permutation(tuple(range(1, offset + 1)) + tuple(offset + v for v in sigma.images)
+                    + tuple(range(offset + t.size + 1, n + 1)))
+        for sigma in relabel_cell(base)
+    ]
+
+
+def _product_shuffle_cell(p, q, k, n):
+    """Block cells times the minimal coset representatives of S_k x S_(n-k),
+    the latter by scanning S_n; no product may repeat."""
+    omega = [v.inverse() for v in sym_group(n)  # v = w^-1 increases on each block
+             if all(v(j) < v(j + 1) for j in range(1, n) if j != k)]
+    out = [a * b * w for a in _block_cell(p, 0, n) for b in _block_cell(q, k, n) for w in omega]
+    assert len(set(out)) == len(out)
+    return set(out)
+
+
+def _standard_fillings(lam, offset):
+    if not lam:
+        return [None]
+    return [map_entries(t, {e: e + offset for e in t.positions()})
+            for t in enumerate_standard(SkewShape(lam))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_shuffle_cell_matches_product_construction(n):
+    """Every standard pair up to n = 5, and the row-filling pairs at n = 6."""
+    for k in range(n + 1):
+        for lam, mu in product(partitions(k), partitions(n - k)):
+            pairs = (product(_standard_fillings(lam, 0), _standard_fillings(mu, k))
+                     if n <= 5 else [row_filling_pair(lam, mu)])
+            for p, q in pairs:
+                assert shuffle_cell(p, q) == _product_shuffle_cell(p, q, k, n)
+
+
+def test_shuffle_cell_rejects_a_non_standard_filling():
+    p = Tableau(SkewShape((2,)), [(2, 1)])
+    with pytest.raises(NotStandardError):
+        shuffle_cell(p, None)
+    with pytest.raises(NotStandardError):
+        extend_to_bn(p, None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

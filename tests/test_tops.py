@@ -3,12 +3,14 @@ import pytest
 from ayrep.groups import Permutation, identity, partitions
 from ayrep.tableaux import (
     SkewShape,
+    column_tableau,
     enumerate_standard,
     is_column_tableau,
     is_row_tableau,
+    relabel,
+    row_tableau,
 )
 from ayrep.tops import (
-    column_tableau_check,
     is_top_brute,
     maximal_elements_of_cell,
     top_elements,
@@ -48,8 +50,12 @@ def test_candidate_for_three_two():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_row_cells_are_intervals_with_column_maximum(n):
+    # relabeling the row filling by the maximum of its cell gives the column filling
     for lam in partitions(n):
-        assert column_tableau_check(lam)
+        shape = SkewShape(lam)
+        r = row_tableau(shape)
+        (m,) = maximal_elements_of_cell(r)
+        assert relabel(r, m) == column_tableau(shape)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
