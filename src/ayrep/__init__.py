@@ -66,9 +66,6 @@ from .tableaux import (
     enumerate_standard,
     hook_distance,
     inversions,
-    is_column_tableau,
-    is_content_vector,
-    is_row_tableau,
     reading_words,
     relabel,
     row_tableau,

@@ -30,7 +30,9 @@ from .reps import (
     Representation,
     _step_coefficients,
     _two_term_matrices,
+    build_parabolic,
     character,
+    parabolic_generators,
     verify_axiom_B,
 )
 from .tableaux import (
@@ -64,7 +66,7 @@ def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Function
     row-major filling provides the contents.  Letters outside every run get 0
     (they pair with nothing inside the parabolic).
     """
-    intervals = j_intervals(J)
+    intervals = j_intervals(parabolic_generators(J, n))
     if len(shapes) != len(intervals):
         raise PreconditionError(f"need one shape per generator run ({len(intervals)})")
     coords = [0] * n
@@ -79,8 +81,6 @@ def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Function
 
 def build_parabolic_from_shapes(J: Sequence[int], n: int, shapes: Sequence,
                                 normalization: str = SEMINORMAL) -> Representation:
-    from .reps import build_parabolic
-
     return build_parabolic(parabolic_functional(J, n, shapes), J, n, normalization)
 
 
@@ -173,9 +173,9 @@ def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     An empty shape gives None in its slot.
     """
     k = sum(lam)
-    p = row_tableau(SkewShape(tuple(lam))) if k else None
+    p = row_tableau(SkewShape(tuple(lam))) if lam else None
     q = None
-    if sum(mu):
+    if mu:
         q0 = row_tableau(SkewShape(tuple(mu)))
         q = map_entries(q0, {e: e + k for e in q0.positions()})
     return p, q

@@ -131,12 +131,18 @@ def build_from_functional(f: Functional, w: Permutation,
     return Representation("A", n, tuple(range(1, n)), cell.members, mats, normalization)
 
 
-def build_parabolic(f: Functional, J: Sequence[int], n: int,
-                    normalization: str = SEMINORMAL) -> Representation:
-    """Identity descent cell and matrices inside the parabolic <s_j : j in J>."""
+def parabolic_generators(J: Sequence[int], n: int) -> tuple:
+    """J sorted, after checking that it names generators of S_n."""
     J = tuple(sorted(set(J)))
     if not set(J) <= set(range(1, n)):
         raise PreconditionError(f"J must be generator indices within 1..{n - 1}")
+    return J
+
+
+def build_parabolic(f: Functional, J: Sequence[int], n: int,
+                    normalization: str = SEMINORMAL) -> Representation:
+    """Identity descent cell and matrices inside the parabolic <s_j : j in J>."""
+    J = parabolic_generators(J, n)
     _check_cap("A", n)
     members, interior, boundary = _walk_cell(boundary_reflections(f), identity(n), J)
     bad = genericity_violation(f, members, interior, boundary, J)
@@ -280,11 +286,6 @@ def character(rep: Representation) -> Character:
         values[cls_rep] = word_trace(mats, rep.dim)
     kind = (rep.group_type, rep.n, rep.gens)
     return Character(kind, data.order, values, dict(data.sizes))
-
-
-def character_value(rep: Representation, element) -> object:
-    """Trace of the rep at one element, via a reduced word."""
-    return word_trace([rep.matrices[g] for g in reduced_word(element)], rep.dim)
 
 
 def _require_exact(chars: tuple, what: str) -> None:

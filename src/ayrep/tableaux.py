@@ -269,81 +269,53 @@ def content_violation(values: Sequence[int]):
     return None
 
 
-def is_content_vector(values: Sequence[int]) -> bool:
-    return content_violation(values) is None
-
-
-class _Component:
-    """A connected piece under construction: boxes at private coordinates."""
-
-    __slots__ = ("boxes", "lo", "hi", "last_box", "lo_box", "hi_box")
-
-    def __init__(self, box, entry, content):
-        self.boxes = {box: entry}
-        self.lo = self.hi = content
-        self.last_box = {content: box}
-        self.lo_box = self.hi_box = box
-
-    def shift(self, d: int):
-        """Diagonal translation by d (contents preserved)."""
-        self.boxes = {(r + d, c + d): v for (r, c), v in self.boxes.items()}
-        self.last_box = {g: (r + d, c + d) for g, (r, c) in self.last_box.items()}
-        self.lo_box = (self.lo_box[0] + d, self.lo_box[1] + d)
-        self.hi_box = (self.hi_box[0] + d, self.hi_box[1] + d)
-
-
 def tableau_from_content(values: Sequence[int]) -> Tableau:
     """A standard skew tableau whose content vector equals `values`.
 
-    Entries are appended one at a time; each lands next to the boxes that the
-    content condition guarantees, disconnected pieces are kept separate and
-    finally arranged along the diagonal with minimal padding.
+    Let first[g] be the first letter of content g.  The contents split into
+    maximal runs of consecutive integers, one connected piece each.  Within
+    a run top[g] = 0 at the lowest content, and above it top[g] = top[g-1] - 1
+    if first[g] < first[g-1], else top[g] = top[g-1].  The k-th letter of
+    content g goes in box (top[g] + k - 1, top[g] + k - 1 + g).  The pieces
+    are then laid out along the diagonal with minimal padding.
+
+    Why it holds: restricted to the contents {g, g+1}, the letters alternate,
+    since the content condition puts a g+1 between two g's and a g between
+    two g+1's.  So the first g+1 box sits right of the first g box when g
+    comes first, and directly above it otherwise; along one diagonal each
+    later letter sits one row lower.
+
+    >>> tableau_from_content((0, 1, -1, 0)).rows
+    ((1, 2), (3, 4))
     """
     vals = tuple(values)
+    if not vals:
+        raise EmptyShapeError("an empty content vector has no tableau")
     bad = content_violation(vals)
     if bad is not None:
         raise ContentVectorError(
             f"positions {bad} share a content with no +1/-1 witnesses between them",
             pair=bad,
         )
-    comps: list = []
+    first: dict = {}
     for m, gamma in enumerate(vals, start=1):
-        inside = next((c for c in comps if c.lo <= gamma <= c.hi), None)
-        if inside is not None:
-            i, j = inside.last_box[gamma]
-            if (i, j + 1) not in inside.boxes or (i + 1, j) not in inside.boxes:
-                raise AyrepError(f"internal placement failure at entry {m}")
-            inside.boxes[(i + 1, j + 1)] = m
-            inside.last_box[gamma] = (i + 1, j + 1)
-            continue
-        below = next((c for c in comps if c.hi == gamma - 1), None)
-        above = next((c for c in comps if c.lo == gamma + 1), None)
-        if below is not None and above is not None:
-            i_lo, j_lo = below.hi_box
-            i_hi, j_hi = above.lo_box
-            above.shift((i_lo - 1) - i_hi)
-            below.boxes.update(above.boxes)
-            below.boxes[(i_lo, j_lo + 1)] = m
-            below.last_box.update(above.last_box)
-            below.last_box[gamma] = (i_lo, j_lo + 1)
-            below.hi = above.hi
-            below.hi_box = above.hi_box
-            comps.remove(above)
-        elif below is not None:
-            i, j = below.hi_box
-            below.boxes[(i, j + 1)] = m
-            below.hi = gamma
-            below.hi_box = (i, j + 1)
-            below.last_box[gamma] = (i, j + 1)
-        elif above is not None:
-            i, j = above.lo_box
-            above.boxes[(i + 1, j)] = m
-            above.lo = gamma
-            above.lo_box = (i + 1, j)
-            above.last_box[gamma] = (i + 1, j)
+        first.setdefault(gamma, m)
+    top: dict = {}
+    parts: list = []
+    piece: dict = {}
+    for gamma in sorted(first):
+        if gamma - 1 in first:
+            top[gamma] = top[gamma - 1] - (first[gamma] < first[gamma - 1])
         else:
-            comps.append(_Component((0, gamma), m, gamma))
-    entries = _assemble_components([c.boxes for c in comps])
+            top[gamma] = 0
+            parts.append({})
+        piece[gamma] = parts[-1]
+    placed = dict.fromkeys(first, 0)
+    for m, gamma in enumerate(vals, start=1):
+        r = top[gamma] + placed[gamma]
+        piece[gamma][(r, r + gamma)] = m
+        placed[gamma] += 1
+    entries = _assemble_components(parts)
     shape = shape_from_boxes(entries.keys())
     result = Tableau.from_box_entries(shape, entries)
     if content_vector(result) != vals:
@@ -449,32 +421,6 @@ def reading_words(q: Tableau) -> ReadingWords:
         down.extend(col)
         up.extend(reversed(col))
     return ReadingWords(Permutation(row_word), Permutation(down), Permutation(up))
-
-
-def is_row_tableau(q: Tableau) -> bool:
-    """Each row's entries exceed every entry of all earlier rows."""
-    seen_max = None
-    for row in q.rows:
-        if not row:
-            continue
-        if seen_max is not None and min(row) <= seen_max:
-            return False
-        seen_max = max(row) if seen_max is None else max(seen_max, max(row))
-    return True
-
-
-def is_column_tableau(q: Tableau) -> bool:
-    """Each column's entries exceed every entry of all earlier columns."""
-    cols: dict = {}
-    for (r, c), v in q.entry_map().items():
-        cols.setdefault(c, []).append(v)
-    seen_max = None
-    for c in sorted(cols):
-        col = cols[c]
-        if seen_max is not None and min(col) <= seen_max:
-            return False
-        seen_max = max(col) if seen_max is None else max(seen_max, max(col))
-    return True
 
 
 class HookDistance(NamedTuple):

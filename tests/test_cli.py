@@ -162,6 +162,28 @@ def test_bn_with_both_shapes_empty_is_an_error():
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bn", "--lam", "0", "--mu", "1"],
+    ["bn", "--lam", "0,0", "--mu", "2"],
+    ["bn", "--lam", "1", "--mu", "0"],
+])
+def test_bn_rejects_zero_parts(argv):
+    status, lines = _run(argv)
+    assert status == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_bn_with_one_empty_shape_is_valid():
+    status, _ = _run(["bn", "--lam", "", "--mu", "1"])
+    assert status == 0
+
+
+def test_induce_names_a_bad_generator_set():
+    status, lines = _run(["induce", "--n", "3", "--j", "0", "--shapes", "1"])
+    assert status == 1
+    assert lines == ["error: J must be generator indices within 1..2"]
+
+
 def test_invalid_shape_reports_error():
     status, lines = _run(["syt", "--shape", "1,2"])
     assert status == 1

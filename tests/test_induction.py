@@ -14,6 +14,7 @@ from ayrep.induction import (
     induce,
     j_intervals,
     match_signed_forms,
+    parabolic_functional,
     row_filling_pair,
     shuffle_cell,
 )
@@ -98,6 +99,12 @@ def test_induce_rejects_broken_input():
     bad = Representation("A", 4, psi.gens, psi.basis, mats, SEMINORMAL)
     with pytest.raises(PreconditionError):
         induce(bad, 4)
+
+
+@pytest.mark.parametrize("J, n, shapes", [([5], 3, [(2,)]), ([0], 3, [(1,)])])
+def test_parabolic_functional_checks_generators(J, n, shapes):
+    with pytest.raises(PreconditionError, match=r"J must be generator indices within 1\.\.2"):
+        parabolic_functional(J, n, shapes)
 
 
 def test_shuffle_cell_examples():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -23,9 +24,6 @@ from ayrep.tableaux import (
     hook_distance,
     hook_length_count,
     inversions,
-    is_column_tableau,
-    is_content_vector,
-    is_row_tableau,
     reading_words,
     relabel,
     row_tableau,
@@ -124,10 +122,9 @@ def test_derived_shift_invariance(values, c):
 
 
 def test_is_content_vector_examples():
-    assert is_content_vector((0, 1, -1, 0))
-    assert not is_content_vector((0, 0))
-    assert not is_content_vector((0, 1, 0))
+    assert content_violation((0, 1, -1, 0)) is None
     assert content_violation((0, 0)) == (1, 2)
+    assert content_violation((0, 1, 0)) == (1, 3)
 
 
 def test_tableau_from_content_examples():
@@ -149,9 +146,30 @@ def test_content_round_trip_over_family(n):
     for shape in skew_shape_family(n):
         for q in enumerate_standard(shape):
             c = content_vector(q)
-            assert is_content_vector(c)
-            rebuilt = tableau_from_content(c)
-            assert content_vector(rebuilt) == c
+            assert content_violation(c) is None
+            assert tableau_from_content(c) == q
+
+
+def test_tableau_from_content_on_every_small_vector():
+    # every vector of length <= 5 with entries in [-3, 3]: 3,829 are valid
+    valid = 0
+    for n in range(1, 6):
+        for c in product(range(-3, 4), repeat=n):
+            bad = content_violation(c)
+            if bad is None:
+                q = tableau_from_content(c)
+                assert q.is_standard() and content_vector(q) == c
+                valid += 1
+            else:
+                with pytest.raises(ContentVectorError) as err:
+                    tableau_from_content(c)
+                assert err.value.pair == bad
+    assert valid == 3829
+
+
+def test_tableau_from_content_of_nothing_is_empty():
+    with pytest.raises(EmptyShapeError):
+        tableau_from_content(())
 
 
 # relabeling -----------------------------------------------------------------------
@@ -203,16 +221,6 @@ def test_reading_words_example():
     assert words.column_word_down == Permutation((1, 4, 2, 5, 3))
     with pytest.raises(PreconditionError):
         reading_words(T((2, 2), (1,), ((2,), (1, 3))))
-
-
-def test_row_column_predicates():
-    q = T((3, 2), (), ((1, 2, 3), (4, 5)))
-    assert is_row_tableau(q)
-    j = T((2, 1), (), ((1, 3), (2,)))
-    assert not is_row_tableau(j)
-    assert is_column_tableau(j)
-    box = T((1,), (), ((1,),))
-    assert is_row_tableau(box) and is_column_tableau(box)
 
 
 def test_row_and_column_constructors():

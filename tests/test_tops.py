@@ -5,8 +5,6 @@ from ayrep.tableaux import (
     SkewShape,
     column_tableau,
     enumerate_standard,
-    is_column_tableau,
-    is_row_tableau,
     relabel,
     row_tableau,
 )
@@ -63,7 +61,7 @@ def test_other_fillings_have_two_maximal_elements(n):
     for lam in partitions(n):
         shape = SkewShape(lam)
         for q in enumerate_standard(shape):
-            if is_row_tableau(q) or is_column_tableau(q):
+            if q in (row_tableau(shape), column_tableau(shape)):
                 assert len(maximal_elements_of_cell(q)) == 1
             else:
                 assert len(maximal_elements_of_cell(q)) >= 2
