@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -146,13 +146,6 @@ def identity(n: int) -> Permutation:
     return Permutation._unsafe(tuple(range(1, n + 1)))
 
 
-def simple(n: int, i: int) -> Permutation:
-    """The adjacent transposition s_i in S_n, 1 <= i <= n-1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"s_{i} is not a generator of S_{n}")
-    return identity(n).times_simple(i)
-
-
 class Reflection(NamedTuple):
     """A transposition (i, j) with i < j, acting on values from the left."""
 
@@ -194,9 +187,15 @@ def left_descents_in(candidates: Iterable[Reflection], w: Permutation) -> set:
 
 
 def sym_group(n: int) -> tuple:
-    """Cap-checked access to the cached enumeration of S_n."""
+    """Cap-checked access to the cached enumeration of S_n, in `sort_key` order."""
     _check_cap("A", n)
-    return parabolic_elements(n, frozenset(range(1, n)))
+    return _sym_group(n)
+
+
+@lru_cache(maxsize=None)
+def _sym_group(n: int) -> tuple:
+    group = (Permutation._unsafe(img) for img in permutations(range(1, n + 1)))
+    return tuple(sorted(group, key=Permutation.sort_key))
 
 
 def reduced_word(w) -> tuple:
@@ -221,29 +220,24 @@ def reduced_word(w) -> tuple:
 
 
 def weak_interval(w: Permutation) -> set:
-    """The right weak order interval [id, w] = {u : l(u) + l(u^{-1} w) = l(w)}."""
-    lw = w.length()
-    out = set()
-    for u in sym_group(w.size):
-        lu = u.length()
-        if lu <= lw and lu + (u.inverse() * w).length() == lw:
-            out.add(u)
+    """The right weak order interval [id, w] = {u : l(u) + l(u^{-1} w) = l(w)}.
+
+    Walked down from w by the steps u -> u s_i with u(i) > u(i+1): these
+    peel the last letter off a reduced word, so the walk reaches exactly the
+    prefixes u of reduced words w = u v.
+
+    >>> sorted(u.one_line() for u in weak_interval(Permutation((2, 3, 1))))
+    ['1,2,3', '2,1,3', '2,3,1']
+    """
+    _check_cap("A", w.size)  # [id, w0] is all of S_n
+    out, level = {w}, {w.images}
+    while level:
+        level = {
+            img[:i] + (img[i + 1], img[i]) + img[i + 2:]
+            for img in level for i in range(len(img) - 1) if img[i] > img[i + 1]
+        }
+        out.update(map(Permutation._unsafe, level))
     return out
-
-
-@lru_cache(maxsize=None)
-def _inversion_masks(n: int) -> dict:
-    """Left inversion sets encoded as bitmasks over reflections(n)."""
-    refl = reflections(n)
-    masks = {}
-    for w in sym_group(n):
-        inv = w.inverse().images
-        m = 0
-        for k, t in enumerate(refl):
-            if inv[t.i - 1] > inv[t.j - 1]:
-                m |= 1 << k
-        masks[w] = m
-    return masks
 
 
 def is_convex(members: Iterable[Permutation]) -> bool:
@@ -257,50 +251,26 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     crosses its wall once, so these half-spaces cut out K: an intersection
     of convex sets.  (=>) ws lies on a geodesic from w to any member across
     the wall, its inversion set being sandwiched between theirs.
-    Costs O(|K| n); checked against the sandwich test and a brute-force path
-    search in the tests.
+    For ws = w s_i the wall is the transposition of the letters w(i), w(i+1),
+    and u lies on w's side when its one-line word orders those two letters as
+    w's does.  Costs O(|K| n^2) on one-line words; checked against the
+    sandwich test and a brute-force path search in the tests.
     """
-    K = set(members)
+    K = {w.images for w in members}
     if not K:
         raise PreconditionError("convexity of the empty set is undefined")
-    n = next(iter(K)).size
-    _check_cap("A", n)  # outside the cache, which would skip it once filled
-    masks = _inversion_masks(n)
-    union, common = 0, ~0
-    for w in K:
-        union |= masks[w]
-        common &= masks[w]
-    split = union & ~common  # reflections whose walls cut through K
-    if not split:
-        return True
-    for w in K:
-        mw = masks[w]
-        for i in range(1, n):
-            ws = w.times_simple(i)
-            if ws not in K and (mw ^ masks[ws]) & split:
-                return False
+    n = len(next(iter(K)))
+    _check_cap("A", n)
+    walls = {  # (x, y): letter x must stand left of letter y in every member
+        (img[i], img[i + 1])
+        for img in K for i in range(n - 1)
+        if img[:i] + (img[i + 1], img[i]) + img[i + 2:] not in K
+    }
+    for img in K:
+        position = {v: p for p, v in enumerate(img)}
+        if any(position[x] > position[y] for x, y in walls):
+            return False
     return True
-
-
-@lru_cache(maxsize=None)
-def parabolic_elements(n: int, J: frozenset) -> tuple:
-    """Elements of the standard parabolic subgroup <s_j : j in J> of S_n."""
-    start = identity(n)
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j in sorted(J):
-                ws = w.times_simple(j)
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
-        nxt.sort(key=lambda u: u.images)
-        order.extend(nxt)
-        frontier = nxt
-    return tuple(order)
 
 
 class SignedPermutation:
@@ -430,16 +400,6 @@ def _letter_blocks(n: int, J) -> tuple:
         else:
             sizes.append(1)
     return tuple(sizes)
-
-
-def block_cycle_type(w: Permutation, J) -> tuple:
-    """The cycle type of w on each letter block of S_J; w must lie in S_J."""
-    out, start = [], 0
-    for size in _letter_blocks(w.size, J):
-        block = w.images[start:start + size]
-        out.append(Permutation._unsafe(tuple(v - start for v in block)).cycle_type())
-        start += size
-    return tuple(out)
 
 
 def class_data_symmetric(n: int) -> ClassData:

@@ -16,14 +16,7 @@ from typing import Optional, Sequence
 
 from .cells import Functional, descent_cell, minimal_coset_reps
 from .errors import PreconditionError
-from .groups import (
-    Permutation,
-    block_cycle_type,
-    class_data_symmetric,
-    identity,
-    parabolic_elements,
-    sym_group,
-)
+from .groups import Permutation, class_data_parabolic, class_data_symmetric, identity
 from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
@@ -129,22 +122,23 @@ def _one(normalization: str):
 
 
 def classical_induced_character(psi: Representation, n: int) -> dict:
-    """Induced character by averaging conjugates, as the matrix-free oracle.
+    """Induced character by Frobenius' class-sum formula, as the matrix-free oracle.
 
-    Returns a map from full-group class representatives to exact values.
+    Ind chi(g) = |S_n| / (|S_J| |g^{S_n}|) * sum |c| chi(c), over the classes c
+    of S_J whose elements have g's cycle type.  Returns a map from full-group
+    class representatives to exact values.
+
+    >>> psi = build_parabolic_from_shapes([1], 3, [(2,)])
+    >>> list(classical_induced_character(psi, 3).values())
+    [Fraction(0, 1), Fraction(1, 1), Fraction(3, 1)]
     """
-    J = frozenset(psi.gens)
-    sub_elements = parabolic_elements(n, J)
-    sub_set = set(sub_elements)
-    chi = {block_cycle_type(r, J): v for r, v in character(psi).values.items()}
+    sub = class_data_parabolic(n, frozenset(psi.gens))
+    full = class_data_symmetric(n)
+    chi = character(psi).values
     out = {}
-    for g in class_data_symmetric(n).reps:
-        total = 0
-        for x in sym_group(n):
-            y = x * g * x.inverse()
-            if y in sub_set:
-                total += chi[block_cycle_type(y, J)]
-        out[g] = Fraction(total, len(sub_elements))
+    for g in full.reps:
+        total = sum(sub.sizes[c] * chi[c] for c in sub.reps if c.cycle_type() == g.cycle_type())
+        out[g] = Fraction(full.order * total, sub.order * full.sizes[g])
     return out
 
 
@@ -167,6 +161,14 @@ def _check_letter_split(p: Optional[Tableau], q: Optional[Tableau]):
     return k, n
 
 
+def _second_shape(mu: Sequence[int]) -> SkewShape:
+    """The straight shape mu of the second letter block; its error names mu."""
+    try:
+        return SkewShape(tuple(mu))
+    except ValueError as exc:  # a straight shape's only error is about its parts
+        raise ValueError(str(exc).replace("lambda", "mu", 1)) from None
+
+
 def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     """Row fillings of lam on letters 1..k and of mu on letters k+1..n.
 
@@ -176,7 +178,7 @@ def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     p = row_tableau(SkewShape(tuple(lam))) if lam else None
     q = None
     if mu:
-        q0 = row_tableau(SkewShape(tuple(mu)))
+        q0 = row_tableau(_second_shape(mu))
         q = map_entries(q0, {e: e + k for e in q0.positions()})
     return p, q
 
@@ -240,7 +242,7 @@ def signed_pair_basis(lam: Sequence[int], mu: Sequence[int], n: int) -> tuple:
     if k + sum(mu) != n:
         raise PreconditionError("shapes must split the letters")
     fill_a = list(enumerate_standard(SkewShape(tuple(lam)))) if k else [None]
-    fill_b = list(enumerate_standard(SkewShape(tuple(mu)))) if n - k else [None]
+    fill_b = list(enumerate_standard(_second_shape(mu))) if n - k else [None]
     basis = []
     for subset in combinations(range(1, n + 1), k):
         complement = tuple(v for v in range(1, n + 1) if v not in subset)

@@ -354,7 +354,7 @@ def minimal_suite(n_max: int = 4, seed: int = 0, samples: int = 150) -> SuiteRes
 
 
 def induction_suite(n_max: int = 5) -> SuiteResult:
-    """Induced matrices vs the conjugate-average character; shuffle sizes."""
+    """Induced matrices vs the Frobenius class-sum character; shuffle sizes."""
     from .induction import j_intervals
 
     bad, details = [], []

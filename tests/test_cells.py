@@ -27,7 +27,6 @@ from ayrep.groups import (
     identity,
     is_convex,
     left_descents_in,
-    parabolic_elements,
     partitions,
     reflection,
     reflections,
@@ -44,6 +43,7 @@ from ayrep.tableaux import (
     row_tableau,
     skew_shape_family,
 )
+from group_oracles import parabolic_elements
 
 
 def P(*images):

@@ -173,6 +173,15 @@ def test_bn_rejects_zero_parts(argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_bn_names_a_bad_second_shape(capsys):
+    assert main(["bn", "--lam", "1", "--mu", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "error: mu must be a positive weakly decreasing sequence: (0,)"
+    ]
+    assert "Traceback" not in captured.err
+
+
 def test_bn_with_one_empty_shape_is_valid():
     status, _ = _run(["bn", "--lam", "", "--mu", "1"])
     assert status == 0

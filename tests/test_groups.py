@@ -13,7 +13,6 @@ from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
     SignedPermutation,
-    block_cycle_type,
     class_data_parabolic,
     class_data_signed,
     class_data_symmetric,
@@ -21,17 +20,16 @@ from ayrep.groups import (
     is_convex,
     left_descents_in,
     pair,
-    parabolic_elements,
     partitions,
     reduced_word,
     reflection,
     reflections,
     signed_reduced_word,
-    simple,
     weak_interval,
     sym_group,
 )
 from ayrep.tops import straight_cell_sets
+from group_oracles import block_cycle_type, parabolic_elements
 
 
 def perms(n):
@@ -136,7 +134,7 @@ def test_reduced_word_reproduces_element():
         for w in perms(n):
             word = reduced_word(w)
             assert len(word) == dist[w] == w.length()
-            assert reduce(mul, (simple(n, i) for i in word), identity(n)) == w
+            assert reduce(mul, (identity(n).times_simple(i) for i in word), identity(n)) == w
             assert word == _min_descent_word(w)
 
 
@@ -207,6 +205,15 @@ def test_weak_interval_examples():
         Permutation((1, 4, 2, 5, 3)),
     }
     assert weak_interval(Permutation((1, 4, 2, 5, 3))) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weak_interval_walk_matches_length_scan(n):
+    group = perms(n)
+    for w in group:
+        lw = w.length()
+        expected = {u for u in group if u.length() + (u.inverse() * w).length() == lw}
+        assert weak_interval(w) == expected
 
 
 def _on_some_geodesic(n, u, v):
@@ -382,6 +389,11 @@ def test_sym_group_examples():
     assert sym_group(1) == (identity(1),)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_sym_group_is_breadth_first_order(n):
+    assert sym_group(n) == parabolic_elements(n, range(1, n))
+
+
 def test_group_caps(monkeypatch):
     with pytest.raises(SizeCapError):
         sym_group(8)
@@ -392,6 +404,7 @@ def test_group_caps(monkeypatch):
         sym_group,
         class_data_signed,
         lambda n: is_convex([identity(n)]),
+        lambda n: weak_interval(identity(n)),
         lambda n: minimal_coset_reps(n, {1}),
         straight_cell_sets,
     ]

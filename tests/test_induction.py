@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from ayrep.errors import NotStandardError, PreconditionError
-from ayrep.groups import Permutation, identity, partitions, sym_group
+from ayrep.groups import Permutation, class_data_symmetric, identity, partitions, sym_group
 from ayrep.induction import (
     bn_classical,
     build_parabolic_from_shapes,
@@ -17,6 +17,7 @@ from ayrep.induction import (
     parabolic_functional,
     row_filling_pair,
     shuffle_cell,
+    signed_pair_basis,
 )
 from ayrep.linalg import SquareMatrix, power_is_identity
 from ayrep.reps import (
@@ -38,6 +39,7 @@ from ayrep.tableaux import (
     relabel_cell,
     row_tableau,
 )
+from group_oracles import block_cycle_type, parabolic_elements
 
 
 def _by_type(chi_values):
@@ -84,6 +86,44 @@ def test_induce_matches_classical_oracle():
         induced = induce(psi, 3)
         oracle = classical_induced_character(psi, 3)
         assert character(induced).values == oracle
+
+
+def _conjugate_average_character(psi, n):
+    """Ind chi(g) = (1/|S_J|) sum over x in S_n with x g x^-1 in S_J of
+    chi(x g x^-1), by scanning the whole group."""
+    J = frozenset(psi.gens)
+    sub_elements = parabolic_elements(n, J)
+    sub_set = set(sub_elements)
+    chi = {block_cycle_type(r, J): v for r, v in character(psi).values.items()}
+    out = {}
+    for g in class_data_symmetric(n).reps:
+        total = 0
+        for x in sym_group(n):
+            y = x * g * x.inverse()
+            if y in sub_set:
+                total += chi[block_cycle_type(y, J)]
+        out[g] = Fraction(total, len(sub_elements))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_class_sum_oracle_matches_conjugate_average(n):
+    for mask in range((1 << (n - 1)) - 1):  # every J short of all generators
+        J = [g for g in range(1, n) if mask >> (g - 1) & 1]
+        for shapes in product(*(partitions(b - a + 1) for a, b in j_intervals(J))):
+            psi = build_parabolic_from_shapes(J, n, list(shapes))
+            got = classical_induced_character(psi, n)
+            expected = _conjugate_average_character(psi, n)
+            assert [(g, v, type(v)) for g, v in got.items()] == [
+                (g, v, type(v)) for g, v in expected.items()
+            ]
+
+
+def test_class_sum_oracle_enumerates_no_group(monkeypatch):
+    psi = build_parabolic_from_shapes([1, 3], 5, [(2,), (1, 1)])
+    expected = character(induce(psi, 5)).values
+    monkeypatch.setenv("AYREP_MAX_N", "4")
+    assert classical_induced_character(psi, 5) == expected
 
 
 def test_induce_rejects_broken_input():
@@ -199,6 +239,11 @@ def test_extend_to_bn_sign_block():
     rep = extend_to_bn(None, _letters_shifted((1, 1), 0))
     assert rep.matrices[0].to_dense() == [[-1]]
     assert verify_coxeter(rep).ok
+
+
+def test_signed_pair_basis_names_a_bad_second_shape():
+    with pytest.raises(ValueError, match=r"^mu must be a positive weakly decreasing sequence: \(1, 2\)"):
+        signed_pair_basis((1,), (1, 2), 4)
 
 
 def test_bn_classical_trivial():
