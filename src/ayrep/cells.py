@@ -94,13 +94,14 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     return Cell(*_walk_cell(boundary_reflections(f), w, range(1, w.size)))
 
 
-def _walk_cell(A: frozenset, start: Permutation, gens) -> tuple:
+def _walk_cell(A: frozenset, start: Permutation, gens, elements: dict = None) -> tuple:
     """Breadth-first walk from start along the steps w -> w s_i, i in gens.
 
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
     not in A; t goes to the interior set if it does and to the boundary set
-    otherwise.  Returns (members sorted by (length, word), interior, boundary).
+    otherwise.  Returns (members sorted by (length, word), interior, boundary);
+    members come from `elements` (one-line word -> element) when given.
     """
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
     # hashes and compares equal to its Reflection, so it is looked up in A.
@@ -125,7 +126,10 @@ def _walk_cell(A: frozenset, start: Permutation, gens) -> tuple:
     # from a list, not a generator: tuple() over a generator guesses a size
     # and resizes, and that held ~0.45 MiB more memory at the end of
     # `verify --suite convexity` (tracemalloc)
-    members = tuple([Permutation._unsafe(img, length) for length, img in order])
+    if elements is None:
+        members = tuple([Permutation._unsafe(img, length) for length, img in order])
+    else:
+        members = tuple([elements[img] for _, img in order])
     return (members, frozenset(map(Reflection._make, interior)),
             frozenset(map(Reflection._make, boundary)))
 
@@ -168,13 +172,11 @@ def descent_partition(n: int, A: frozenset) -> list:
     by_images = {v.images: v for v in group}
     cells, seen = [], set()
     for v in group:
-        if v in seen:
+        if v.images in seen:
             continue
-        members, interior, boundary = _walk_cell(A, v, range(1, n))
-        # the group's shared elements, from a list as in _walk_cell
-        members = tuple([by_images[w.images] for w in members])
-        seen.update(members)
-        cells.append(Cell(members, interior, boundary))
+        cell = Cell(*_walk_cell(A, v, range(1, n), by_images))
+        seen.update([w.images for w in cell.members])
+        cells.append(cell)
     cells.sort(key=lambda c: sorted(left_descents_in(A, c.members[0])))
     return cells
 
@@ -244,7 +246,7 @@ def cell_tableau_bijection(f: Functional, q: Tableau, *, cell: Cell = None,
     A caller that already holds descent_cell(f, id) or
     enumerate_standard(q.shape) passes it as `cell` or `fillings`.
     """
-    from .tableaux import content_vector, derived, enumerate_standard, relabel
+    from .tableaux import content_vector, derived, enumerate_standard
 
     cq = content_vector(q)
     if f.size != q.size:
@@ -257,12 +259,20 @@ def cell_tableau_bijection(f: Functional, q: Tableau, *, cell: Cell = None,
         cell = descent_cell(f, identity(f.size))
     if fillings is None:
         fillings = enumerate_standard(q.shape)
-    mapping = {pi: relabel(q, pi) for pi in cell.members}
-    images = set(mapping.values())
-    expected = set(fillings)
-    if len(images) != len(mapping) or images != expected:
+    if any(pi.size != f.size for pi in cell.members):
+        raise PreconditionError("cell and tableau sizes differ")
+    # relabel(q, pi) by its rows, with pi^-1 taken on the one-line word
+    by_rows = {t.rows: t for t in fillings if t.shape == q.shape}
+    inv = [0] * f.size
+    relabelled = {}
+    for pi in cell.members:
+        for pos, val in enumerate(pi.images, start=1):
+            inv[val - 1] = pos
+        relabelled[pi] = tuple([tuple([inv[v - 1] for v in row]) for row in q.rows])
+    images = set(relabelled.values())
+    if images != by_rows.keys() or not len(relabelled) == len(by_rows) == len(fillings):
         raise AssertionError("relabel map failed to be a bijection onto standard fillings")
-    return mapping
+    return {pi: by_rows[r] for pi, r in relabelled.items()}
 
 
 def is_minimal_ay_cell(members: Iterable[Permutation]):

@@ -182,8 +182,8 @@ def pair(coords: Sequence[int], t: Reflection):
 
 def left_descents_in(candidates: Iterable[Reflection], w: Permutation) -> set:
     """{t in candidates : l(t w) < l(w)}; for t=(i,j) that is w^{-1}(i) > w^{-1}(j)."""
-    inv = w.inverse().images
-    return {t for t in candidates if inv[t.i - 1] > inv[t.j - 1]}
+    where = {v: pos for pos, v in enumerate(w.images)}  # w^{-1}, without a Permutation
+    return {t for t in candidates if where[t.i] > where[t.j]}
 
 
 def sym_group(n: int) -> tuple:

@@ -132,6 +132,8 @@ def classical_induced_character(psi: Representation, n: int) -> dict:
     >>> list(classical_induced_character(psi, 3).values())
     [Fraction(0, 1), Fraction(1, 1), Fraction(3, 1)]
     """
+    if not psi.is_exact:
+        raise PreconditionError("the induced character is taken in exact arithmetic")
     sub = class_data_parabolic(n, frozenset(psi.gens))
     full = class_data_symmetric(n)
     chi = character(psi).values

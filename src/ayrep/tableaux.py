@@ -29,7 +29,7 @@ from .groups import Permutation, partitions, sym_group
 class SkewShape:
     """A skew diagram lambda/mu, mu padded with zeros to the length of lambda."""
 
-    __slots__ = ("lam", "mu", "_boxes")
+    __slots__ = ("lam", "mu")
 
     def __init__(self, lam: Sequence[int], mu: Sequence[int] = ()):
         lam = tuple(lam)
@@ -44,7 +44,6 @@ class SkewShape:
             raise ValueError(f"mu must fit inside lambda: {lam}/{mu}")
         self.lam = lam
         self.mu = mu
-        self._boxes = None
 
     @property
     def size(self) -> int:
@@ -56,16 +55,11 @@ class SkewShape:
 
     def boxes(self) -> tuple:
         """Boxes (row, col) in row-major order."""
-        if self._boxes is None:
-            self._boxes = tuple(
-                (r, c)
-                for r, (l, m) in enumerate(zip(self.lam, self.mu), start=1)
-                for c in range(m + 1, l + 1)
-            )
-        return self._boxes
-
-    def row_entries_template(self) -> list:
-        return [self.lam[r] - self.mu[r] for r in range(len(self.lam))]
+        return tuple(
+            (r, c)
+            for r, (l, m) in enumerate(zip(self.lam, self.mu), start=1)
+            for c in range(m + 1, l + 1)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewShape) and self.lam == other.lam and self.mu == other.mu
@@ -94,9 +88,8 @@ class Tableau:
     __slots__ = ("shape", "rows", "_pos")
 
     def __init__(self, shape: SkewShape, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(r) for r in rows)
-        expected = shape.row_entries_template()
-        if [len(r) for r in rows] != expected:
+        rows = tuple(map(tuple, rows))
+        if list(map(len, rows)) != [l - m for l, m in zip(shape.lam, shape.mu)]:
             raise ValueError(f"row sizes {[len(r) for r in rows]} do not match shape {shape}")
         self.shape = shape
         self.rows = rows
@@ -185,34 +178,29 @@ def column_tableau(shape: SkewShape) -> Tableau:
 
 def enumerate_standard(shape: SkewShape) -> list:
     """All standard fillings, sorted by their row-major reading."""
-    if shape.size == 0:
+    n = shape.size
+    if n == 0:
         raise EmptyShapeError("cannot enumerate fillings of an empty shape")
-    boxes = shape.boxes()
-    box_set = set(boxes)
-    n = len(boxes)
+    lam, mu = shape.lam, shape.mu
+    rows = [[] for _ in lam]
     out = []
-    entries = {}
 
     def rec(k: int):
+        # letter k goes in the next box of a row whose box above is filled or outside
         if k > n:
-            out.append(dict(entries))
+            out.append(tuple(map(tuple, rows)))
             return
-        for box in boxes:
-            if box in entries:
+        for r, row in enumerate(rows):
+            c = mu[r] + len(row) + 1
+            if c > lam[r] or (r and mu[r - 1] + len(rows[r - 1]) < c <= lam[r - 1]):
                 continue
-            r, c = box
-            if (r, c - 1) in box_set and (r, c - 1) not in entries:
-                continue
-            if (r - 1, c) in box_set and (r - 1, c) not in entries:
-                continue
-            entries[box] = k
+            row.append(k)
             rec(k + 1)
-            del entries[box]
+            row.pop()
 
     rec(1)
-    tableaux = [Tableau.from_box_entries(shape, e) for e in out]
-    tableaux.sort(key=lambda t: t.rows)
-    return tableaux
+    out.sort()
+    return [Tableau(shape, filling) for filling in out]
 
 
 def hook_length_count(lam: Sequence[int]) -> int:

@@ -125,6 +125,37 @@ def test_cell_tableau_bijection_example():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cell_tableau_bijection_is_the_relabel_map(n):
+    for shape in skew_shape_family(n):
+        q = row_tableau(shape)
+        f = Functional(content_vector(q))
+        cell = descent_cell(f, identity(n))
+        mapping = cell_tableau_bijection(f, q)
+        assert list(mapping) == list(cell.members)
+        assert mapping == {pi: relabel(q, pi) for pi in cell.members}
+
+
+def test_cell_tableau_bijection_rejects_non_bijections():
+    n = 4
+    cases = [(shape, row_tableau(shape)) for shape in skew_shape_family(n)]
+    cases = [(q, Functional(content_vector(q)), enumerate_standard(shape)) for shape, q in cases]
+    cells = [descent_cell(f, identity(n)) for _, f, _ in cases]
+    for (q, f, fillings), cell in zip(cases, cells):
+        if len(fillings) > 1:
+            for broken in (fillings[1:], fillings[:-1] + fillings[:1], fillings + fillings[:1]):
+                with pytest.raises(AssertionError):
+                    cell_tableau_bijection(f, q, cell=cell, fillings=broken)
+        others = [c for c in cells if c.member_set != cell.member_set]
+        assert others
+        for other in others:
+            with pytest.raises(AssertionError):
+                cell_tableau_bijection(f, q, cell=other, fillings=fillings)
+        for m in (n - 1, n + 1):
+            with pytest.raises(PreconditionError):
+                cell_tableau_bijection(f, q, cell=descent_cell(Functional(range(m)), identity(m)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cell_sizes_match_filling_counts(n):
     from ayrep.tableaux import row_tableau, skew_shape_family
 
@@ -302,6 +333,24 @@ def test_descent_partition_matches_bucket_scan(n):
             for key in sorted(buckets, key=sorted)
         ]
         assert [_as_triple(c) for c in descent_partition(n, A)] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_descent_partition_shares_the_group_elements(n, monkeypatch):
+    group = {v.images: v for v in sym_group(n)}
+
+    def build(*args):
+        raise AssertionError("descent_partition built a Permutation")
+
+    monkeypatch.setattr(Permutation, "__init__", build)
+    monkeypatch.setattr(Permutation, "_unsafe", build)
+    patterns = {
+        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
+        for coords in product(range(-3, 4), repeat=n)
+    }
+    for A in patterns:
+        for cell in descent_partition(n, A):
+            assert all(w is group[w.images] for w in cell.members)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -126,6 +126,12 @@ def test_class_sum_oracle_enumerates_no_group(monkeypatch):
     assert classical_induced_character(psi, 5) == expected
 
 
+def test_class_sum_oracle_rejects_float_character():
+    psi = build_parabolic_from_shapes([1], 3, [(2,)], ORTHOGONAL)
+    with pytest.raises(PreconditionError, match="exact arithmetic"):
+        classical_induced_character(psi, 3)
+
+
 def test_induce_rejects_broken_input():
     psi = build_parabolic_from_shapes([1, 2], 4, [(2, 1)])
     assert psi.dim == 2

@@ -29,6 +29,7 @@ from ayrep.tableaux import (
     row_tableau,
     shape_from_boxes,
     skew_shape_family,
+    straight_shapes,
     tableau_from_content,
 )
 
@@ -89,6 +90,20 @@ def test_hook_formula_matches_enumeration(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_squared_counts_sum_to_factorial(n):
     assert sum(hook_length_count(lam) ** 2 for lam in partitions(n)) == factorial(n)
+
+
+def _brute_standard(shape):
+    """Relabel the row filling by every element of the group; keep the standard ones."""
+    q = row_tableau(shape)
+    fillings = [relabel(q, pi) for pi in sym_group(shape.size)]
+    return sorted((t for t in fillings if t.is_standard()), key=lambda t: t.rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumerate_standard_matches_relabel_oracle(n):
+    shapes = straight_shapes(n) if n == 6 else skew_shape_family(n)
+    for shape in shapes:
+        assert enumerate_standard(shape) == _brute_standard(shape)
 
 
 def test_enumeration_order_deterministic():
