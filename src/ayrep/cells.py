@@ -239,30 +239,20 @@ def is_generic_integer(f: Functional) -> bool:
     return content_violation(f.coords) is None
 
 
-def cell_tableau_bijection(f: Functional, q: Tableau, *, cell: Cell = None,
-                           fillings: list = None) -> dict:
-    """The map pi -> relabel(q, pi) from the identity cell onto standard fillings.
-
-    A caller that already holds descent_cell(f, id) or
-    enumerate_standard(q.shape) passes it as `cell` or `fillings`.
-    """
+def cell_tableau_bijection(f: Functional, q: Tableau) -> dict:
+    """The map pi -> relabel(q, pi) from the identity cell onto standard fillings."""
     from .tableaux import content_vector, derived, enumerate_standard
 
-    cq = content_vector(q)
     if f.size != q.size:
         raise PreconditionError("functional and tableau sizes differ")
-    if f.size > 1 and derived(f.coords) != derived(cq):
+    if f.size > 1 and derived(f.coords) != derived(content_vector(q)):
         raise PreconditionError("derived coordinates do not match the tableau contents")
     if not is_generic_integer(f):
         raise PreconditionError("functional is not generic")
-    if cell is None:
-        cell = descent_cell(f, identity(f.size))
-    if fillings is None:
-        fillings = enumerate_standard(q.shape)
-    if any(pi.size != f.size for pi in cell.members):
-        raise PreconditionError("cell and tableau sizes differ")
+    cell = descent_cell(f, identity(f.size))
+    fillings = enumerate_standard(q.shape)
     # relabel(q, pi) by its rows, with pi^-1 taken on the one-line word
-    by_rows = {t.rows: t for t in fillings if t.shape == q.shape}
+    by_rows = {t.rows: t for t in fillings}
     inv = [0] * f.size
     relabelled = {}
     for pi in cell.members:

@@ -16,12 +16,15 @@ from fractions import Fraction
 
 from .cells import Functional, descent_cell
 from .errors import AyrepError
-from .groups import Permutation, identity
+from .groups import Permutation, conjugated_reflection, identity
 from .induction import build_parabolic_from_shapes, induce, match_signed_forms, row_filling_pair
 from .reps import (
+    FLOAT_TOL,
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
+    _require_generic,
+    _step_coefficients,
     build_from_functional,
     character,
     is_irreducible,
@@ -114,8 +117,8 @@ def _cmd_cell(args: argparse.Namespace) -> tuple:
 
 
 def _cell_dot(f: Functional, cell) -> list:
-    from .groups import conjugated_reflection
-
+    """Hasse diagram labelled by the seminormal step coefficients; f must be generic."""
+    _require_generic(f, cell.members, cell.interior, cell.boundary)
     lines = ["digraph cell {", "  rankdir=BT;"]
     members = set(cell.members)
     for w in cell.members:
@@ -124,11 +127,10 @@ def _cell_dot(f: Functional, cell) -> list:
         for i in range(1, f.size):
             ws = w.times_simple(i)
             if ws in members and ws.length() > w.length():
-                t = conjugated_reflection(w, i)
-                a = Fraction(1, f.pair(t))
+                a, b = _step_coefficients(f.pair(conjugated_reflection(w, i)), True, SEMINORMAL)
                 lines.append(
                     f'  "{w.one_line()}" -> "{ws.one_line()}" '
-                    f'[label="s{i} (a={a}, b=1)"];'
+                    f'[label="s{i} (a={a}, b={b})"];'
                 )
     lines.append("}")
     return lines
@@ -210,7 +212,7 @@ def _cmd_bn(args: argparse.Namespace) -> tuple:
     rel = verify_coxeter(ext)
     matches = all(
         ext.matrices[g].reindexed(index_map).equals(
-            classical.matrices[g], None if ext.is_exact else 1e-9
+            classical.matrices[g], None if ext.is_exact else FLOAT_TOL
         )
         for g in ext.gens
     )

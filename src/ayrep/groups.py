@@ -50,10 +50,36 @@ def _check_cap(group_type: str, n: int) -> None:
         )
 
 
-class Permutation:
+class _OneLine:
+    """One-line words on {1..n}, equal within one class; each class has its own hash."""
+
+    __slots__ = ("images",)
+
+    @property
+    def size(self) -> int:
+        return len(self.images)
+
+    def is_identity(self) -> bool:
+        return all(v == i for i, v in enumerate(self.images, start=1))
+
+    def one_line(self) -> str:
+        return ",".join(str(v) for v in self.images)
+
+    @classmethod
+    def from_one_line(cls, text: str):
+        return cls(int(part) for part in text.split(","))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.images == other.images
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.one_line()})"
+
+
+class Permutation(_OneLine):
     """A permutation of {1..n}, image of i stored at slot i-1."""
 
-    __slots__ = ("images", "_length")
+    __slots__ = ("_length",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -69,10 +95,6 @@ class Permutation:
         p.images = images
         p._length = length
         return p
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -105,9 +127,6 @@ class Permutation:
             )
         return self._length
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
     def cycle_type(self) -> tuple:
         seen = [False] * len(self.images)
         lengths = []
@@ -122,24 +141,11 @@ class Permutation:
             lengths.append(k)
         return tuple(sorted(lengths, reverse=True))
 
-    def one_line(self) -> str:
-        return ",".join(str(v) for v in self.images)
-
-    @classmethod
-    def from_one_line(cls, text: str) -> "Permutation":
-        return cls(int(part) for part in text.split(","))
-
     def sort_key(self) -> tuple:
         return (self.length(), self.images)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.one_line()})"
 
 
 def identity(n: int) -> Permutation:
@@ -273,10 +279,10 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     return True
 
 
-class SignedPermutation:
+class SignedPermutation(_OneLine):
     """A signed permutation of {1..n}; negative images mark sign flips."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -289,10 +295,6 @@ class SignedPermutation:
         p = object.__new__(cls)
         p.images = images
         return p
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
 
     def __call__(self, i: int) -> int:
         if i < 0:
@@ -311,24 +313,8 @@ class SignedPermutation:
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return SignedPermutation._unsafe(tuple(self(v) for v in other.images))
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
-    def one_line(self) -> str:
-        return ",".join(str(v) for v in self.images)
-
-    @classmethod
-    def from_one_line(cls, text: str) -> "SignedPermutation":
-        return cls(int(part) for part in text.split(","))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedPermutation) and self.images == other.images
-
     def __hash__(self) -> int:
         return hash(("B", self.images))
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation({self.one_line()})"
 
 
 def signed_reduced_word(w: SignedPermutation) -> tuple:

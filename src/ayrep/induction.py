@@ -22,6 +22,7 @@ from .reps import (
     SEMINORMAL,
     Representation,
     _step_coefficients,
+    _swap_adjacent,
     _two_term_matrices,
     build_parabolic,
     character,
@@ -262,14 +263,7 @@ def signed_pair_basis(lam: Sequence[int], mu: Sequence[int], n: int) -> tuple:
 
 def _pair_swap(pair: tuple, i: int) -> tuple:
     """Exchange letters i and i+1 inside the pair of tableaux."""
-    swap = {i: i + 1, i + 1: i}
-
-    def rework(t: Optional[Tableau]) -> Optional[Tableau]:
-        if t is None:
-            return None
-        return map_entries(t, {e: swap.get(e, e) for e in t.positions()})
-
-    return (rework(pair[0]), rework(pair[1]))
+    return tuple(None if t is None else _swap_adjacent(t, i) for t in pair)
 
 
 def bn_classical(lam: Sequence[int], mu: Sequence[int],

@@ -37,46 +37,33 @@ class SquareMatrix:
     def entry(self, i: int, j: int):
         return self.cols.get(j, {}).get(i, 0)
 
-    def column(self, j: int) -> dict:
-        return dict(self.cols.get(j, {}))
-
-    def apply(self, vec: dict) -> dict:
-        out: dict = {}
-        for j, x in vec.items():
-            for i, a in self.cols.get(j, {}).items():
-                v = out.get(i, 0) + a * x
-                if v == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = v
-        return out
-
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         cols = {}
         for j, col in other.cols.items():
-            out = self.apply(col)
+            out: dict = {}
+            for k, x in col.items():
+                for i, a in self.cols.get(k, {}).items():
+                    v = out.get(i, 0) + a * x
+                    if v == 0:
+                        out.pop(i, None)
+                    else:
+                        out[i] = v
             if out:
                 cols[j] = out
         return SquareMatrix(self.dim, cols)
 
-    def max_deviation_from(self, other: "SquareMatrix") -> float:
-        worst = 0.0
-        keys = set(self.cols) | set(other.cols)
-        for j in keys:
-            rows = set(self.cols.get(j, {})) | set(other.cols.get(j, {}))
-            for i in rows:
-                worst = max(worst, abs(self.entry(i, j) - other.entry(i, j)))
-        return worst
-
     def equals(self, other: "SquareMatrix", tol=None) -> bool:
+        """Entrywise equality, exact or (given tol) within tol, column by column in place."""
         if self.dim != other.dim:
             return False
-        if tol is None:
-            return all(
-                self.column(j) == other.column(j)
-                for j in set(self.cols) | set(other.cols)
-            )
-        return self.max_deviation_from(other) <= tol
+        for j in self.cols.keys() | other.cols.keys():
+            a, b = self.cols.get(j, {}), other.cols.get(j, {})
+            if tol is None:
+                if a != b:
+                    return False
+            elif any(abs(a.get(i, 0) - b.get(i, 0)) > tol for i in a.keys() | b.keys()):
+                return False
+        return True
 
     def reindexed(self, index_map: Sequence[int]) -> "SquareMatrix":
         """Conjugate by the basis relabeling j -> index_map[j]."""

@@ -77,6 +77,13 @@ def _step_coefficients(h, up: bool, normalization: str) -> tuple:
     return a, math.sqrt(1.0 - a * a)
 
 
+def _require_generic(f: Functional, members, interior, boundary, gens=None, where="the cell"):
+    """Raise GenericityError naming the first condition f breaks on the cell."""
+    bad = genericity_violation(f, members, interior, boundary, gens)
+    if bad is not None:
+        raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
+
+
 def _two_term_matrices(basis: Sequence, gens: Sequence[int], step) -> dict:
     """Generator matrices sending each basis vector v to a v + b v'.
 
@@ -122,9 +129,7 @@ def build_from_functional(f: Functional, w: Permutation,
     if normalization not in (SEMINORMAL, ORTHOGONAL):
         raise ValueError(f"unknown normalization {normalization!r}")
     cell = descent_cell(f, w)
-    bad = genericity_violation(f, cell.members, cell.interior, cell.boundary)
-    if bad is not None:
-        raise GenericityError(f"functional not generic for the cell: {bad[1]}", bad[0])
+    _require_generic(f, cell.members, cell.interior, cell.boundary)
     n = f.size
     mats = _two_term_matrices([w.images for w in cell.members], range(1, n),
                               _functional_step(f, normalization))
@@ -145,9 +150,7 @@ def build_parabolic(f: Functional, J: Sequence[int], n: int,
     J = parabolic_generators(J, n)
     _check_cap("A", n)
     members, interior, boundary = _walk_cell(boundary_reflections(f), identity(n), J)
-    bad = genericity_violation(f, members, interior, boundary, J)
-    if bad is not None:
-        raise GenericityError(f"functional not generic for the parabolic cell: {bad[1]}", bad[0])
+    _require_generic(f, members, interior, boundary, J, "the parabolic cell")
     mats = _two_term_matrices([w.images for w in members], J, _functional_step(f, normalization))
     return Representation("A", n, J, members, mats, normalization)
 

@@ -169,13 +169,6 @@ def row_tableau(shape: SkewShape) -> Tableau:
     return Tableau.from_box_entries(shape, entries)
 
 
-def column_tableau(shape: SkewShape) -> Tableau:
-    """Boxes filled 1..n in column-major order."""
-    boxes = sorted(shape.boxes(), key=lambda rc: (rc[1], rc[0]))
-    entries = {box: k for k, box in enumerate(boxes, start=1)}
-    return Tableau.from_box_entries(shape, entries)
-
-
 def enumerate_standard(shape: SkewShape) -> list:
     """All standard fillings, sorted by their row-major reading."""
     n = shape.size

@@ -17,7 +17,6 @@ from .groups import Permutation, _check_cap, identity, partitions, sym_group, we
 from .reps import build_from_functional, is_irreducible
 from .tableaux import (
     SkewShape,
-    Tableau,
     content_vector,
     enumerate_standard,
     reading_words,
@@ -156,8 +155,3 @@ def _maximal_members(members: frozenset, n: int) -> frozenset:
             for i in range(1, n)
         )
     )
-
-
-def maximal_elements_of_cell(q: Tableau) -> frozenset:
-    """Length-maximal members of a filling's cell (for the interval analysis)."""
-    return _maximal_members(relabel_cell(q), q.size)

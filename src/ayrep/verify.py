@@ -43,10 +43,13 @@ from .induction import (
     shuffle_cell,
 )
 from .reps import (
+    FLOAT_TOL,
     ORTHOGONAL,
     SEMINORMAL,
+    Representation,
     build_from_functional,
     build_orthogonal_skew,
+    char_inner,
     character,
     is_irreducible,
     mn_character,
@@ -100,17 +103,21 @@ def _sample_shapes_6():
     return sample
 
 
+def _row_filling_rep(shape: SkewShape) -> Representation:
+    """The seminormal representation on the identity cell of the shape's row filling."""
+    f = Functional(content_vector(row_tableau(shape)))
+    return build_from_functional(f, identity(shape.size), SEMINORMAL)
+
+
 def coxeter_suite(n_max: int = 5, include_sample_6: bool = True,
-                  tol: float = 1e-9) -> SuiteResult:
+                  tol: float = FLOAT_TOL) -> SuiteResult:
     """Involutions and braid relations, exact seminormal and float orthogonal."""
     bad, checked = [], 0
     jobs = [(n, shape) for n in range(1, n_max + 1) for shape in skew_shape_family(n)]
     if include_sample_6 and n_max >= 5:
         jobs.extend((6, shape) for shape in _sample_shapes_6())
-    for n, shape in jobs:
-        f = Functional(content_vector(row_tableau(shape)))
-        rep = build_from_functional(f, identity(n), SEMINORMAL)
-        report = verify_coxeter(rep)
+    for _, shape in jobs:
+        report = verify_coxeter(_row_filling_rep(shape))
         if not report.ok:
             bad.append(f"seminormal {shape}: {report.failures[0]}")
         orth = build_orthogonal_skew(shape)
@@ -126,9 +133,7 @@ def axiom_b_suite(n_max: int = 5) -> SuiteResult:
     bad, checked = [], 0
     for n in range(1, n_max + 1):
         for shape in skew_shape_family(n):
-            f = Functional(content_vector(row_tableau(shape)))
-            rep = build_from_functional(f, identity(n), SEMINORMAL)
-            report = verify_axiom_B(rep)
+            report = verify_axiom_B(_row_filling_rep(shape))
             if not report.ok:
                 bad.append(f"{shape}: {report.failures[0]}")
             checked += 1
@@ -141,18 +146,16 @@ def cells_suite(n_max: int = 6) -> SuiteResult:
     for n in range(1, n_max + 1):
         for shape in skew_shape_family(n):
             q = row_tableau(shape)
-            f = Functional(content_vector(q))
-            cell = descent_cell(f, identity(n))
-            fillings = enumerate_standard(shape)
-            # straight shapes are counted independently, by the hook formula
-            count = count_standard(shape) if shape.is_straight else len(fillings)
-            if cell.size != count:
-                bad.append(f"{shape}: cell size {cell.size} != {count} fillings")
-                continue
             try:
-                cell_tableau_bijection(f, q, cell=cell, fillings=fillings)
+                size = len(cell_tableau_bijection(Functional(content_vector(q)), q))
             except AssertionError as exc:
                 bad.append(f"{shape}: {exc}")
+                checked += 1
+                continue
+            # straight shapes are also counted independently, by the hook formula
+            if shape.is_straight and size != count_standard(shape):
+                bad.append(f"{shape}: cell size {size} != {count_standard(shape)} fillings")
+                continue
             checked += 1
     return _result("cells", [f"{checked} shapes checked up to n={n_max}"], bad, checked)
 
@@ -269,11 +272,12 @@ def specht_suite(n_max: int = 5, dim_sum_max: int = 6) -> SuiteResult:
     """Built characters equal the border-strip oracle; irreducibles realized."""
     bad, details = [], []
     checked = 0
+    straight = {}  # straight shape -> its traced character
     for n in range(1, n_max + 1):
         for shape in skew_shape_family(n):
-            f = Functional(content_vector(row_tableau(shape)))
-            rep = build_from_functional(f, identity(n), SEMINORMAL)
-            chi = character(rep)
+            chi = character(_row_filling_rep(shape))
+            if shape.is_straight:
+                straight[shape] = chi
             for cls_rep, value in chi.values.items():
                 expected = mn_character(shape, cls_rep.cycle_type())
                 if value != expected:
@@ -283,17 +287,13 @@ def specht_suite(n_max: int = 5, dim_sum_max: int = 6) -> SuiteResult:
             checked += 1
     details.append(f"{checked} skew shapes matched the strip oracle")
     for n in range(1, n_max + 1):
-        chars = []
-        for lam in partitions(n):
-            shape = SkewShape(lam)
-            f = Functional(content_vector(row_tableau(shape)))
-            rep = build_from_functional(f, identity(n), SEMINORMAL)
-            if not is_irreducible(rep):
+        shapes = straight_shapes(n)
+        for shape in shapes:
+            if char_inner(straight[shape], straight[shape]) != 1:
                 bad.append(f"straight {shape}: norm != 1")
-            chars.append(character(rep))
-        if len({tuple(sorted((k.images, v) for k, v in c.values.items())) for c in chars}) != len(chars):
+        if len({straight[shape] for shape in shapes}) != len(shapes):
             bad.append(f"n={n}: straight-shape characters not pairwise distinct")
-        details.append(f"n={n}: all {len(chars)} irreducibles realized")
+        details.append(f"n={n}: all {len(shapes)} irreducibles realized")
     for n in range(1, dim_sum_max + 1):
         total = sum(hook_length_count(lam) ** 2 for lam in partitions(n))
         if total != factorial(n):
@@ -401,7 +401,7 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
     return _result("induction", details, bad, checked + size_checked)
 
 
-def bn_suite(n_max: int = 4, tol: float = 1e-9) -> SuiteResult:
+def bn_suite(n_max: int = 4, tol: float = FLOAT_TOL) -> SuiteResult:
     """Signed-group forms: relations, entrywise match, dimensions, norms."""
     bad, details = [], []
     for n in range(1, n_max + 1):
@@ -411,25 +411,20 @@ def bn_suite(n_max: int = 4, tol: float = 1e-9) -> SuiteResult:
             for lam in partitions(k):
                 for mu in partitions(n - k):
                     p, q = row_filling_pair(lam, mu)
-                    ext, classical, index_map = match_signed_forms(p, q, SEMINORMAL)
-                    rel = verify_coxeter(ext)
-                    if not rel.ok:
-                        bad.append(f"n={n} ({lam},{mu}): {rel.failures[0]}")
-                    for g in ext.gens:
-                        if not ext.matrices[g].reindexed(index_map).equals(classical.matrices[g]):
-                            bad.append(f"n={n} ({lam},{mu}): generator {g} mismatch")
-                            break
-                    if not is_irreducible(ext):
-                        bad.append(f"n={n} ({lam},{mu}): norm != 1")
-                    ext_f, classical_f, index_map_f = match_signed_forms(p, q, ORTHOGONAL)
-                    if not verify_coxeter(ext_f, tol).ok:
-                        bad.append(f"n={n} ({lam},{mu}): float relations fail")
-                    for g in ext_f.gens:
-                        if not ext_f.matrices[g].reindexed(index_map_f).equals(
-                            classical_f.matrices[g], tol
-                        ):
-                            bad.append(f"n={n} ({lam},{mu}): float generator {g} mismatch")
-                            break
+                    for form, form_tol in ((SEMINORMAL, None), (ORTHOGONAL, tol)):
+                        ext, classical, index_map = match_signed_forms(p, q, form)
+                        where = f"n={n} ({lam},{mu}) {form}"
+                        rel = verify_coxeter(ext, tol)
+                        if not rel.ok:
+                            bad.append(f"{where}: {rel.failures[0]}")
+                        for g in ext.gens:
+                            if not ext.matrices[g].reindexed(index_map).equals(
+                                classical.matrices[g], form_tol
+                            ):
+                                bad.append(f"{where}: generator {g} mismatch")
+                                break
+                        if ext.is_exact and not is_irreducible(ext):
+                            bad.append(f"{where}: norm != 1")
                     dims_sq += ext.dim**2
                     count += 1
         expected = 2**n * factorial(n)

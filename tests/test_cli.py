@@ -1,10 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ayrep.cli import main, parse_args, run
+from ayrep.reps import ORTHOGONAL, SEMINORMAL
+from ayrep.verify import SUITES
 
 
 def _run(argv):
@@ -33,6 +38,14 @@ def test_cell_dot_export():
     assert status == 0
     assert lines[0] == "digraph cell {"
     assert any("label=" in line for line in lines)
+
+
+@pytest.mark.parametrize("f", ["0,0", "2,2,-1"])
+def test_cell_dot_needs_a_generic_functional(f):
+    # an edge inside the cell pairs to 0: no seminormal coefficient exists
+    status, lines = _run(["cell", "--n", str(f.count(",") + 1), "--f", f, "--format", "dot"])
+    assert status == 1
+    assert lines == ["error: functional not generic for the cell: <f,(1,2)> = 0"]
 
 
 def test_syt_command():
@@ -213,3 +226,74 @@ def test_main_returns_status(capsys):
     assert main(["cell", "--n", "3", "--f", "0,2,-1"]) == 0
     out = capsys.readouterr().out
     assert "members" in out
+
+
+# the CLI contract for generated argv --------------------------------------------
+
+_csv = ",".join
+
+
+def _ints(lo, hi, size):
+    return st.lists(st.integers(lo, hi), min_size=size, max_size=size).map(
+        lambda xs: _csv(map(str, xs)))
+
+
+@st.composite
+def _argv(draw):
+    """argv for one subcommand at n <= 4; list values go as --opt=value, so a
+    leading minus sign is not read as an option."""
+    command = draw(st.sampled_from(["cell", "syt", "rep", "induce", "bn", "tops", "verify"]))
+    n = draw(st.integers(-1, 4))
+    form = ["--form", draw(st.sampled_from([SEMINORMAL, ORTHOGONAL]))]
+    if command in ("cell", "rep"):
+        k = max(n, 0) + draw(st.sampled_from([0, 0, 0, 1]))  # k != n is a usage error
+        argv = [command, f"--n={n}", f"--f={draw(_ints(-3, 3, k))}"]
+        if draw(st.booleans()):
+            argv.append(f"--w={_csv(map(str, draw(st.permutations(range(1, max(n, 0) + 1)))))}")
+        if command == "cell":
+            argv += ["--format", draw(st.sampled_from(["text", "json", "dot"]))]
+        else:
+            argv += form
+    elif command == "syt":
+        argv = ["syt", f"--shape={draw(_ints(-1, 3, draw(st.integers(0, 3))))}",
+                f"--mu={draw(_ints(-1, 2, draw(st.integers(0, 2))))}"]
+    elif command == "induce":
+        shapes = draw(st.lists(_ints(0, 3, draw(st.integers(1, 2))), max_size=2))
+        argv = ["induce", f"--n={n}", f"--j={draw(_ints(0, 4, draw(st.integers(0, 3))))}",
+                f"--shapes={';'.join(shapes)}", *form]
+    elif command == "bn":
+        lam, mu = draw(st.tuples(st.lists(st.integers(0, 2), max_size=2),
+                                 st.lists(st.integers(0, 2), max_size=2))
+                       .filter(lambda pair: sum(pair[0]) + sum(pair[1]) <= 4))
+        argv = ["bn", f"--lam={_csv(map(str, lam))}", f"--mu={_csv(map(str, mu))}", *form]
+    elif command == "tops":
+        argv = ["tops", f"--n={n}"]
+    else:  # `flat` ignores --n, so it is left out
+        suites = draw(st.lists(st.sampled_from(sorted(set(SUITES) - {"flat"})),
+                               min_size=1, max_size=2, unique=True))
+        seed = draw(st.integers(0, 3))
+        argv = ["verify", f"--n={n}", f"--suite={_csv(suites)}", f"--seed={seed}"]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+@example(["cell", "--n=2", "--f=0,0", "--format", "dot"])
+@example(["cell", "--n=3", "--f=2,2,-1", "--format", "dot"])
+def test_cli_contract_holds_for_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            status = exc.code
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if status != 2 and ("--json" in argv or "json" in argv):  # or `cell --format json`
+        if text.startswith("error:"):
+            assert status == 1 and text.count("\n") == 1
+        else:
+            assert "schema_version" in json.loads(text)

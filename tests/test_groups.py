@@ -498,6 +498,17 @@ def test_serialization():
     assert Permutation.from_one_line("3,2,1,5,4") == w
 
 
+def test_the_two_families_share_one_line_words_but_not_equality():
+    w, v = Permutation((2, 1)), SignedPermutation((2, 1))
+    assert (w.size, w.one_line(), repr(w)) == (2, "2,1", "Permutation(2,1)")
+    assert (v.size, v.one_line(), repr(v)) == (2, "2,1", "SignedPermutation(2,1)")
+    assert w != v and v != w and len({w, v}) == 2
+    assert w != (2, 1) and v != (2, 1)
+    assert hash(w) == hash((2, 1)) and hash(v) == hash(("B", (2, 1)))  # set orders rely on these
+    assert type(SignedPermutation.from_one_line("-1,2")) is SignedPermutation
+    assert not SignedPermutation((-1, 2)).is_identity() and identity(3).is_identity()
+
+
 def test_doctests():
     import doctest
 

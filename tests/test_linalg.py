@@ -147,3 +147,30 @@ def test_power_is_identity_float():
     assert not power_is_identity(perturbed, 3, 1e-9)
     shear = SquareMatrix(2, {0: {0: 1.0}, 1: {0: 1e-6, 1: 1.0}})
     assert not power_is_identity(shear, 2, 1e-9)
+
+
+def test_products_match_dense_products():
+    for rep in _skew_reps(4, SEMINORMAL) + _induced_reps(3):
+        for g, h in product(rep.gens, repeat=2):
+            a, b = _dense(rep.matrices[g]), _dense(rep.matrices[h])
+            expected = [[sum(a[i][k] * b[k][j] for k in range(rep.dim)) for j in range(rep.dim)]
+                        for i in range(rep.dim)]
+            prod = rep.matrices[g] * rep.matrices[h]
+            assert _dense(prod) == expected
+            assert all(v != 0 for col in prod.cols.values() for v in col.values())
+
+
+def test_equals_exact_and_within_tol():
+    m = SquareMatrix(2, {0: {0: Fraction(1, 3)}, 1: {0: Fraction(1), 1: Fraction(-1, 3)}})
+    same = SquareMatrix(2, {1: {1: Fraction(-1, 3), 0: 1}, 0: {0: Fraction(1, 3)}})
+    assert m.equals(same) and same.equals(m)
+    assert SquareMatrix(2, {0: {}}).equals(SquareMatrix(2))  # an empty column is zero
+    assert not m.equals(SquareMatrix(3, m.cols))
+    fewer = SquareMatrix(2, {0: m.cols[0]})  # a missing column is zero
+    assert not m.equals(fewer) and not fewer.equals(m)
+    near = SquareMatrix(2, {0: {0: 1 / 3}, 1: {0: 1.0, 1: -1 / 3 + 1e-12}})
+    assert not m.equals(near)
+    assert m.equals(near, 1e-9) and near.equals(m, 1e-9)
+    short = SquareMatrix(2, {0: {0: 1 / 3}, 1: {0: 1.0}})
+    assert not m.equals(short, 1e-9) and not short.equals(m, 1e-9)
+    assert not m.equals(SquareMatrix(2, {0: {0: 1 / 3, 1: 1e-6}, 1: m.cols[1]}), 1e-9)

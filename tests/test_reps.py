@@ -77,7 +77,7 @@ def test_fully_generic_gives_regular_character():
 
 def test_orthogonal_skew_examples():
     rep = build_orthogonal_skew(SkewShape((2, 1)))
-    col = rep.matrices[2].column(0)
+    col = rep.matrices[2].cols[0]
     assert col[0] == pytest.approx(-0.5)
     assert col[1] == pytest.approx(math.sqrt(3) / 2)
 

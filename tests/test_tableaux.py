@@ -14,7 +14,6 @@ from ayrep.groups import Permutation, identity, partitions, sym_group
 from ayrep.tableaux import (
     SkewShape,
     Tableau,
-    column_tableau,
     connected_skew_shapes,
     content_vector,
     content_violation,
@@ -32,6 +31,7 @@ from ayrep.tableaux import (
     straight_shapes,
     tableau_from_content,
 )
+from tableau_oracles import column_tableau
 
 
 def T(lam, mu, rows):
@@ -331,6 +331,11 @@ def test_family_contains_straight_and_disconnected():
     for shape in fam:
         assert shape.size == 3
     assert len(fam) == 9
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_family_contains_every_straight_shape(n):
+    assert set(straight_shapes(n)) <= set(skew_shape_family(n))
 
 
 def test_count_standard_matches_enumeration_on_skew():

@@ -3,16 +3,18 @@ import pytest
 from ayrep.groups import Permutation, identity, partitions
 from ayrep.tableaux import (
     SkewShape,
-    column_tableau,
     enumerate_standard,
     relabel,
+    relabel_cell,
     row_tableau,
 )
-from ayrep.tops import (
-    is_top_brute,
-    maximal_elements_of_cell,
-    top_elements,
-)
+from ayrep.tops import _maximal_members, is_top_brute, top_elements
+from tableau_oracles import column_tableau
+
+
+def maximal_elements_of_cell(q):
+    """Length-maximal members of a filling's cell."""
+    return _maximal_members(relabel_cell(q), q.size)
 
 
 def test_is_top_brute_examples():

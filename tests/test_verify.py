@@ -3,9 +3,14 @@
 import dataclasses
 import re
 from fractions import Fraction
+from functools import partial
 
-from ayrep import reps, verify
+import pytest
+
+from ayrep import induction, reps, verify
 from ayrep.linalg import SquareMatrix
+from ayrep.reps import ORTHOGONAL, SEMINORMAL
+from ayrep.tableaux import skew_shape_family
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -62,3 +67,46 @@ def test_flat_suite_traces_a_rep_that_differs(monkeypatch):
     )
     assert len(traced) == 79  # the altered rep is traced on top of the 78 pairs
 
+
+def test_specht_suite_traces_each_shape_once_and_reports_a_bad_norm(monkeypatch):
+    def doubled(rep):
+        chi = reps.character(rep)
+        if rep.n == 3 and rep.dim == 2:  # (2,1) and the skew shapes of dimension 2
+            chi = dataclasses.replace(chi, values={k: 2 * v for k, v in chi.values.items()})
+        return chi
+
+    monkeypatch.setattr(verify, "character", doubled)
+    traced = _count_calls(monkeypatch, "character")
+    result = verify.specht_suite(n_max=3)
+    assert not result.ok
+    assert len(traced) == sum(len(skew_shape_family(n)) for n in (1, 2, 3))
+    assert [c for c in result.counterexamples if "norm" in c] == ["straight (2,1): norm != 1"]
+    assert "n=3: all 3 irreducibles realized" in result.details
+
+
+@pytest.mark.parametrize("form", [SEMINORMAL, ORTHOGONAL])
+def test_bn_suite_reports_a_classical_mismatch_in_each_form(monkeypatch, form):
+    def perturbed(p, q, normalization, shift):
+        ext, classical, index_map = induction.match_signed_forms(p, q, normalization)
+        if normalization == form:
+            m = classical.matrices[0]
+            moved = {j: {i: v + shift for i, v in col.items()} for j, col in m.cols.items()}
+            matrices = {**classical.matrices, 0: SquareMatrix(m.dim, moved)}
+            classical = dataclasses.replace(classical, matrices=matrices)
+        return ext, classical, index_map
+
+    monkeypatch.setattr(verify, "match_signed_forms", partial(perturbed, shift=Fraction(1, 10**12)))
+    result = verify.bn_suite(n_max=1)
+    if form == ORTHOGONAL:  # a shift within the tolerance passes
+        assert result.ok
+    else:
+        assert result.counterexamples == (
+            "n=1 ((),(1,)) seminormal: generator 0 mismatch",
+            "n=1 ((1,),()) seminormal: generator 0 mismatch",
+        )
+    monkeypatch.setattr(verify, "match_signed_forms", partial(perturbed, shift=1))
+    result = verify.bn_suite(n_max=1)
+    assert result.counterexamples == (
+        f"n=1 ((),(1,)) {form}: generator 0 mismatch",
+        f"n=1 ((1,),()) {form}: generator 0 mismatch",
+    )
