@@ -26,6 +26,7 @@ from .reps import (
     _require_generic,
     _step_coefficients,
     build_from_functional,
+    char_inner,
     character,
     is_irreducible,
     verify_coxeter,
@@ -159,7 +160,9 @@ def _cmd_rep(args: argparse.Namespace) -> tuple:
     f = Functional(args.f)
     w = Permutation(args.w) if args.w else identity(f.size)
     rep = build_from_functional(f, w, args.form)
-    chi = character(rep)
+    if rep.is_exact:  # the float form prints no character
+        chi = character(rep)
+        irreducible = char_inner(chi, chi) == 1
     if args.json:
         payload = _rep_payload(rep)
         payload["command"] = "rep"
@@ -167,7 +170,7 @@ def _cmd_rep(args: argparse.Namespace) -> tuple:
             payload["character"] = {
                 r.one_line(): _fraction_str(v) for r, v in chi.values.items()
             }
-            payload["irreducible"] = is_irreducible(rep)
+            payload["irreducible"] = irreducible
         return 0, _dump(payload)
     lines = [f"dimension {rep.dim}, normalization {rep.normalization}"]
     lines.append("basis " + " / ".join(b.one_line() for b in rep.basis))
@@ -180,7 +183,7 @@ def _cmd_rep(args: argparse.Namespace) -> tuple:
             "character "
             + ", ".join(f"{r.one_line()}: {v}" for r, v in chi.values.items())
         )
-        lines.append(f"irreducible {is_irreducible(rep)}")
+        lines.append(f"irreducible {irreducible}")
     return 0, lines
 
 

@@ -10,8 +10,17 @@ scaled by the lcm s of its entry denominators, so that N = s*M has integer
 entries; seminormal entries are 1/h, 1 and 1 - 1/h^2, so s divides h^2.
 Then M1 * ... * Mk = (N1 * ... * Nk) / (s1 * ... * sk) exactly, and each
 basis vector is pushed through the word in Python ints with a single
-division at the end.  Matrices with float entries (the orthogonal form) run
-the same loop with scale 1, in the same order of operations as before.
+division at the end.  A matrix computes its scaled form once, on first use,
+and keeps it until `set_entry` changes it; change a matrix only through
+`set_entry`.
+
+A relation is checked as a word too: `word_is_identity` pushes each basis
+vector through M1 * ... * Mk and compares the result with (s1 * ... * sk)
+times that vector, so an exact braid check (s_g s_h)^m never forms s_g s_h.
+Matrices with float entries (the orthogonal form) run the same loops with
+scale 1.  Float braid checks still form s_g s_h and raise it to the power
+(`power_is_identity`): pushing the word instead would round in another
+order and change the float results in their last bits.
 """
 
 from __future__ import annotations
@@ -22,13 +31,15 @@ from typing import Sequence
 
 
 class SquareMatrix:
-    __slots__ = ("dim", "cols")
+    __slots__ = ("dim", "cols", "_form")
 
     def __init__(self, dim: int, cols: dict = None):
         self.dim = dim
         self.cols = cols if cols is not None else {}
+        self._form = None
 
     def set_entry(self, i: int, j: int, value) -> None:
+        self._form = None
         if value == 0:
             self.cols.get(j, {}).pop(i, None)
         else:
@@ -71,6 +82,12 @@ class SquareMatrix:
         for j, col in self.cols.items():
             cols[index_map[j]] = {index_map[i]: v for i, v in col.items()}
         return SquareMatrix(self.dim, cols)
+
+    def scaled_form(self) -> tuple:
+        """The (s, columns, kind) of `_scaled`, computed on first use and kept."""
+        if self._form is None:
+            self._form = _scaled(self)
+        return self._form
 
     def to_dense(self) -> list:
         return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
@@ -124,12 +141,9 @@ def word_trace(matrices: Sequence[SquareMatrix], dim: int):
     """
     if not matrices:
         return dim if dim else 0
-    forms = {}
-    for m in matrices:
-        if id(m) not in forms:
-            forms[id(m)] = _scaled(m)
-    chain = [forms[id(m)][1] for m in matrices]
-    kinds = {kind for _, _, kind in forms.values()}
+    forms = [m.scaled_form() for m in matrices]
+    chain = [columns for _, columns, _ in forms]
+    kinds = {kind for _, _, kind in forms}
     total, survived = 0, False
     for j in range(dim):
         vec = _push(chain, j)
@@ -138,15 +152,18 @@ def word_trace(matrices: Sequence[SquareMatrix], dim: int):
             survived = True
     if float in kinds or Fraction not in kinds or not survived:
         return total
-    return Fraction(total, prod(forms[id(m)][0] for m in matrices))
+    return Fraction(total, prod(s for s, _, _ in forms))
 
 
-def power_is_identity(m: SquareMatrix, k: int, tol=None) -> bool:
-    """Whether m^k is the identity, exactly or (given tol) entrywise within tol."""
-    s, columns, _ = _scaled(m)
-    chain = [columns] * k
-    one = s**k
-    for j in range(m.dim):
+def word_is_identity(matrices: Sequence[SquareMatrix], dim: int, tol=None) -> bool:
+    """Whether matrices[0] * matrices[1] * ... is the identity, without forming it.
+
+    Exact, or (given tol) entrywise within tol.
+    """
+    forms = [m.scaled_form() for m in matrices]
+    chain = [columns for _, columns, _ in forms]
+    one = prod(s for s, _, _ in forms)
+    for j in range(dim):
         vec = _push(chain, j)
         if tol is None:
             if vec != {j: one}:
@@ -154,3 +171,8 @@ def power_is_identity(m: SquareMatrix, k: int, tol=None) -> bool:
         elif abs(vec.pop(j, 0) / one - 1) > tol or any(abs(v / one) > tol for v in vec.values()):
             return False
     return True
+
+
+def power_is_identity(m: SquareMatrix, k: int, tol=None) -> bool:
+    """Whether m^k is the identity, exactly or (given tol) entrywise within tol."""
+    return word_is_identity([m] * k, m.dim, tol)

@@ -35,7 +35,7 @@ from .groups import (
     reduced_word,
     reflection,
 )
-from .linalg import SquareMatrix, power_is_identity, word_trace
+from .linalg import SquareMatrix, power_is_identity, word_is_identity, word_trace
 from .tableaux import SkewShape, Tableau, enumerate_standard
 
 SEMINORMAL = "seminormal"
@@ -206,8 +206,12 @@ def verify_coxeter(rep: Representation, tol: float = FLOAT_TOL) -> VerificationR
         for b in range(a + 1, len(gens)):
             g, h = gens[a], gens[b]
             m = braid_order(rep.group_type, g, h)
-            prod = rep.matrices[g] * rep.matrices[h]
-            if not power_is_identity(prod, m, tolerance):
+            if rep.is_exact:
+                holds = word_is_identity([rep.matrices[g], rep.matrices[h]] * m, rep.dim)
+            else:
+                # floats form s_g s_h first; the word would round in another order
+                holds = power_is_identity(rep.matrices[g] * rep.matrices[h], m, tolerance)
+            if not holds:
                 failures.append(f"(s{g} s{h})^{m} != 1")
     return VerificationReport(not failures, tuple(failures))
 

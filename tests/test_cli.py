@@ -7,6 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ayrep.cli
+import ayrep.reps
 from ayrep.cli import main, parse_args, run
 from ayrep.reps import ORTHOGONAL, SEMINORMAL
 from ayrep.verify import SUITES
@@ -62,6 +64,17 @@ def test_rep_command_json():
     assert payload["dimension"] == 2
     assert payload["matrices"]["1"] == [["1/1", "0/1"], ["0/1", "-1/1"]]
     assert payload["irreducible"] is True
+
+
+@pytest.mark.parametrize("form, traces", [([], 1), (["--form", ORTHOGONAL], 0)])
+def test_rep_traces_the_character_once_and_only_when_exact(monkeypatch, form, traces):
+    calls = []
+    real = ayrep.reps.character
+    for module in (ayrep.cli, ayrep.reps):
+        monkeypatch.setattr(module, "character", lambda rep: calls.append(rep) or real(rep))
+    status, _ = _run(["rep", "--n", "5", "--f", "0,1,2,-1,0", *form, "--json"])
+    assert status == 0
+    assert len(calls) == traces
 
 
 def test_rep_command_rejects_bad_functional():

@@ -1,14 +1,16 @@
-"""The integer word-trace kernel against dense products written out here.
+"""The integer word-trace and relation kernels against dense products written out here.
 
 The reference reads the generator entries straight from the column storage
 and multiplies full matrices, so it shares no code with `ayrep.linalg`.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from ayrep import linalg
 from ayrep.cells import Functional
 from ayrep.groups import (
     class_data_signed,
@@ -19,6 +21,7 @@ from ayrep.groups import (
     signed_reduced_word,
 )
 from ayrep.induction import (
+    bn_classical,
     build_parabolic_from_shapes,
     extend_to_bn,
     induce,
@@ -26,7 +29,16 @@ from ayrep.induction import (
     row_filling_pair,
 )
 from ayrep.linalg import SquareMatrix, power_is_identity, word_trace
-from ayrep.reps import ORTHOGONAL, SEMINORMAL, build_from_functional, build_orthogonal_skew
+from ayrep.reps import (
+    FLOAT_TOL,
+    ORTHOGONAL,
+    SEMINORMAL,
+    Representation,
+    build_from_functional,
+    build_orthogonal_skew,
+    character,
+    verify_coxeter,
+)
 from ayrep.tableaux import SkewShape, content_vector, row_tableau, skew_shape_family
 
 
@@ -38,18 +50,21 @@ def _dense(m: SquareMatrix) -> list:
     return rows
 
 
+def _dense_mul(a: list, b: list) -> list:
+    """a * b, summing only the nonzero terms."""
+    dim = len(a)
+    support = [[(k, b[k][j]) for k in range(dim) if b[k][j]] for j in range(dim)]
+    return [[sum((row[k] * x for k, x in support[j] if row[k]), 0) for j in range(dim)]
+            for row in a]
+
+
 def _dense_trace(mats: list, dim: int):
     """Trace of mats[0] * mats[1] * ...: int 0 if every diagonal entry is 0."""
     if not mats:
         return dim
     acc = _dense(mats[0])
     for m in mats[1:]:
-        b = _dense(m)
-        support = [[(k, b[k][j]) for k in range(dim) if b[k][j]] for j in range(dim)]
-        acc = [
-            [sum((row[k] * x for k, x in support[j] if row[k]), 0) for j in range(dim)]
-            for row in acc
-        ]
+        acc = _dense_mul(acc, _dense(m))
     diagonal = [acc[i][i] for i in range(dim) if acc[i][i]]
     return sum(diagonal[1:], diagonal[0]) if diagonal else 0
 
@@ -174,3 +189,123 @@ def test_equals_exact_and_within_tol():
     short = SquareMatrix(2, {0: {0: 1 / 3}, 1: {0: 1.0}})
     assert not m.equals(short, 1e-9) and not short.equals(m, 1e-9)
     assert not m.equals(SquareMatrix(2, {0: {0: 1 / 3, 1: 1e-6}, 1: m.cols[1]}), 1e-9)
+
+
+# relation checks ------------------------------------------------------------------
+
+
+def _dense_relation_failures(rep, tol=None) -> list:
+    """verify_coxeter's failure texts, from dense s_g^2 and (s_g s_h)^m."""
+    dim = rep.dim
+    dense = {g: _dense(m) for g, m in rep.matrices.items()}
+
+    def is_identity(p):
+        return all(
+            p[i][j] == (i == j) if tol is None else abs(p[i][j] - (i == j)) <= tol
+            for i in range(dim) for j in range(dim)
+        )
+
+    failures = [f"s{g}^2 != 1" for g in rep.gens
+                if not is_identity(_dense_mul(dense[g], dense[g]))]
+    for a, g in enumerate(rep.gens):
+        for h in rep.gens[a + 1:]:
+            m = 4 if rep.group_type == "B" and (g, h) == (0, 1) else 3 if h - g == 1 else 2
+            braid = power = _dense_mul(dense[g], dense[h])
+            for _ in range(m - 1):
+                power = _dense_mul(power, braid)
+            if not is_identity(power):
+                failures.append(f"(s{g} s{h})^{m} != 1")
+    return failures
+
+
+def _signed_reps(n_max: int) -> list:
+    reps = []
+    for n in range(1, n_max + 1):
+        for k in range(n + 1):
+            for lam, mu in product(partitions(k), partitions(n - k)):
+                for form in (SEMINORMAL, ORTHOGONAL):
+                    reps.append(extend_to_bn(*row_filling_pair(lam, mu), form))
+                    reps.append(bn_classical(lam, mu, form))
+    return reps
+
+
+def _perturbed(rep):
+    """A copy with the first off-diagonal entry of the first generator that has one moved.
+
+    None when no generator has an off-diagonal entry.
+    """
+    for g in rep.gens:
+        m = rep.matrices[g]
+        for j, col in m.cols.items():
+            for i, v in col.items():
+                if i != j:
+                    bad = SquareMatrix(m.dim, {k: dict(c) for k, c in m.cols.items()})
+                    bad.set_entry(i, j, v + (Fraction(1, 7) if rep.is_exact else 1e-3))
+                    mats = {**rep.matrices, g: bad}
+                    return Representation(rep.group_type, rep.n, rep.gens, rep.basis, mats,
+                                          rep.normalization)
+    return None
+
+
+def test_relation_checks_match_dense_powers():
+    reps = _skew_reps(4, SEMINORMAL) + _induced_reps(3) + _signed_reps(3)
+    broken = 0
+    for rep in reps:
+        tol = None if rep.is_exact else FLOAT_TOL
+        assert list(verify_coxeter(rep).failures) == _dense_relation_failures(rep, tol) == []
+        bad = _perturbed(rep)
+        if bad is not None:
+            failures = list(verify_coxeter(bad).failures)
+            assert failures == _dense_relation_failures(bad, tol), (rep.basis, failures)
+            assert failures
+            broken += 1
+    assert len(reps) > 60 and broken > 40
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the first argument of every call to owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(first, *rest):
+        calls.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_set_entry_clears_the_scaled_form(monkeypatch):
+    rep = build_from_functional(Functional((0, 2, -1)), identity(3))
+    s1 = rep.matrices[1]
+    m = SquareMatrix(s1.dim, {j: dict(c) for j, c in s1.cols.items()})
+    scaled = _count_calls(monkeypatch, linalg, "_scaled")
+    assert power_is_identity(m, 2) and power_is_identity(m, 2)
+    assert word_trace([m], m.dim) == -1
+    assert len(scaled) == 1
+    m.set_entry(2, 0, m.entry(2, 0) + Fraction(1, 3))
+    assert not power_is_identity(m, 2)
+    assert len(scaled) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_from_functional(Functional((0, 1, 2, -1, 0)), identity(5)),
+    lambda: extend_to_bn(*row_filling_pair((2, 1), (1,))),
+], ids=["A5", "B4"])
+def test_scaled_once_per_generator_matrix(monkeypatch, build):
+    rep = build()
+    scaled = _count_calls(monkeypatch, linalg, "_scaled")
+    assert verify_coxeter(rep).ok
+    character(rep)
+    counts = Counter(id(m) for m in scaled)
+    assert set(counts) == {id(m) for m in rep.matrices.values()}
+    assert set(counts.values()) == {1}
+
+
+def test_exact_relations_form_no_products(monkeypatch):
+    f = Functional((0, 1, 2, -1, 0))
+    products = _count_calls(monkeypatch, SquareMatrix, "__mul__")
+    assert verify_coxeter(build_from_functional(f, identity(5))).ok
+    assert products == []
+    assert verify_coxeter(build_from_functional(f, identity(5), ORTHOGONAL)).ok
+    assert len(products) == 6  # one per pair of the four generators
