@@ -9,6 +9,7 @@ in the package is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional
 
 from .errors import PreconditionError
@@ -16,7 +17,7 @@ from .groups import (
     Permutation,
     Reflection,
     _check_cap,
-    conjugated_reflection,
+    _walls,
     identity,
     is_convex,
     left_descents_in,
@@ -148,20 +149,6 @@ def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
     return set(_walk_cell(A, identity(n), range(1, n))[0])
 
 
-def _reflection_sets(members: list) -> tuple:
-    member_set = frozenset(members)
-    n = members[0].size
-    interior, boundary = set(), set()
-    for w in members:
-        for i in range(1, n):
-            t = conjugated_reflection(w, i)
-            if w.times_simple(i) in member_set:
-                interior.add(t)
-            else:
-                boundary.add(t)
-    return frozenset(interior), frozenset(boundary)
-
-
 def descent_partition(n: int, A: frozenset) -> list:
     """Partition of the group into descent classes over the reflection set A.
 
@@ -269,74 +256,73 @@ def is_minimal_ay_cell(members: Iterable[Permutation]):
     """Whether the set is a translated identity cell of some integer functional.
 
     Returns (flag, witness) where witness = (sigma, tableau) translates the
-    set to the identity cell of the tableau's content vector.
+    set to the identity cell of the tableau's content vector; sigma is the
+    first member in (length, word) order.
+
+    One translation decides.  The identity cell of a generic content vector
+    is B_Q = {pi : relabel(Q, pi) is standard} for its tableau Q.  If
+    K = tau B_Q, every member sigma = tau pi gives sigma^-1 K = pi^-1 B_Q,
+    which is the cell of the standard filling relabel(Q, pi), because
+    relabel(relabel(Q, pi), rho) = relabel(Q, pi rho).  So when some member
+    translates K to an identity cell, every member does.
     """
     member_list = sorted(set(members), key=lambda w: w.sort_key())
     if not member_list:
         raise PreconditionError("the empty set is not a cell")
     if not is_convex(member_list):
         return False, None
-    for sigma in member_list:
-        inv = sigma.inverse()
-        translated = frozenset(inv * w for w in member_list)
-        c = _content_functional_for(translated)
-        if c is not None:
-            return True, (sigma, tableau_from_content(c))
-    return False, None
+    sigma = member_list[0]
+    inv = sigma.inverse()
+    c = _content_functional_for(frozenset(inv * w for w in member_list))
+    if c is None:
+        return False, None
+    return True, (sigma, tableau_from_content(c))
 
 
 def _content_functional_for(members: frozenset) -> Optional[tuple]:
-    """Search a content vector whose identity cell equals the given set.
+    """A content vector whose identity cell equals the given set, or None.
 
-    The set must contain the identity and be convex.  Candidates are pinned
-    at c_1 = 0 with entries within +-2(n-1), which loses no generality: wider
-    content gaps can always be compressed to 2 without changing any descent
-    data.
+    The set must contain the identity and be convex, so its walls
+    (`groups._walls`) cut it out.  If it is the identity cell of c, each
+    wall (x, y) is a reflection paired to +-1: c_y - c_x = +-1.  The walls
+    join the letters into pieces; inside a piece one sign per letter after
+    the first, in breadth-first order, fixes the contents.  Each new piece
+    starts more than n above the contents so far, so no pairing across
+    pieces is 0 or +-1.  That loses no cell: pulling the pieces of c apart
+    drops only reflections paired to +-1 that are not walls, so the cell
+    stays between c's and the one the walls cut out, and the +1 and -1
+    between two equal contents of a piece lie in that piece.  Of the at
+    most 2^(n-1) candidates, the first that is generic and whose walked
+    identity cell is the set is returned.
     """
     n = next(iter(members)).size
-    if n == 1:
-        return (0,)
-    interior, boundary = _reflection_sets(sorted(members, key=lambda w: w.sort_key()))
-    corners = []
-    member_set = members
-    for w in members:
-        for i in range(1, n - 1):
-            if w.times_simple(i) in member_set or w.times_simple(i + 1) in member_set:
-                continue
-            corners.append((conjugated_reflection(w, i), conjugated_reflection(w, i + 1)))
-    bound = 2 * (n - 1)
-    c = [0] * n
-
-    def constraints_ok(k: int) -> bool:
-        # all constraints whose reflections live inside 1..k
-        for t in interior:
-            if t.j <= k and c[t.j - 1] - c[t.i - 1] in (-1, 0, 1):
-                return False
-        for t in boundary:
-            if t.j <= k and abs(c[t.j - 1] - c[t.i - 1]) != 1:
-                return False
-        for t1, t2 in corners:
-            if t1.j <= k and t2.j <= k:
-                if c[t1.j - 1] - c[t1.i - 1] != c[t2.j - 1] - c[t2.i - 1]:
-                    return False
-        return content_violation(c[:k]) is None
-
-    def search(k: int) -> Optional[tuple]:
-        if k == n:
-            cand = tuple(c)
-            if _identity_cell_members(cand) == members:
-                return cand
-            return None
-        for val in range(-bound, bound + 1):
-            c[k] = val
-            if constraints_ok(k + 1):
-                found = search(k + 1)
-                if found is not None:
-                    return found
-        c[k] = 0
-        return None
-
-    return search(1)
+    neighbours = {x: set() for x in range(1, n + 1)}
+    for x, y in _walls({w.images for w in members}):
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    order, seen = [], set()  # (letter, the letter it hangs from or None)
+    for first in range(1, n + 1):
+        if first in seen:
+            continue
+        seen.add(first)
+        piece = [(first, None)]
+        for x, _ in piece:
+            for y in sorted(neighbours[x] - seen):
+                seen.add(y)
+                piece.append((y, x))
+        order += piece
+    free = sum(parent is not None for _, parent in order)
+    for signs in product((-1, 1), repeat=free):
+        c, step = {}, iter(signs)
+        for x, parent in order:
+            if parent is None:
+                c[x] = max(c.values(), default=-n - 1) + n + 1
+            else:
+                c[x] = c[parent] + next(step)
+        cand = tuple(c[x] for x in range(1, n + 1))
+        if content_violation(cand) is None and _identity_cell_members(cand) == members:
+            return cand
+    return None
 
 
 def _identity_cell_members(coords: tuple) -> frozenset:
@@ -427,8 +413,6 @@ def flat_integer_points(flat: BasicFlat, span: int):
         if r not in roots:
             roots.append(r)
         pots.append((r, p))
-    from itertools import product
-
     free = roots[1:]
     for offsets in product(range(-span, span + 1), repeat=len(free)):
         assign = {roots[0]: 0}

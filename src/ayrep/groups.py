@@ -265,18 +265,28 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     K = {w.images for w in members}
     if not K:
         raise PreconditionError("convexity of the empty set is undefined")
-    n = len(next(iter(K)))
-    _check_cap("A", n)
-    walls = {  # (x, y): letter x must stand left of letter y in every member
-        (img[i], img[i + 1])
-        for img in K for i in range(n - 1)
-        if img[:i] + (img[i + 1], img[i]) + img[i + 2:] not in K
-    }
+    _check_cap("A", len(next(iter(K))))
+    walls = _walls(K)
     for img in K:
         position = {v: p for p, v in enumerate(img)}
         if any(position[x] > position[y] for x, y in walls):
             return False
     return True
+
+
+def _walls(K: set) -> set:
+    """The walls of a set of one-line words, as letter pairs (x, y).
+
+    (x, y) is a wall when some member has x just left of y and swapping the
+    two leaves the set.  A convex set is exactly the words that put every
+    wall's x left of its y (see `is_convex`).
+    """
+    n = len(next(iter(K)))
+    return {
+        (img[i], img[i + 1])
+        for img in K for i in range(n - 1)
+        if img[:i] + (img[i + 1], img[i]) + img[i + 2:] not in K
+    }
 
 
 class SignedPermutation(_OneLine):

@@ -277,7 +277,7 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
     """
     n = sum(lam) + sum(mu)
     basis = signed_pair_basis(tuple(lam), tuple(mu), n)
-    index = {_pair_key(pair): j for j, pair in enumerate(basis)}
+    index = {pair: j for j, pair in enumerate(basis)}
     one = _one(normalization)
     mats = {}
     m0 = SquareMatrix(len(basis))
@@ -294,7 +294,7 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
             same_b = g not in a_letters and g + 1 not in a_letters
             target = _pair_swap(pair, g)
             if not (same_a or same_b):
-                m.set_entry(index[_pair_key(target)], j, one)
+                m.set_entry(index[target], j, one)
                 continue
             t = ta if same_a else tb
             (r1, c1), (r2, c2) = t.positions()[g], t.positions()[g + 1]
@@ -308,18 +308,9 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
             m.set_entry(j, j, a)
             swapped_side = target[0] if same_a else target[1]
             if swapped_side.is_increasing():
-                m.set_entry(index[_pair_key(target)], j, b)
+                m.set_entry(index[target], j, b)
         mats[g] = m
     return Representation("B", n, tuple(range(0, n)), basis, mats, normalization)
-
-
-def _pair_key(pair: tuple) -> tuple:
-    def key(t: Optional[Tableau]):
-        if t is None:
-            return None
-        return (t.shape.lam, t.shape.mu, t.rows)
-
-    return (key(pair[0]), key(pair[1]))
 
 
 def match_signed_forms(p: Tableau, q: Optional[Tableau],
@@ -335,11 +326,11 @@ def match_signed_forms(p: Tableau, q: Optional[Tableau],
     lam = p.shape.lam if p is not None else ()
     mu = q.shape.lam if q is not None else ()
     classical = bn_classical(lam, mu, normalization)
-    cl_index = {_pair_key(pair): j for j, pair in enumerate(classical.basis)}
+    cl_index = {pair: j for j, pair in enumerate(classical.basis)}
     index_map = []
     for sigma in ext.basis:
         inv = sigma.inverse()
         ta = map_entries(p, {e: inv(e) for e in p.positions()}) if p else None
         tb = map_entries(q, {e: inv(e) for e in q.positions()}) if q else None
-        index_map.append(cl_index[_pair_key((ta, tb))])
+        index_map.append(cl_index[(ta, tb)])
     return ext, classical, index_map

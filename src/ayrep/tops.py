@@ -107,7 +107,8 @@ def top_elements(n: int) -> TopReport:
     for lam in partitions(n):
         shape = SkewShape(lam)
         r = row_tableau(shape)
-        members = relabel_cell(r)
+        rep = build_from_functional(Functional(content_vector(r)), identity(n))
+        members = frozenset(rep.basis)  # the walked cell of the row filling
         maximal = _maximal_members(members, n)
         assert maximal, "a finite nonempty cell has a maximal element"
         maximum = max(maximal, key=lambda w: w.sort_key())
@@ -117,7 +118,6 @@ def top_elements(n: int) -> TopReport:
             down, up = words.column_word_down, words.column_word_up
         else:
             down = up = identity(1)
-        rep = build_from_functional(Functional(content_vector(r)), identity(n))
         rows.append(
             TopRow(
                 lam=lam,

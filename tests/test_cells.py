@@ -7,6 +7,7 @@ from ayrep.cells import (
     BasicFlat,
     Cell,
     Functional,
+    _content_functional_for,
     _walk_cell,
     boundary_reflections,
     cell_tableau_bijection,
@@ -31,6 +32,7 @@ from ayrep.groups import (
     reflection,
     reflections,
     sym_group,
+    weak_interval,
 )
 from ayrep.induction import j_intervals, parabolic_functional
 from ayrep.reps import build_parabolic
@@ -40,6 +42,7 @@ from ayrep.tableaux import (
     content_vector,
     enumerate_standard,
     relabel,
+    relabel_cell,
     row_tableau,
     skew_shape_family,
 )
@@ -191,6 +194,52 @@ def test_is_minimal_ay_cell_examples():
 
     with pytest.raises(PreconditionError):
         is_minimal_ay_cell(set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_translating_a_relabel_cell_by_a_member_gives_a_relabel_cell(n):
+    # the argument that lets is_minimal_ay_cell translate by one member only
+    for shape in skew_shape_family(n):
+        for q in enumerate_standard(shape):
+            cell = relabel_cell(q)
+            for pi in cell:
+                inv = pi.inverse()
+                assert frozenset(inv * w for w in cell) == relabel_cell(relabel(q, pi))
+
+
+def test_recognizer_searches_contents_once_per_convex_set(monkeypatch):
+    calls = []
+    monkeypatch.setattr("ayrep.cells._content_functional_for",
+                        lambda members: calls.append(members) or _content_functional_for(members))
+    assert is_minimal_ay_cell({identity(3), P(2, 3, 1)}) == (False, None)  # not convex
+    assert calls == []
+    rejected = 0
+    for w in sym_group(4):
+        interval = weak_interval(w)
+        assert is_convex(interval)
+        flag, _ = is_minimal_ay_cell(interval)
+        rejected += not flag
+        # translated by its shortest member, the identity
+        assert calls == [frozenset(interval)]
+        calls.clear()
+    assert rejected > 0  # convex sets that are no cell are searched once too
+    sigma = P(3, 1, 4, 2)
+    cell = {sigma * pi for pi in relabel_cell(row_tableau(SkewShape((2, 2))))}
+    assert is_minimal_ay_cell(cell)[0]
+    assert len(calls) == 1
+
+
+def test_recognizer_keeps_two_pieces_apart():
+    # two (2,1) pieces whose contents would touch if the second were placed
+    # by its first letter just above the first piece's contents
+    q = Tableau(SkewShape((4, 3, 2, 1), (2, 2)), [(1, 3), (2,), (4, 6), (5,)])
+    assert q.is_standard()
+    sigma = P(2, 5, 1, 6, 3, 4)
+    for members in (relabel_cell(q), {sigma * pi for pi in relabel_cell(q)}):
+        flag, witness = is_minimal_ay_cell(members)
+        assert flag
+        tau, found = witness
+        assert frozenset(tau.inverse() * w for w in members) == relabel_cell(found)
 
 
 def test_flat_partition_examples():

@@ -296,15 +296,21 @@ def _argv(draw):
 @example(["cell", "--n=2", "--f=0,0", "--format", "dot"])
 @example(["cell", "--n=3", "--f=2,2,-1", "--format", "dot"])
 def test_cli_contract_holds_for_generated_argv(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            status = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            status = exc.code
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                status = exc.code
+        return status, out.getvalue(), err.getvalue()
+
+    status, text, err = run()
     assert status in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    text = out.getvalue()
+    assert "Traceback" not in err
+    # a second run in the same process answers the same: no cache or other
+    # state left by the first changes the status or a byte of stdout
+    assert run()[:2] == (status, text)
     if status != 2 and ("--json" in argv or "json" in argv):  # or `cell --format json`
         if text.startswith("error:"):
             assert status == 1 and text.count("\n") == 1

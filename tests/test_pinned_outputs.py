@@ -15,9 +15,10 @@ from ayrep.cli import main
 
 PINNED = Path(__file__).parent / "pinned"
 
-# pinned/verify_coxeter_n6.json (`verify --n 6 --suite coxeter --json`) is not
-# a case here: it is checked in CI only, by the golden job, because it takes
-# about 9 s.
+# pinned/verify_coxeter_n6.json (`verify --n 6 --suite coxeter --json`) and
+# pinned/verify_minimal_n5.json (`verify --n 5 --suite minimal --json`) are not
+# cases here: they are checked in CI only, by the golden job, because they
+# take about 9 s and 30 s.
 
 CASES = {
     "rep_seminormal": ["rep", "--n", "5", "--f", "0,1,2,-1,0", "--json"],

@@ -48,6 +48,13 @@ def test_candidate_for_three_two():
     assert row.irreducible
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_interval_sizes_match_the_relabel_cells(n):
+    # top_elements reads each row filling's cell off its representation's basis
+    for row in top_elements(n).rows:
+        assert row.interval_size == len(relabel_cell(row_tableau(SkewShape(row.lam))))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_row_cells_are_intervals_with_column_maximum(n):
     # relabeling the row filling by the maximum of its cell gives the column filling
