@@ -1,10 +1,11 @@
 """Induction of cell representations, shuffle cells, and the signed-group forms.
 
-The signed group acts on the shuffle basis of a pair of tableaux: the extra
-generator is diagonal with sign depending on where the first letter sits, the
-others act exactly as the induced symmetric-group representation.  The same
-representation also has a classical description on pairs of tableaux over all
-letter splittings; the two are compared entrywise in the tests.
+The signed group acts on the shuffle basis of a pair of tableaux: generators
+1..n-1 are `induce` applied to the pair's cell representation of the Young
+subgroup S_k x S_(n-k), and the extra generator adds one sign, diagonal and
+depending on where the first letter sits.  The same representation also has a
+classical description on pairs of tableaux over all letter splittings; the
+`bn` suite compares the two entrywise, which checks `induce`'s matrices too.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from typing import Optional, Sequence
 
 from .cells import Functional, descent_cell, minimal_coset_reps
 from .errors import PreconditionError
-from .groups import Permutation, class_data_parabolic, class_data_symmetric, identity
+from .groups import class_data_parabolic, class_data_symmetric, identity
 from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
     Representation,
-    _step_coefficients,
     _swap_adjacent,
     _two_term_matrices,
     build_parabolic,
@@ -152,18 +152,6 @@ def _letters(t: Optional[Tableau]) -> set:
     return set(t.positions()) if t is not None else set()
 
 
-def _check_letter_split(p: Optional[Tableau], q: Optional[Tableau]):
-    k = p.size if p is not None else 0
-    n = k + (q.size if q is not None else 0)
-    if n == 0:
-        raise PreconditionError("the signed group needs at least one letter")
-    if _letters(p) != set(range(1, k + 1)) or _letters(q) != set(range(k + 1, n + 1)):
-        raise PreconditionError(
-            "tableaux must cover the letter intervals 1..k and k+1..n"
-        )
-    return k, n
-
-
 def _second_shape(mu: Sequence[int]) -> SkewShape:
     """The straight shape mu of the second letter block; its error names mu."""
     try:
@@ -186,57 +174,55 @@ def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     return p, q
 
 
+def _pair_functional(p: Optional[Tableau], q: Optional[Tableau]) -> tuple:
+    """(k, n, f): p's contents on letters 1..k, then q's contents shifted by
+    max(c_p) - min(c_q) + 2, so that no pairing across the two letter blocks
+    is 0 or +-1."""
+    k = p.size if p is not None else 0
+    n = k + (q.size if q is not None else 0)
+    if n == 0:
+        raise PreconditionError("the signed group needs at least one letter")
+    if _letters(p) != set(range(1, k + 1)) or _letters(q) != set(range(k + 1, n + 1)):
+        raise PreconditionError("tableaux must cover the letter intervals 1..k and k+1..n")
+    cp = content_vector(p) if p is not None else ()
+    cq = content_vector(map_entries(q, {e: e - k for e in q.positions()})) if q is not None else ()
+    shift = max(cp) - min(cq) + 2 if cp and cq else 0
+    return k, n, Functional(cp + tuple(c + shift for c in cq))
+
+
 def shuffle_cell(p: Tableau, q: Optional[Tableau]) -> set:
     """All products a*b*w of p's cell on letters 1..k, q's cell on letters
     k+1..n, and a minimal coset representative w of S_k x S_(n-k).
 
-    That is the identity descent cell of one functional: p's contents, then
-    q's contents shifted clear of them, so that no pairing across the two
-    letter blocks is +-1.  Since w^-1 increases on each letter block, x^-1
-    orders each block as a^-1 and b^-1 do, for x = a*b*w.
+    That is the identity descent cell of the pair functional.  Since w^-1
+    increases on each letter block, x^-1 orders each block as a^-1 and b^-1
+    do, for x = a*b*w.
     """
-    k, n = _check_letter_split(p, q)
-    cp = content_vector(p) if p is not None else ()
-    cq = content_vector(map_entries(q, {e: e - k for e in q.positions()})) if q is not None else ()
-    shift = max(cp) - min(cq) + 2 if cp and cq else 0
-    f = Functional(cp + tuple(c + shift for c in cq))
+    _, n, f = _pair_functional(p, q)
     return set(descent_cell(f, identity(n)).members)
-
-
-def _content_maps(p: Optional[Tableau], q: Optional[Tableau]) -> dict:
-    cont = {}
-    for t in (p, q):
-        if t is None:
-            continue
-        for letter, (r, c) in t.positions().items():
-            cont[letter] = c - r
-    return cont
 
 
 def extend_to_bn(p: Tableau, q: Optional[Tableau],
                  normalization: str = SEMINORMAL) -> Representation:
     """Signed-group representation on the shuffle basis of (p, q).
 
-    Generators 1..n-1 act through the contents of p and q (letters crossing
-    the split just swap basis vectors); generator 0 is diagonal with sign +1
-    exactly when the first position holds a letter of p.
+    Generators 1..n-1 are the representation induced from the cell of (p, q)
+    in S_k x S_(n-k), on its basis in (length, word) order; the parabolic walk
+    never pairs letters across the two blocks, so the shift of the pair
+    functional plays no part.  Generator 0 is diagonal with sign +1 exactly
+    when the first position holds a letter of p.
     """
-    k, n = _check_letter_split(p, q)
-    members = tuple(sorted(shuffle_cell(p, q), key=lambda w: w.sort_key()))
-    cont = _content_maps(p, q)
+    k, n, f = _pair_functional(p, q)
+    induced = induce(build_parabolic(f, [g for g in range(1, n) if g != k], n, normalization), n)
+    basis = tuple(sorted(induced.basis, key=lambda w: w.sort_key()))
+    position = {w: j for j, w in enumerate(basis)}
+    index_map = [position[w] for w in induced.basis]
     one = _one(normalization)
-
-    def step(pi: Permutation, g: int) -> tuple:
-        if g == 0:
-            return (one if pi(1) <= k else -one), None, None
-        x, y = pi(g), pi(g + 1)
-        if (x <= k) != (y <= k):
-            return 0, pi.times_simple(g), one
-        a, b = _step_coefficients(cont[y] - cont[x], x < y, normalization)
-        return a, pi.times_simple(g), b
-
-    mats = _two_term_matrices(members, range(0, n), step)
-    return Representation("B", n, tuple(range(0, n)), members, mats, normalization)
+    mats = {0: SquareMatrix(len(basis), {j: {j: one if w(1) <= k else -one}
+                                         for j, w in enumerate(basis)})}
+    for g, m in induced.matrices.items():
+        mats[g] = m.reindexed(index_map)
+    return Representation("B", n, tuple(range(0, n)), basis, mats, normalization)
 
 
 def signed_pair_basis(lam: Sequence[int], mu: Sequence[int], n: int) -> tuple:
@@ -321,7 +307,8 @@ def match_signed_forms(p: Tableau, q: Optional[Tableau],
     by sigma^{-1}(e).  Returns (shuffle_rep, classical_rep, index_map) where
     index_map[j] is the classical index of shuffle basis vector j.
     """
-    k, n = _check_letter_split(p, q)
+    if any(t is not None and not t.shape.is_straight for t in (p, q)):
+        raise PreconditionError("the classical pair form needs straight shapes")
     ext = extend_to_bn(p, q, normalization)
     lam = p.shape.lam if p is not None else ()
     mu = q.shape.lam if q is not None else ()

@@ -10,9 +10,10 @@ A coefficient depends only on the pairing h, the direction of the step and
 the normalization, so `_step_coefficients` is one memoised table shared by
 every builder: each distinct coefficient is a single immutable Fraction (or
 float) that all matrices hold, and comparing two builds' columns mostly
-takes the identity shortcut.  The cell and parabolic builders step on
-one-line tuples (w s_i swaps positions i and i+1) rather than on Permutation
-objects; the basis they return is still the Permutation members.
+takes the identity shortcut.  The cell and parabolic builders share one
+body, `_cell_rep`, which steps on one-line tuples (w s_i swaps positions i
+and i+1) rather than on Permutation objects; the basis it returns is still
+the Permutation members.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cells import Functional, boundary_reflections, descent_cell, genericity_violation, _walk_cell
+from .cells import Functional, boundary_reflections, genericity_violation, _walk_cell
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
@@ -107,16 +108,26 @@ def _two_term_matrices(basis: Sequence, gens: Sequence[int], step) -> dict:
     return mats
 
 
-def _functional_step(f: Functional, normalization: str):
-    """Step on one-line tuples: the pairing of the letters w(g), w(g+1)."""
+def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
+              where: str) -> Representation:
+    """The one body of the cell and parabolic builders: the descent cell of w
+    inside <s_g : g in gens>, walked, checked generic, and its matrices."""
+    if normalization not in (SEMINORMAL, ORTHOGONAL):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if f.size != w.size:
+        raise PreconditionError("functional and permutation sizes differ")
+    _check_cap("A", w.size)
+    members, interior, boundary = _walk_cell(boundary_reflections(f), w, gens)
+    _require_generic(f, members, interior, boundary, gens, where)
     coords = f.coords
 
-    def step(img: tuple, g: int) -> tuple:
+    def step(img: tuple, g: int) -> tuple:  # the pairing of the letters img[g-1], img[g]
         x, y = img[g - 1], img[g]
         a, b = _step_coefficients(coords[y - 1] - coords[x - 1], x < y, normalization)
         return a, img[:g - 1] + (y, x) + img[g + 1:], b
 
-    return step
+    mats = _two_term_matrices([v.images for v in members], gens, step)
+    return Representation("A", w.size, gens, members, mats, normalization)
 
 
 def build_from_functional(f: Functional, w: Permutation,
@@ -126,14 +137,7 @@ def build_from_functional(f: Functional, w: Permutation,
     Basis vectors are the cell members in (length, word) order; the matrices
     realize each generator as a two-term action per basis vector.
     """
-    if normalization not in (SEMINORMAL, ORTHOGONAL):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    cell = descent_cell(f, w)
-    _require_generic(f, cell.members, cell.interior, cell.boundary)
-    n = f.size
-    mats = _two_term_matrices([w.images for w in cell.members], range(1, n),
-                              _functional_step(f, normalization))
-    return Representation("A", n, tuple(range(1, n)), cell.members, mats, normalization)
+    return _cell_rep(f, w, tuple(range(1, w.size)), normalization, "the cell")
 
 
 def parabolic_generators(J: Sequence[int], n: int) -> tuple:
@@ -147,12 +151,8 @@ def parabolic_generators(J: Sequence[int], n: int) -> tuple:
 def build_parabolic(f: Functional, J: Sequence[int], n: int,
                     normalization: str = SEMINORMAL) -> Representation:
     """Identity descent cell and matrices inside the parabolic <s_j : j in J>."""
-    J = parabolic_generators(J, n)
-    _check_cap("A", n)
-    members, interior, boundary = _walk_cell(boundary_reflections(f), identity(n), J)
-    _require_generic(f, members, interior, boundary, J, "the parabolic cell")
-    mats = _two_term_matrices([w.images for w in members], J, _functional_step(f, normalization))
-    return Representation("A", n, J, members, mats, normalization)
+    return _cell_rep(f, identity(n), parabolic_generators(J, n), normalization,
+                     "the parabolic cell")
 
 
 def _swap_adjacent(q: Tableau, i: int) -> Tableau:

@@ -247,6 +247,27 @@ def test_extend_to_bn_sign_block():
     assert verify_coxeter(rep).ok
 
 
+def test_extend_to_bn_rejects_an_unknown_normalization():
+    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+        extend_to_bn(*row_filling_pair((1,), (1,)), "bogus")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_extend_to_bn_basis_is_the_shuffle_cell_in_order(n):
+    """Every standard pair: the induced basis, reordered, is the shuffle cell."""
+    for k in range(n + 1):
+        for lam, mu in product(partitions(k), partitions(n - k)):
+            for p, q in product(_standard_fillings(lam, 0), _standard_fillings(mu, k)):
+                expected = tuple(sorted(shuffle_cell(p, q), key=lambda w: w.sort_key()))
+                assert extend_to_bn(p, q).basis == expected
+
+
+def test_match_signed_forms_rejects_a_skew_tableau():
+    p = next(iter(enumerate_standard(SkewShape((2, 1), (1,)))))
+    with pytest.raises(PreconditionError, match="straight shapes"):
+        match_signed_forms(p, None)
+
+
 def test_signed_pair_basis_names_a_bad_second_shape():
     with pytest.raises(ValueError, match=r"^mu must be a positive weakly decreasing sequence: \(1, 2\)"):
         signed_pair_basis((1,), (1, 2), 4)

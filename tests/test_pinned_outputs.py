@@ -29,6 +29,9 @@ CASES = {
                                 "--form", "orthogonal-float", "--json"],
     "bn_orthogonal_float": ["bn", "--lam", "2", "--mu", "1", "--form", "orthogonal-float",
                             "--json"],
+    "bn_seminormal": ["bn", "--lam", "2", "--mu", "1,1", "--json"],
+    "bn_seminormal_first_block_only": ["bn", "--lam", "3", "--json"],  # k = n
+    "bn_seminormal_second_block_only": ["bn", "--mu", "2,1", "--json"],  # k = 0
     "cell_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--json"],
     "cell_base_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--w", "2,1,3,5,4", "--json"],
     "cell_dot": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--format", "dot"],

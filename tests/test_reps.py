@@ -412,6 +412,17 @@ def test_parabolic_builder_matches_reference(n, normalization):
             _assert_same_entries(rep, _reference_on_permutations(rep, f.coords))
 
 
+def test_parabolic_builder_rejects_an_unknown_normalization():
+    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+        build_parabolic(Functional((0, 1, 0)), [1], 3, "bogus")
+
+
+@pytest.mark.parametrize("coords", [(0, 1), (0, 1, 0, 0)])
+def test_parabolic_builder_rejects_a_functional_of_another_size(coords):
+    with pytest.raises(PreconditionError, match="functional and permutation sizes differ"):
+        build_parabolic(Functional(coords), [2], 3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orthogonal_skew_builder_matches_reference(n):
     def content(q, k):

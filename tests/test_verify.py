@@ -84,6 +84,14 @@ def test_specht_suite_traces_each_shape_once_and_reports_a_bad_norm(monkeypatch)
     assert "n=3: all 3 irreducibles realized" in result.details
 
 
+def test_bn_suite_passes_at_five_letters():
+    """Above the CLI's limit of four: every (lam, mu) form at n = 5 against
+    the classical pair form, entry by entry."""
+    result = verify.bn_suite(5)
+    assert result.ok, result.counterexamples
+    assert result.details[-1] == "n=5: 36 pairs verified, sum dim^2 = 3840"
+
+
 @pytest.mark.parametrize("form", [SEMINORMAL, ORTHOGONAL])
 def test_bn_suite_reports_a_classical_mismatch_in_each_form(monkeypatch, form):
     def perturbed(p, q, normalization, shift):
