@@ -91,12 +91,12 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     """
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    _check_cap("A", w.size)
     return Cell(*_walk_cell(boundary_reflections(f), w, range(1, w.size)))
 
 
 def _walk_cell(A: frozenset, start: Permutation, gens, elements: dict = None) -> tuple:
-    """Breadth-first walk from start along the steps w -> w s_i, i in gens.
+    """Breadth-first walk from start along the steps w -> w s_i, i in gens,
+    under the type-A cap on start's size.
 
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
@@ -104,6 +104,7 @@ def _walk_cell(A: frozenset, start: Permutation, gens, elements: dict = None) ->
     otherwise.  Returns (members sorted by (length, word), interior, boundary);
     members come from `elements` (one-line word -> element) when given.
     """
+    _check_cap("A", start.size)
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
     # hashes and compares equal to its Reflection, so it is looked up in A.
     # Each member's length rides along: w s_i is one longer than w exactly
@@ -144,7 +145,6 @@ def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
     J = set(J)
     if not J <= set(range(1, n)):
         raise ValueError(f"J must be a set of generator indices 1..{n - 1}")
-    _check_cap("A", n)
     A = frozenset(reflection(j, j + 1) for j in J)
     return set(_walk_cell(A, identity(n), range(1, n))[0])
 
@@ -349,12 +349,13 @@ class BasicFlat:
                 raise ValueError(f"reflection {t} outside 1..{self.n}")
 
 
-def _flat_solve(flat: BasicFlat):
-    """Union-find with potentials; returns (root, potential) arrays or None."""
+def _flat_solve(flat: BasicFlat) -> list:
+    """Union-find with potentials: entry x is (root, offset) with
+    f_x = f_root + offset on the flat, for each letter x (entry 0 unused)."""
     parent = list(range(flat.n + 1))
     pot = [0] * (flat.n + 1)  # coordinate minus coordinate of parent
 
-    def potential(x):
+    def find(x):
         total = 0
         while parent[x] != x:
             total += pot[x]
@@ -363,30 +364,23 @@ def _flat_solve(flat: BasicFlat):
 
     for t, eps in sorted(flat.constraints):
         # constraint: f_j - f_i = eps
-        ri, pi = potential(t.i)
-        rj, pj = potential(t.j)
-        if ri == rj:
-            if pj - pi != eps:
-                return None
-        else:
-            # attach rj under ri: f_rj = f_i + eps - pj ... relative to ri
+        ri, pi = find(t.i)
+        rj, pj = find(t.j)
+        if ri != rj:
             parent[rj] = ri
             pot[rj] = pi + eps - pj
-    return potential
+        elif pj - pi != eps:
+            raise PreconditionError("inconsistent flat constraints")
+    return [find(x) for x in range(flat.n + 1)]
 
 
 def flat_determined_reflections(flat: BasicFlat) -> frozenset:
     """All reflections whose pairing is forced to +1 or -1 on the flat."""
-    potential = _flat_solve(flat)
-    if potential is None:
-        raise PreconditionError("inconsistent flat constraints")
-    out = set()
-    for t in reflections(flat.n):
-        ri, pi = potential(t.i)
-        rj, pj = potential(t.j)
-        if ri == rj and pj - pi in (1, -1):
-            out.add(t)
-    return frozenset(out)
+    table = _flat_solve(flat)
+    return frozenset(
+        t for t in reflections(flat.n)
+        if table[t.i][0] == table[t.j][0] and table[t.j][1] - table[t.i][1] in (1, -1)
+    )
 
 
 def flat_partition(flat: BasicFlat, n: int) -> list:
@@ -403,18 +397,8 @@ def flat_integer_points(flat: BasicFlat, span: int):
     The first component is pinned at 0 (functionals live modulo constant
     shifts); the other components scan -span..span.  Deterministic order.
     """
-    potential = _flat_solve(flat)
-    if potential is None:
-        raise PreconditionError("inconsistent flat constraints")
-    roots = []
-    pots = []
-    for x in range(1, flat.n + 1):
-        r, p = potential(x)
-        if r not in roots:
-            roots.append(r)
-        pots.append((r, p))
-    free = roots[1:]
-    for offsets in product(range(-span, span + 1), repeat=len(free)):
-        assign = {roots[0]: 0}
-        assign.update(dict(zip(free, offsets)))
-        yield Functional(tuple(assign[r] + p for r, p in pots))
+    table = _flat_solve(flat)[1:]
+    roots = list(dict.fromkeys(r for r, _ in table))
+    for offsets in product(range(-span, span + 1), repeat=len(roots) - 1):
+        assign = dict(zip(roots, (0, *offsets)))
+        yield Functional(tuple(assign[r] + p for r, p in table))

@@ -17,9 +17,8 @@ from fractions import Fraction
 from .cells import Functional, descent_cell
 from .errors import AyrepError
 from .groups import Permutation, conjugated_reflection, identity
-from .induction import build_parabolic_from_shapes, induce, match_signed_forms, row_filling_pair
+from .induction import build_parabolic_from_shapes, induce, row_filling_pair
 from .reps import (
-    FLOAT_TOL,
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
@@ -28,12 +27,11 @@ from .reps import (
     build_from_functional,
     char_inner,
     character,
-    is_irreducible,
     verify_coxeter,
 )
 from .tableaux import SkewShape, enumerate_standard
 from .tops import top_elements
-from .verify import SUITES, run_suites
+from .verify import SUITES, _check_signed_pair, _tops_failures, run_suites
 
 SCHEMA_VERSION = 1
 
@@ -75,19 +73,13 @@ def _names(text: str) -> tuple:
 
 
 def _rep_payload(rep: Representation) -> dict:
-    def label(b):
-        if isinstance(b, Permutation):
-            return b.one_line()
-        if isinstance(b, tuple):  # pair of tableaux
-            return [t.to_json_dict() if t is not None else None for t in b]
-        return b.to_json_dict()
-
+    """The representation's JSON fields; its basis is made of permutations."""
     return {
         "group_type": rep.group_type,
         "n": rep.n,
         "normalization": rep.normalization,
         "dimension": rep.dim,
-        "basis": [label(b) for b in rep.basis],
+        "basis": [b.one_line() for b in rep.basis],
         "matrices": {str(g): _json_matrix(rep.matrices[g]) for g in rep.gens},
     }
 
@@ -210,39 +202,26 @@ def _cmd_induce(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_bn(args: argparse.Namespace) -> tuple:
-    p, q = row_filling_pair(args.lam, args.mu)
-    ext, classical, index_map = match_signed_forms(p, q, args.form)
-    rel = verify_coxeter(ext)
-    matches = all(
-        ext.matrices[g].reindexed(index_map).equals(
-            classical.matrices[g], None if ext.is_exact else FLOAT_TOL
-        )
-        for g in ext.gens
-    )
-    irr = is_irreducible(ext) if ext.is_exact else None
-    ok = rel.ok and matches and (irr is not False)
+    ext, checks, failures = _check_signed_pair(*row_filling_pair(args.lam, args.mu), args.form)
+    status = 1 if failures else 0
     if args.json:
         payload = _rep_payload(ext)
         payload["command"] = "bn"
-        payload["coxeter_ok"] = rel.ok
-        payload["classical_match"] = matches
-        payload["irreducible"] = irr
-        return (0 if ok else 1), _dump(payload)
+        payload.update(checks)
+        return status, _dump(payload)
     lines = [
         f"signed group on {ext.n} letters, shapes ({args.lam}, {args.mu}), dimension {ext.dim}",
-        f"coxeter relations {'ok' if rel.ok else 'FAILED'}",
-        f"classical form match {'ok' if matches else 'FAILED'}",
+        f"coxeter relations {'ok' if checks['coxeter_ok'] else 'FAILED'}",
+        f"classical form match {'ok' if checks['classical_match'] else 'FAILED'}",
     ]
-    if irr is not None:
-        lines.append(f"irreducible {irr}")
-    return (0 if ok else 1), lines
+    if checks["irreducible"] is not None:
+        lines.append(f"irreducible {checks['irreducible']}")
+    return status, lines
 
 
 def _cmd_tops(args: argparse.Namespace) -> tuple:
     report = top_elements(args.n)
-    ok = report.oracle_matches_down and all(
-        r.is_interval and r.irreducible and r.oracle_certified for r in report.rows
-    )
+    status = 1 if _tops_failures(report) else 0
     if args.json:
         payload = {
             "command": "tops",
@@ -264,7 +243,7 @@ def _cmd_tops(args: argparse.Namespace) -> tuple:
                 for r in report.rows
             ],
         }
-        return (0 if ok else 1), _dump(payload)
+        return status, _dump(payload)
     lines = [
         f"top elements of the symmetric group on {report.n} letters "
         f"(p(n)={report.p_n}, distinct candidates={report.distinct_candidates})"
@@ -279,7 +258,7 @@ def _cmd_tops(args: argparse.Namespace) -> tuple:
         f"oracle set {{{', '.join(sorted(w.one_line() for w in report.oracle))}}}"
         f" matches candidates: {report.oracle_matches_down}"
     )
-    return (0 if ok else 1), lines
+    return status, lines
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple:

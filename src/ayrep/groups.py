@@ -387,15 +387,15 @@ def _consecutive_cycles(parts: tuple, negative: tuple = ()) -> list:
     return img
 
 
-def _letter_blocks(n: int, J) -> tuple:
-    """The sizes of the letter blocks of S_J in order, singletons included."""
-    sizes = []
+def _letter_blocks(n: int, J) -> list:
+    """The letter blocks [a, b] of S_J in order, singletons included."""
+    blocks = []
     for i in range(1, n + 1):
         if i - 1 in J:
-            sizes[-1] += 1
+            blocks[-1] = (blocks[-1][0], i)
         else:
-            sizes.append(1)
-    return tuple(sizes)
+            blocks.append((i, i))
+    return blocks
 
 
 def class_data_symmetric(n: int) -> ClassData:
@@ -428,7 +428,7 @@ def class_data_parabolic(n: int, J: frozenset) -> ClassData:
     A class's representative is made of consecutive cycles and it has
     prod |b|! / z elements; for S_n these are the partitions(n) in order.
     """
-    blocks = _letter_blocks(n, J)
+    blocks = [b - a + 1 for a, b in _letter_blocks(n, J)]
     order = prod(map(factorial, blocks))
     sizes = {}  # representative -> size, in class order
     for types in product(*map(partitions, blocks)):

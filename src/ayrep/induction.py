@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .cells import Functional, descent_cell, minimal_coset_reps
 from .errors import PreconditionError
-from .groups import class_data_parabolic, class_data_symmetric, identity
+from .groups import _letter_blocks, class_data_parabolic, class_data_symmetric, identity
 from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
@@ -41,16 +41,8 @@ from .tableaux import (
 
 def j_intervals(J: Sequence[int]) -> list:
     """Letter intervals [a, b] of the maximal runs of consecutive generators."""
-    J = sorted(set(J))
-    out = []
-    while J:
-        start = J[0]
-        end = start
-        while J and J[0] == end:
-            J.pop(0)
-            end += 1
-        out.append((start, end))  # letters start..end
-    return out
+    J = set(J)
+    return [(a, b) for a, b in _letter_blocks(max(J, default=0) + 1, J) if a < b]
 
 
 def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Functional:

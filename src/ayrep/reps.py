@@ -28,7 +28,6 @@ from .cells import Functional, boundary_reflections, genericity_violation, _walk
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
-    _check_cap,
     braid_order,
     class_data_parabolic,
     class_data_signed,
@@ -116,7 +115,6 @@ def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
         raise ValueError(f"unknown normalization {normalization!r}")
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    _check_cap("A", w.size)
     members, interior, boundary = _walk_cell(boundary_reflections(f), w, gens)
     _require_generic(f, members, interior, boundary, gens, where)
     coords = f.coords

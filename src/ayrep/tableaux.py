@@ -13,6 +13,7 @@ encode diagonal offsets of disconnected pieces).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, product
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -454,32 +455,21 @@ def compositions(rest: int):
 
 @lru_cache(maxsize=None)
 def connected_skew_shapes(m: int) -> tuple:
-    """All connected skew shapes with m boxes, up to translation."""
+    """All connected skew shapes with m boxes, up to translation.
+
+    For each composition of m into row lengths, row i+1 starts d columns left
+    of row i: d >= 0, it ends no further right (d >= l_(i+1) - l_i), and it
+    shares a column with row i (d <= l_(i+1) - 1).  Each d runs from its
+    largest value down, so the row starts grow through the list.
+    """
     out = []
-
     for lengths in compositions(m):
-        offsets = [[0]]
-
-        def extend(partial, idx):
-            if idx == len(lengths):
-                offsets_final.append(list(partial))
-                return
-            prev_a, prev_l = partial[-1], lengths[idx - 1]
-            lo = prev_a - lengths[idx] + 1
-            hi = min(prev_a, prev_a + prev_l - lengths[idx])
-            for a in range(lo, hi + 1):
-                partial.append(a)
-                extend(partial, idx + 1)
-                partial.pop()
-
-        offsets_final: list = []
-        extend([0], 1)
-        for offs in offsets_final:
-            shift = 1 - min(offs)
-            a = [o + shift for o in offs]
-            lam = [a[i] + lengths[i] - 1 for i in range(len(lengths))]
-            mu = [a[i] - 1 for i in range(len(lengths))]
-            out.append(SkewShape(lam, mu))
+        lefts = [range(l - 1, max(0, l - above) - 1, -1)
+                 for above, l in zip(lengths, lengths[1:])]
+        for ds in product(*lefts):
+            # a row's mu is the sum of the shifts of the rows below it
+            mu = list(accumulate(reversed(ds), initial=0))[::-1]
+            out.append(SkewShape([s + l for s, l in zip(mu, lengths)], mu))
     return tuple(out)
 
 
@@ -490,28 +480,17 @@ def skew_shape_family(n: int) -> tuple:
     Ordered lists of connected pieces, southwest to northeast, with content
     ranges separated by exactly 2 (wider separations change no cell and give
     boundary-equivalent representations, so one canonical gap suffices).
+    The order is part of the contract: the coxeter sweep samples every 7th
+    shape at n = 6.
     """
-    shapes = []
-
-    for comp_sizes in compositions(n):
-        def choose(idx, chosen):
-            if idx == len(comp_sizes):
-                shapes.append(_join_components(chosen))
-                return
-            for piece in connected_skew_shapes(comp_sizes[idx]):
-                choose(idx + 1, chosen + [piece])
-
-        choose(0, [])
-    seen = set()
-    unique = []
-    for s in shapes:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return tuple(unique)
+    return tuple(
+        _join_components(pieces)
+        for sizes in compositions(n)
+        for pieces in product(*map(connected_skew_shapes, sizes))
+    )
 
 
-def _join_components(pieces: list) -> SkewShape:
+def _join_components(pieces: tuple) -> SkewShape:
     """Chain pieces SW to NE with content gaps of exactly 2."""
     parts = []
     next_lo = None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cells import Functional
+from .errors import PreconditionError
 from .groups import Permutation, _check_cap, identity, partitions, sym_group, weak_interval
 from .reps import build_from_functional, is_irreducible
 from .tableaux import (
@@ -70,8 +71,6 @@ class TopRow:
     is_interval: bool
     column_word_down: Permutation
     column_word_up: Permutation
-    down_matches_maximum: bool
-    up_matches_maximum: bool
     irreducible: bool
     oracle_certified: bool
 
@@ -100,8 +99,10 @@ def top_elements(n: int) -> TopReport:
 
     For each partition the row filling's cell is inspected: its unique
     maximal element (when the cell is an interval) is the candidate, and the
-    two column readings of the row filling are compared against it.
+    two column readings of the row filling are recorded beside it.
     """
+    if n < 1:
+        raise PreconditionError(f"top elements need n >= 1, got n={n}")
     rows = []
     oracle = frozenset(pi for pi in sym_group(n) if is_top_brute(pi))
     for lam in partitions(n):
@@ -126,8 +127,6 @@ def top_elements(n: int) -> TopReport:
                 is_interval=is_interval,
                 column_word_down=down,
                 column_word_up=up,
-                down_matches_maximum=down == maximum,
-                up_matches_maximum=up == maximum,
                 irreducible=is_irreducible(rep),
                 oracle_certified=maximum in oracle,
             )

@@ -401,6 +401,26 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
     return _result("induction", details, bad, checked + size_checked)
 
 
+def _check_signed_pair(p, q, form: str, tol: float = FLOAT_TOL) -> tuple:
+    """The signed form of (p, q), its `bn` JSON verdicts, and one line per
+    failed check: the relations, an entrywise match with the classical pair
+    form, and norm 1 when exact.  The pair passes when no line is returned."""
+    ext, classical, index_map = match_signed_forms(p, q, form)
+    rel = verify_coxeter(ext, tol)
+    match_tol = None if ext.is_exact else tol
+    mismatch = next((g for g in ext.gens if not ext.matrices[g].reindexed(index_map)
+                     .equals(classical.matrices[g], match_tol)), None)
+    irreducible = is_irreducible(ext) if ext.is_exact else None
+    failures = [rel.failures[0]] if not rel.ok else []
+    if mismatch is not None:
+        failures.append(f"generator {mismatch} mismatch")
+    if irreducible is False:
+        failures.append("norm != 1")
+    checks = {"coxeter_ok": rel.ok, "classical_match": mismatch is None,
+              "irreducible": irreducible}
+    return ext, checks, failures
+
+
 def bn_suite(n_max: int = 4, tol: float = FLOAT_TOL) -> SuiteResult:
     """Signed-group forms: relations, entrywise match, dimensions, norms."""
     bad, details = [], []
@@ -411,20 +431,9 @@ def bn_suite(n_max: int = 4, tol: float = FLOAT_TOL) -> SuiteResult:
             for lam in partitions(k):
                 for mu in partitions(n - k):
                     p, q = row_filling_pair(lam, mu)
-                    for form, form_tol in ((SEMINORMAL, None), (ORTHOGONAL, tol)):
-                        ext, classical, index_map = match_signed_forms(p, q, form)
-                        where = f"n={n} ({lam},{mu}) {form}"
-                        rel = verify_coxeter(ext, tol)
-                        if not rel.ok:
-                            bad.append(f"{where}: {rel.failures[0]}")
-                        for g in ext.gens:
-                            if not ext.matrices[g].reindexed(index_map).equals(
-                                classical.matrices[g], form_tol
-                            ):
-                                bad.append(f"{where}: generator {g} mismatch")
-                                break
-                        if ext.is_exact and not is_irreducible(ext):
-                            bad.append(f"{where}: norm != 1")
+                    for form in (SEMINORMAL, ORTHOGONAL):
+                        ext, _, failures = _check_signed_pair(p, q, form, tol)
+                        bad.extend(f"n={n} ({lam},{mu}) {form}: {x}" for x in failures)
                     dims_sq += ext.dim**2
                     count += 1
         expected = 2**n * factorial(n)
@@ -434,23 +443,30 @@ def bn_suite(n_max: int = 4, tol: float = FLOAT_TOL) -> SuiteResult:
     return _result("bn", details, bad, len(details))
 
 
+def _tops_failures(report) -> list:
+    """One line per failed check of a `top_elements` report; it passes when empty."""
+    n, bad = report.n, []
+    if not report.oracle_matches_down:
+        bad.append(
+            f"n={n}: oracle {sorted(w.one_line() for w in report.oracle)} != "
+            f"candidates {sorted(w.one_line() for w in report.candidates_down)}"
+        )
+    for row in report.rows:
+        if not row.is_interval:
+            bad.append(f"n={n} shape {row.lam}: cell of the row filling not an interval")
+        if not row.irreducible:
+            bad.append(f"n={n} shape {row.lam}: representation not irreducible")
+        if not row.oracle_certified:
+            bad.append(f"n={n} shape {row.lam}: candidate not oracle-certified")
+    return bad
+
+
 def tops_suite(n_max: int = 5) -> SuiteResult:
     """Oracle top set equals the column-reading candidates; report discrepancies."""
     bad, details = [], []
     for n in range(1, n_max + 1):
         report = top_elements(n)
-        if not report.oracle_matches_down:
-            bad.append(
-                f"n={n}: oracle {sorted(w.one_line() for w in report.oracle)} != "
-                f"candidates {sorted(w.one_line() for w in report.candidates_down)}"
-            )
-        for row in report.rows:
-            if not row.is_interval:
-                bad.append(f"n={n} shape {row.lam}: cell of the row filling not an interval")
-            if not row.irreducible:
-                bad.append(f"n={n} shape {row.lam}: representation not irreducible")
-            if not row.oracle_certified:
-                bad.append(f"n={n} shape {row.lam}: candidate not oracle-certified")
+        bad.extend(_tops_failures(report))
         details.append(
             f"n={n}: p(n)={report.p_n}, distinct candidates={report.distinct_candidates}, "
             f"oracle size={len(report.oracle)}; top-to-bottom column reading matches oracle="

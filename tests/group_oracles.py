@@ -28,3 +28,28 @@ def block_cycle_type(w, J):
         out.append(Permutation(tuple(v - start for v in block)).cycle_type())
         start = stop
     return tuple(out)
+
+
+def run_intervals(J):
+    """Letter intervals [a, b] of the maximal runs of consecutive generators,
+    by popping runs off the sorted generators."""
+    J = sorted(set(J))
+    out = []
+    while J:
+        start = end = J[0]
+        while J and J[0] == end:
+            J.pop(0)
+            end += 1
+        out.append((start, end))
+    return out
+
+
+def block_sizes(n, J):
+    """The sizes of the letter blocks of S_J in order, singletons included."""
+    sizes = []
+    for i in range(1, n + 1):
+        if i - 1 in J:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(sizes)

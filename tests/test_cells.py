@@ -8,6 +8,7 @@ from ayrep.cells import (
     Cell,
     Functional,
     _content_functional_for,
+    _flat_solve,
     _walk_cell,
     boundary_reflections,
     cell_tableau_bijection,
@@ -46,6 +47,7 @@ from ayrep.tableaux import (
     row_tableau,
     skew_shape_family,
 )
+from ayrep.verify import sample_flats
 from group_oracles import parabolic_elements
 
 
@@ -283,6 +285,50 @@ def test_flat_inconsistent():
     )
     with pytest.raises(PreconditionError):
         flat_partition(L, 3)
+
+
+def _potential_oracle(flat):
+    """Union-find with potentials, walked on demand: a function from a letter
+    to (root, offset), or None when the constraints are inconsistent."""
+    parent = list(range(flat.n + 1))
+    pot = [0] * (flat.n + 1)
+
+    def potential(x):
+        total = 0
+        while parent[x] != x:
+            total += pot[x]
+            x = parent[x]
+        return x, total
+
+    for t, eps in sorted(flat.constraints):
+        ri, pi = potential(t.i)
+        rj, pj = potential(t.j)
+        if ri == rj:
+            if pj - pi != eps:
+                return None
+        else:
+            parent[rj] = ri
+            pot[rj] = pi + eps - pj
+    return potential
+
+
+def test_flat_solve_matches_the_potential_oracle():
+    inconsistent = BasicFlat(3, frozenset({(reflection(1, 2), 1), (reflection(2, 3), 1),
+                                           (reflection(1, 3), -1)}))
+    assert _potential_oracle(inconsistent) is None
+    for call in (_flat_solve, flat_determined_reflections,
+                 lambda flat: list(flat_integer_points(flat, 1))):
+        with pytest.raises(PreconditionError, match="inconsistent flat constraints"):
+            call(inconsistent)
+    for flat in sample_flats():
+        potential = _potential_oracle(flat)
+        table = _flat_solve(flat)
+        assert table[1:] == [potential(x) for x in range(1, flat.n + 1)]
+        assert flat_determined_reflections(flat) == {
+            t for t in reflections(flat.n)
+            if potential(t.i)[0] == potential(t.j)[0]
+            and potential(t.j)[1] - potential(t.i)[1] in (1, -1)
+        }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -107,6 +107,14 @@ def test_tops_command():
     assert payload["oracle_matches_candidates"] is True
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_tops_without_letters_is_an_error(capsys, n):
+    assert main(["tops", f"--n={n}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"error: top elements need n >= 1, got n={n}"]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_command_exit_status():
     status, lines = _run(["verify", "--n", "3", "--suite", "coxeter,cells"])
     assert status == 0

@@ -8,11 +8,12 @@ from operator import and_, mul, or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ayrep.cells import _walk_cell, descent_partition, minimal_coset_reps
+from ayrep.cells import Functional, _walk_cell, descent_cell, descent_partition, minimal_coset_reps
 from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
     SignedPermutation,
+    _letter_blocks,
     class_data_parabolic,
     class_data_signed,
     class_data_symmetric,
@@ -28,8 +29,10 @@ from ayrep.groups import (
     weak_interval,
     sym_group,
 )
+from ayrep.induction import j_intervals, row_filling_pair, shuffle_cell
+from ayrep.reps import build_from_functional, build_parabolic
 from ayrep.tops import straight_cell_sets
-from group_oracles import block_cycle_type, parabolic_elements
+from group_oracles import block_cycle_type, block_sizes, parabolic_elements, run_intervals
 
 
 def perms(n):
@@ -407,6 +410,10 @@ def test_group_caps(monkeypatch):
         lambda n: weak_interval(identity(n)),
         lambda n: minimal_coset_reps(n, {1}),
         straight_cell_sets,
+        lambda n: descent_cell(Functional(range(n)), identity(n)),
+        lambda n: build_from_functional(Functional(range(n)), identity(n)),
+        lambda n: build_parabolic(Functional(range(n)), [1], n),
+        lambda n: shuffle_cell(*row_filling_pair((n - 1,), (1,))),
     ]
     for check in checks:
         monkeypatch.setenv("AYREP_MAX_N", "4")
@@ -432,6 +439,17 @@ def test_signed_permutations():
 
 
 # conjugacy classes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_letter_blocks_match_the_run_and_size_oracles(n):
+    for k in range(n):
+        for J in itertools.combinations(range(1, n), k):
+            blocks = _letter_blocks(n, set(J))
+            assert tuple(b - a + 1 for a, b in blocks) == block_sizes(n, set(J))
+            assert [a for a, _ in blocks] == [1] + [b + 1 for _, b in blocks[:-1]]
+            for given_as in (J, J[::-1], list(J) + list(J)):
+                assert j_intervals(given_as) == run_intervals(given_as)
 
 
 def _brute_class_data(elements):

@@ -24,6 +24,32 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """Private functions, methods and classes that no module reads outside
+    their own definition; `sources` maps a module name to its text."""
+    defined, used = set(), set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _is_private(node.name):
+                defined.add((module, node.name))
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), frozenset())
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
 def test_source_modules_are_found():
     assert {p.name for p in MODULES} >= {"cells.py", "induction.py", "reps.py"}
 
@@ -42,3 +68,28 @@ def test_unused_import_check_sees_a_leftover_name():
         "    return os.path.join(f)\n"
     )
     assert unused_imports(source) == ["descent_cell"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_private_definition_check_sees_an_unreferenced_name():
+    sources = {
+        "a": (
+            "def _used(x):\n"
+            "    return _used(x - 1) if x else 0\n"  # a self-reference does not count
+            "def _recursive_only(x):\n"
+            "    return _recursive_only(x)\n"
+            "class _Box:\n"
+            "    def _method(self):\n"
+            "        return self._other()\n"
+            "    def _other(self):\n"
+            "        return 1\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+        ),
+        "b": "from .a import _used\nVALUE = _used(2)\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._Box", "a._method", "a._recursive_only"]

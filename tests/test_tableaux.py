@@ -31,7 +31,11 @@ from ayrep.tableaux import (
     straight_shapes,
     tableau_from_content,
 )
-from tableau_oracles import column_tableau
+from tableau_oracles import (
+    column_tableau,
+    recursive_connected_skew_shapes,
+    recursive_skew_shape_family,
+)
 
 
 def T(lam, mu, rows):
@@ -322,6 +326,19 @@ def test_connected_shape_counts():
     assert len(connected_skew_shapes(2)) == 2
     assert len(connected_skew_shapes(3)) == 4
     assert len(connected_skew_shapes(4)) == 9
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_connected_shapes_match_the_recursive_search(m):
+    assert connected_skew_shapes(m) == tuple(recursive_connected_skew_shapes(m))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_family_matches_the_recursive_search_in_order(n):
+    # the order matters: the coxeter sweep samples every 7th shape at n = 6
+    family = skew_shape_family(n)
+    assert family == tuple(recursive_skew_shape_family(n))
+    assert len(set(family)) == len(family)
 
 
 def test_family_contains_straight_and_disconnected():

@@ -42,8 +42,8 @@ def test_candidate_for_three_two():
     row = next(r for r in report.rows if r.lam == (3, 2))
     assert row.maximum == Permutation((1, 4, 2, 5, 3))
     assert row.interval_size == 5
-    assert row.down_matches_maximum
-    assert not row.up_matches_maximum
+    assert row.column_word_down == row.maximum
+    assert row.column_word_up != row.maximum
     assert row.is_interval
     assert row.irreducible
 
