@@ -91,20 +91,26 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     """
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    return Cell(*_walk_cell(boundary_reflections(f), w, range(1, w.size)))
+    return Cell(*_walk_cell(f, w, range(1, w.size)))
 
 
-def _walk_cell(A: frozenset, start: Permutation, gens, elements: dict = None) -> tuple:
+def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> tuple:
     """Breadth-first walk from start along the steps w -> w s_i, i in gens,
-    under the type-A cap on start's size.
+    in the descent cell over A: a reflection set, or a Functional standing
+    for its `boundary_reflections`, found only once the type-A cap on
+    start's size has passed.  `elements` (one-line word -> element) comes
+    from a group already enumerated under the cap, so no check is repeated.
 
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
     not in A; t goes to the interior set if it does and to the boundary set
     otherwise.  Returns (members sorted by (length, word), interior, boundary);
-    members come from `elements` (one-line word -> element) when given.
+    members come from `elements` when given.
     """
-    _check_cap("A", start.size)
+    if elements is None:
+        _check_cap("A", start.size)
+    if isinstance(A, Functional):
+        A = boundary_reflections(A)
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
     # hashes and compares equal to its Reflection, so it is looked up in A.
     # Each member's length rides along: w s_i is one longer than w exactly
@@ -327,7 +333,7 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
 
 def _identity_cell_members(coords: tuple) -> frozenset:
     n = len(coords)
-    members, _, _ = _walk_cell(boundary_reflections(Functional(coords)), identity(n), range(1, n))
+    members, _, _ = _walk_cell(Functional(coords), identity(n), range(1, n))
     return frozenset(members)
 
 

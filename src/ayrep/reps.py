@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cells import Functional, boundary_reflections, genericity_violation, _walk_cell
+from .cells import Functional, genericity_violation, _walk_cell
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
@@ -115,7 +115,7 @@ def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
         raise ValueError(f"unknown normalization {normalization!r}")
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    members, interior, boundary = _walk_cell(boundary_reflections(f), w, gens)
+    members, interior, boundary = _walk_cell(f, w, gens)
     _require_generic(f, members, interior, boundary, gens, where)
     coords = f.coords
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -9,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import ayrep.cli
 import ayrep.reps
+from ayrep import induction, tops, verify
 from ayrep.cli import main, parse_args, run
+from ayrep.linalg import SquareMatrix
 from ayrep.reps import ORTHOGONAL, SEMINORMAL
 from ayrep.verify import SUITES
 
@@ -324,3 +327,55 @@ def test_cli_contract_holds_for_generated_argv(argv):
             assert status == 1 and text.count("\n") == 1
         else:
             assert "schema_version" in json.loads(text)
+
+
+def test_a_perturbed_classical_entry_fails_both_bn_and_the_bn_suite(monkeypatch):
+    argv = ["bn", "--lam", "1", "--json"]
+    assert _run(argv)[0] == 0 and verify.bn_suite(n_max=1).ok
+
+    def perturbed(p, q, normalization):
+        ext, classical, index_map = induction.match_signed_forms(p, q, normalization)
+        m = classical.matrices[0]
+        cols = {j: dict(col) for j, col in m.cols.items()}
+        cols[0][0] += 2  # a sign, so it becomes 3 or 1
+        classical = dataclasses.replace(
+            classical, matrices={**classical.matrices, 0: SquareMatrix(m.dim, cols)})
+        return ext, classical, index_map
+
+    monkeypatch.setattr(verify, "match_signed_forms", perturbed)
+    status, lines = _run(argv)
+    payload = json.loads("\n".join(lines))
+    assert status == 1
+    assert (payload["coxeter_ok"], payload["classical_match"], payload["irreducible"]) == (
+        True, False, True)
+    assert _run(argv[:-1]) == (1, [
+        "signed group on 1 letters, shapes ((1,), ()), dimension 1",
+        "coxeter relations ok",
+        "classical form match FAILED",
+        "irreducible True",
+    ])
+    result = verify.bn_suite(n_max=1)
+    assert not result.ok
+    assert result.counterexamples == tuple(
+        f"n=1 {pair} {form}: generator 0 mismatch"
+        for pair in ("((),(1,))", "((1,),())") for form in (SEMINORMAL, ORTHOGONAL))
+
+
+def test_a_row_marked_non_interval_fails_both_tops_and_the_tops_suite(monkeypatch):
+    assert _run(["tops", "--n", "2"])[0] == 0 and verify.tops_suite(n_max=2).ok
+
+    def marked(n):
+        report = tops.top_elements(n)
+        rows = (dataclasses.replace(report.rows[0], is_interval=False), *report.rows[1:])
+        return dataclasses.replace(report, rows=rows)
+
+    for module in (ayrep.cli, verify):
+        monkeypatch.setattr(module, "top_elements", marked)
+    for argv in (["tops", "--n", "2"], ["tops", "--n", "2", "--json"]):
+        assert _run(argv)[0] == 1
+    result = verify.tops_suite(n_max=2)
+    assert not result.ok
+    assert result.counterexamples == (
+        "n=1 shape (1,): cell of the row filling not an interval",
+        "n=2 shape (2,): cell of the row filling not an interval",
+    )

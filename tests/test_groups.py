@@ -8,6 +8,8 @@ from operator import and_, mul, or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ayrep.cells
+import ayrep.groups
 from ayrep.cells import Functional, _walk_cell, descent_cell, descent_partition, minimal_coset_reps
 from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
@@ -426,6 +428,27 @@ def test_group_caps(monkeypatch):
     monkeypatch.setenv("AYREP_MAX_N", "x")
     with pytest.raises(PreconditionError, match="AYREP_MAX_N"):
         sym_group(4)
+
+
+def test_the_cap_comes_before_any_scan_of_reflections(monkeypatch):
+    # an over-cap functional must fail at once, not after the n(n-1)/2 scan
+    # that finds its +-1 reflections
+    def scan(n):
+        raise AssertionError(f"reflections({n}) scanned before the cap")
+
+    monkeypatch.setattr(ayrep.cells, "reflections", scan)
+    monkeypatch.setattr(ayrep.groups, "reflections", scan)
+    n = 1000
+    f = Functional(range(n))
+    checks = [
+        lambda: descent_cell(f, identity(n)),
+        lambda: build_from_functional(f, identity(n)),
+        lambda: build_parabolic(f, [1], n),
+        lambda: shuffle_cell(*row_filling_pair((n - 1,), (1,))),
+    ]
+    for check in checks:
+        with pytest.raises(SizeCapError, match=r"capped at n=7 \(requested 1000\)"):
+            check()
 
 
 def test_signed_permutations():

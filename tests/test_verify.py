@@ -1,14 +1,13 @@
 """Suite-level checks on `ayrep.verify` that the acceptance criteria do not make."""
 
 import dataclasses
-import json
 import re
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from ayrep import cli, induction, reps, tops, verify
+from ayrep import induction, reps, verify
 from ayrep.linalg import SquareMatrix
 from ayrep.reps import ORTHOGONAL, SEMINORMAL
 from ayrep.tableaux import skew_shape_family
@@ -118,60 +117,4 @@ def test_bn_suite_reports_a_classical_mismatch_in_each_form(monkeypatch, form):
     assert result.counterexamples == (
         f"n=1 ((),(1,)) {form}: generator 0 mismatch",
         f"n=1 ((1,),()) {form}: generator 0 mismatch",
-    )
-
-
-def _cli(argv) -> tuple:
-    return cli.run(cli.parse_args(argv))
-
-
-def test_a_perturbed_classical_entry_fails_both_bn_and_the_bn_suite(monkeypatch):
-    argv = ["bn", "--lam", "1", "--json"]
-    assert _cli(argv)[0] == 0 and verify.bn_suite(n_max=1).ok
-
-    def perturbed(p, q, normalization):
-        ext, classical, index_map = induction.match_signed_forms(p, q, normalization)
-        m = classical.matrices[0]
-        cols = {j: dict(col) for j, col in m.cols.items()}
-        cols[0][0] += 2  # a sign, so it becomes 3 or 1
-        classical = dataclasses.replace(
-            classical, matrices={**classical.matrices, 0: SquareMatrix(m.dim, cols)})
-        return ext, classical, index_map
-
-    monkeypatch.setattr(verify, "match_signed_forms", perturbed)
-    status, lines = _cli(argv)
-    payload = json.loads("\n".join(lines))
-    assert status == 1
-    assert (payload["coxeter_ok"], payload["classical_match"], payload["irreducible"]) == (
-        True, False, True)
-    assert _cli(argv[:-1]) == (1, [
-        "signed group on 1 letters, shapes ((1,), ()), dimension 1",
-        "coxeter relations ok",
-        "classical form match FAILED",
-        "irreducible True",
-    ])
-    result = verify.bn_suite(n_max=1)
-    assert not result.ok
-    assert result.counterexamples == tuple(
-        f"n=1 {pair} {form}: generator 0 mismatch"
-        for pair in ("((),(1,))", "((1,),())") for form in (SEMINORMAL, ORTHOGONAL))
-
-
-def test_a_row_marked_non_interval_fails_both_tops_and_the_tops_suite(monkeypatch):
-    assert _cli(["tops", "--n", "2"])[0] == 0 and verify.tops_suite(n_max=2).ok
-
-    def marked(n):
-        report = tops.top_elements(n)
-        rows = (dataclasses.replace(report.rows[0], is_interval=False), *report.rows[1:])
-        return dataclasses.replace(report, rows=rows)
-
-    for module in (cli, verify):
-        monkeypatch.setattr(module, "top_elements", marked)
-    for argv in (["tops", "--n", "2"], ["tops", "--n", "2", "--json"]):
-        assert _cli(argv)[0] == 1
-    result = verify.tops_suite(n_max=2)
-    assert not result.ok
-    assert result.counterexamples == (
-        "n=1 shape (1,): cell of the row filling not an interval",
-        "n=2 shape (2,): cell of the row filling not an interval",
     )
