@@ -1,0 +1,203 @@
+"""Pinned SHA-256 digests of the values the sweeps build, not only their verdicts.
+
+The golden and pinned outputs fix what the sweeps print.  A matrix entry or
+a character value that changes but still passes its oracle changes none of
+that: an int 0 that turns into Fraction(0), or a float that moves in its
+last bit.  This module writes those values out canonically and hashes them.
+
+- A basis is written as one-line words: a permutation by its images, a
+  tableau by its rows, each read left to right, with "/" between rows.
+- Each generator's stored entries are sorted by (column, row) and written
+  with their type name; a float is written with `float.hex()`.
+- A character is written as its values at the class representatives, sorted
+  by their one-line words, each with its type name.
+
+The digests at level n cover, for type A at size n: the seminormal form of
+every skew shape's row filling and its character, the tableau-basis
+orthogonal form of every skew shape, and the parabolic and induced forms and
+the induced characters of the `induction` sweep (the traced character and
+the class-sum oracle's); and for the signed group at size n - 1: the
+shuffle-basis form of every row-filling pair, seminormal and orthogonal.
+`flat` covers the character tables that the `flat` suite traces, in the
+order it traces them.
+
+Tier-1 (`test_value_digests.py`) checks the levels n <= 5.  The golden CI
+job runs this file as a script for level 6 and for `flat`:
+
+    PYTHONPATH=src python tests/value_digests.py 6 flat
+
+It prints one line per digest and exits 1 on a mismatch.  With `--write` it
+re-pins the digests it computes in pinned/value_digests.json instead.  A
+change that means to change a value says so in CHANGES.md and re-pins them
+in a commit of its own.
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+from ayrep import verify
+from ayrep.cells import Functional
+from ayrep.groups import identity, partitions
+from ayrep.induction import (
+    build_parabolic_from_shapes,
+    classical_induced_character,
+    extend_to_bn,
+    induce,
+    j_intervals,
+    row_filling_pair,
+)
+from ayrep.reps import (
+    ORTHOGONAL,
+    SEMINORMAL,
+    build_from_functional,
+    build_orthogonal_skew,
+    character,
+)
+from ayrep.tableaux import Tableau, content_vector, row_tableau, skew_shape_family
+
+PINNED = Path(__file__).resolve().parent / "pinned" / "value_digests.json"
+
+
+def value_text(v) -> str:
+    if isinstance(v, float):
+        return f"float:{v.hex()}"
+    if isinstance(v, Fraction):
+        return f"Fraction:{v.numerator}/{v.denominator}"
+    return f"{type(v).__name__}:{v!r}"
+
+
+def word(label) -> str:
+    if isinstance(label, Tableau):
+        return "/".join(",".join(map(str, row)) for row in label.rows)
+    return label.one_line()
+
+
+def rep_lines(rep) -> list:
+    lines = [f"rep {rep.group_type} n={rep.n} gens={rep.gens} {rep.normalization}",
+             "basis " + " ".join(map(word, rep.basis))]
+    for g in rep.gens:
+        cols = rep.matrices[g].cols
+        entries = sorted((j, i, v) for j, col in cols.items() for i, v in col.items())
+        lines.append(f"s{g} dim={rep.matrices[g].dim} "
+                     + " ".join(f"{j},{i}={value_text(v)}" for j, i, v in entries))
+    return lines
+
+
+def class_function_lines(values: dict) -> list:
+    items = sorted(values.items(), key=lambda kv: kv[0].images)
+    return ["chi " + " ".join(f"{c.one_line()}={value_text(v)}" for c, v in items)]
+
+
+def character_lines(chi) -> list:
+    return [f"character {chi.kind} order={chi.order}", *class_function_lines(chi.values)]
+
+
+def induction_cases(n: int):
+    """(J, shapes) in the order of the `induction` sweep at size n."""
+    gens = list(range(1, n))
+    for mask in range(1 << len(gens)):
+        J = [g for k, g in enumerate(gens) if mask >> k & 1]
+        if len(J) < len(gens):
+            pools = [partitions(b - a + 1) for a, b in j_intervals(J)]
+            for combo in product(*pools):
+                yield J, list(combo)
+
+
+def dumps_at(n: int) -> dict:
+    """Section name -> the list of dumped objects (each a list of lines) at level n."""
+    out = {f"{name} n={n}": [] for name in (
+        "seminormal", "character", "orthogonal", "parabolic", "induced",
+        "induced character", "classical induced character")}
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        rep = build_from_functional(f, identity(n), SEMINORMAL)
+        out[f"seminormal n={n}"].append([str(shape), *rep_lines(rep)])
+        out[f"character n={n}"].append([str(shape), *character_lines(character(rep))])
+        out[f"orthogonal n={n}"].append([str(shape), *rep_lines(build_orthogonal_skew(shape))])
+    for J, shapes in induction_cases(n):
+        head = f"J={J} shapes={shapes}"
+        psi = build_parabolic_from_shapes(J, n, shapes)
+        induced = induce(psi, n)
+        out[f"parabolic n={n}"].append([head, *rep_lines(psi)])
+        out[f"induced n={n}"].append([head, *rep_lines(induced)])
+        out[f"induced character n={n}"].append([head, *character_lines(character(induced))])
+        out[f"classical induced character n={n}"].append(
+            [head, *class_function_lines(classical_induced_character(psi, n))])
+    m = n - 1
+    if m >= 1:
+        for form in (SEMINORMAL, ORTHOGONAL):
+            key = f"signed {form} n={m}"
+            out[key] = []
+            for k in range(m + 1):
+                for lam in partitions(k):
+                    for mu in partitions(m - k):
+                        rep = extend_to_bn(*row_filling_pair(lam, mu), form)
+                        out[key].append([f"lam={lam} mu={mu}", *rep_lines(rep)])
+    return out
+
+
+def flat_dumps() -> dict:
+    """The characters the `flat` suite traces, with their bases, in trace order."""
+    traced = []
+
+    def recording_character(rep):
+        chi = character(rep)
+        traced.append(["basis " + " ".join(map(word, rep.basis)), *character_lines(chi)])
+        return chi
+
+    verify.character = recording_character
+    try:
+        result = verify.flat_suite()
+    finally:
+        verify.character = character
+    if not result.ok:
+        raise AssertionError(f"the flat suite failed: {result.counterexamples}")
+    return {"flat characters": traced}
+
+
+def digest(objects: list) -> dict:
+    text = "\n\n".join("\n".join(lines) for lines in objects) + "\n"
+    return {"objects": len(objects), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def digests(level) -> dict:
+    dumps = flat_dumps() if level == "flat" else dumps_at(level)
+    return {key: digest(objects) for key, objects in dumps.items() if objects}
+
+
+def pinned() -> dict:
+    return json.loads(PINNED.read_text())
+
+
+def main(argv: list) -> int:
+    write = "--write" in argv
+    levels = [a if a == "flat" else int(a) for a in argv if a != "--write"]
+    if not levels:
+        print("usage: value_digests.py LEVEL... [--write]  (LEVEL: a size n, or flat)",
+              file=sys.stderr)
+        return 2
+    table = pinned() if PINNED.exists() else {}
+    status = 0
+    for level in levels:
+        got, expected = digests(level), table.get(str(level), {})
+        if write:
+            table[str(level)] = got
+        for key in sorted(got.keys() | expected.keys()):
+            if write:
+                print(f"pinned {level}: {key}")
+            elif got.get(key) == expected.get(key):
+                print(f"ok {level}: {key}")
+            else:
+                print(f"MISMATCH {level}: {key}: got {got.get(key)}, pinned {expected.get(key)}")
+                status = 1
+    if write:
+        PINNED.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
