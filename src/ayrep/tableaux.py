@@ -13,9 +13,9 @@ encode diagonal offsets of disconnected pieces).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     AyrepError,
@@ -54,14 +54,6 @@ class SkewShape:
     def is_straight(self) -> bool:
         return all(m == 0 for m in self.mu)
 
-    def boxes(self) -> tuple:
-        """Boxes (row, col) in row-major order."""
-        return tuple(
-            (r, c)
-            for r, (l, m) in enumerate(zip(self.lam, self.mu), start=1)
-            for c in range(m + 1, l + 1)
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewShape) and self.lam == other.lam and self.mu == other.mu
 
@@ -95,13 +87,6 @@ class Tableau:
         self.shape = shape
         self.rows = rows
         self._pos = None
-
-    @classmethod
-    def from_box_entries(cls, shape: SkewShape, entries: dict) -> "Tableau":
-        rows = []
-        for r, (l, m) in enumerate(zip(shape.lam, shape.mu), start=1):
-            rows.append(tuple(entries[(r, c)] for c in range(m + 1, l + 1)))
-        return cls(shape, rows)
 
     @property
     def size(self) -> int:
@@ -166,8 +151,8 @@ class Tableau:
 
 def row_tableau(shape: SkewShape) -> Tableau:
     """Boxes filled 1..n in row-major order."""
-    entries = {box: k for k, box in enumerate(shape.boxes(), start=1)}
-    return Tableau.from_box_entries(shape, entries)
+    letters = iter(range(1, shape.size + 1))
+    return Tableau(shape, [islice(letters, l - m) for l, m in zip(shape.lam, shape.mu)])
 
 
 def enumerate_standard(shape: SkewShape) -> list:
@@ -210,7 +195,7 @@ def hook_length_count(lam: Sequence[int]) -> int:
 
 
 def count_standard(shape: SkewShape) -> int:
-    if shape.is_straight:
+    if shape.is_straight and shape.size:
         return hook_length_count(shape.lam)
     return len(enumerate_standard(shape))
 
@@ -259,7 +244,8 @@ def tableau_from_content(values: Sequence[int]) -> Tableau:
     a run top[g] = 0 at the lowest content, and above it top[g] = top[g-1] - 1
     if first[g] < first[g-1], else top[g] = top[g-1].  The k-th letter of
     content g goes in box (top[g] + k - 1, top[g] + k - 1 + g).  The pieces
-    are then laid out along the diagonal with minimal padding.
+    are then stacked by falling content, each with its top row directly
+    below the bottom row of the piece above (`_shape_from_rows`).
 
     Why it holds: restricted to the contents {g, g+1}, the letters alternate,
     since the content condition puts a g+1 between two g's and a g between
@@ -283,73 +269,50 @@ def tableau_from_content(values: Sequence[int]) -> Tableau:
     for m, gamma in enumerate(vals, start=1):
         first.setdefault(gamma, m)
     top: dict = {}
-    parts: list = []
-    piece: dict = {}
+    piece: dict = {}  # content -> minus its run's lowest content: runs sort by falling content
     for gamma in sorted(first):
         if gamma - 1 in first:
             top[gamma] = top[gamma - 1] - (first[gamma] < first[gamma - 1])
+            piece[gamma] = piece[gamma - 1]
         else:
             top[gamma] = 0
-            parts.append({})
-        piece[gamma] = parts[-1]
+            piece[gamma] = -gamma
+    rows: dict = {}  # (piece, row) -> its (content, letter) pairs
     placed = dict.fromkeys(first, 0)
     for m, gamma in enumerate(vals, start=1):
-        r = top[gamma] + placed[gamma]
-        piece[gamma][(r, r + gamma)] = m
+        rows.setdefault((piece[gamma], top[gamma] + placed[gamma]), []).append((gamma, m))
         placed[gamma] += 1
-    entries = _assemble_components(parts)
-    shape = shape_from_boxes(entries.keys())
-    result = Tableau.from_box_entries(shape, entries)
+    filled = [sorted(rows[key]) for key in sorted(rows)]
+    shape = _shape_from_rows([(row[0][0], row[-1][0]) for row in filled])
+    empty = [()] * (len(shape.lam) - len(filled))
+    result = Tableau(shape, empty + [[m for _, m in row] for row in filled])
     if content_vector(result) != vals:
         raise AyrepError("internal error: content round trip failed")
     return result
 
 
-def _assemble_components(parts: list) -> dict:
-    """Place box dicts with pairwise separated contents into one diagram.
+def _shape_from_rows(rows: list) -> SkewShape:
+    """The skew shape whose rows, top to bottom, hold the contents lo..hi.
 
-    Pieces are laid out from northeast to southwest; diagonal shifts keep all
-    contents intact.  Returns the merged box -> value dict at coordinates with
-    min(row) or min(col) equal to 1 and both at least 1.
+    Row r (counted from 1) spans the columns lo + r .. hi + r.  When a column
+    would fall below 1, leading empty rows move every row down and every
+    column right by as many, which keeps the contents.
+
+    Both callers list connected pieces by falling content, each from its top
+    row to its bottom row, and the contents of two pieces are at least 2
+    apart.  Then no two pieces share a column, so no piece needs moving to
+    make room for the next one.  Take a lower piece whose top row is row
+    R + 1.  That row ends at a content hi at least 2 below the lowest
+    content lo of the piece above, so in column hi + R + 1 <= lo + R - 1.
+    The bottom row R of the piece above starts at content lo, in column
+    lo + R.  Within a skew shape the rows start and end further left going
+    down, so every column of the lower piece lies left of every column of
+    the pieces above it.
     """
-    ordered = sorted(parts, key=lambda p: -max(c - r for (r, c) in p))
-    placed: dict = {}
-    for part in ordered:
-        if not placed:
-            shifted = dict(part)
-        else:
-            max_row = max(r for r, _ in placed)
-            d = (max_row + 1) - min(r for r, _ in part)
-            shifted = {(r + d, c + d): v for (r, c), v in part.items()}
-            min_col_placed = min(c for _, c in placed)
-            overflow = max(c for _, c in shifted) - min_col_placed + 1
-            if overflow > 0:
-                placed = {(r - overflow, c - overflow): v for (r, c), v in placed.items()}
-        placed.update(shifted)
-    s = max(1 - min(r for r, _ in placed), 1 - min(c for _, c in placed))
-    return {(r + s, c + s): v for (r, c), v in placed.items()}
-
-
-def shape_from_boxes(boxes: Iterable) -> SkewShape:
-    """Reconstruct lambda/mu from a set of (row, col) boxes with min coords >= 1."""
-    boxes = set(boxes)
-    rows: dict = {}
-    for r, c in boxes:
-        rows.setdefault(r, []).append(c)
-    max_row = max(rows)
-    lam = [0] * (max_row + 1)
-    mu = [0] * (max_row + 1)
-    below = 0
-    for r in range(max_row, 0, -1):
-        if r in rows:
-            cols = sorted(rows[r])
-            if cols != list(range(cols[0], cols[-1] + 1)):
-                raise AyrepError(f"row {r} is not contiguous: {cols}")
-            lam[r], mu[r] = cols[-1], cols[0] - 1
-        else:
-            lam[r] = mu[r] = below
-        below = lam[r]
-    return SkewShape(lam[1:], mu[1:])
+    pad = max(0, max(-lo - i for i, (lo, _) in enumerate(rows)))
+    lam = [hi + i + 1 + pad for i, (_, hi) in enumerate(rows)]
+    mu = [lo + i + pad for i, (lo, _) in enumerate(rows)]
+    return SkewShape([lam[0]] * pad + lam, [lam[0]] * pad + mu)
 
 
 # tableau operations ----------------------------------------------------------
@@ -491,18 +454,11 @@ def skew_shape_family(n: int) -> tuple:
 
 
 def _join_components(pieces: tuple) -> SkewShape:
-    """Chain pieces SW to NE with content gaps of exactly 2."""
-    parts = []
-    next_lo = None
+    """Chain pieces SW to NE with content gaps of exactly 2, the last piece on top."""
+    rows: list = []
     for piece in pieces:
-        boxes = {box: None for box in piece.boxes()}
-        contents = [c - r for (r, c) in boxes]
-        lo = min(contents)
-        if next_lo is not None:
-            delta = next_lo - lo
-            boxes = {(r, c + delta): None for (r, c) in boxes}
-            lo += delta
-        next_lo = max(c - r for (r, c) in boxes) + 2
-        parts.append(boxes)
-    merged = _assemble_components(parts)
-    return shape_from_boxes(merged.keys())
+        spans = [(m + 1 - r, l - r) for r, (l, m) in enumerate(zip(piece.lam, piece.mu), 1)]
+        # the lowest content starts a piece's bottom row, the highest ends its top row
+        delta = rows[0][1] + 2 - spans[-1][0] if rows else 0
+        rows = [(lo + delta, hi + delta) for lo, hi in spans] + rows
+    return _shape_from_rows(rows)

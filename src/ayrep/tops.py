@@ -114,19 +114,15 @@ def top_elements(n: int) -> TopReport:
         assert maximal, "a finite nonempty cell has a maximal element"
         maximum = max(maximal, key=lambda w: w.sort_key())
         is_interval = len(maximal) == 1 and members == frozenset(weak_interval(maximum))
-        if n >= 2:
-            words = reading_words(r)
-            down, up = words.column_word_down, words.column_word_up
-        else:
-            down = up = identity(1)
+        words = reading_words(r)
         rows.append(
             TopRow(
                 lam=lam,
                 interval_size=len(members),
                 maximum=maximum,
                 is_interval=is_interval,
-                column_word_down=down,
-                column_word_up=up,
+                column_word_down=words.column_word_down,
+                column_word_up=words.column_word_up,
                 irreducible=is_irreducible(rep),
                 oracle_certified=maximum in oracle,
             )

@@ -1,14 +1,119 @@
-"""Fillings and shape lists the tests compare against; `ayrep` itself never
-builds them this way."""
+"""Fillings, layouts and shape lists the tests compare against; `ayrep` itself
+never builds them this way.
 
-from ayrep.tableaux import SkewShape, Tableau, _join_components, compositions
+The box layout below places skew diagrams as dicts of (row, col) boxes, with
+the overflow repair the stacking rule of `ayrep.tableaux` proves it never
+needs.
+"""
+
+from ayrep.errors import AyrepError
+from ayrep.tableaux import SkewShape, Tableau, compositions
+
+
+def boxes(shape: SkewShape) -> list:
+    """Boxes (row, col) in row-major order."""
+    return [(r, c) for r, (l, m) in enumerate(zip(shape.lam, shape.mu), start=1)
+            for c in range(m + 1, l + 1)]
+
+
+def from_box_entries(shape: SkewShape, entries: dict) -> Tableau:
+    return Tableau(shape, [[entries[(r, c)] for c in range(m + 1, l + 1)]
+                           for r, (l, m) in enumerate(zip(shape.lam, shape.mu), start=1)])
 
 
 def column_tableau(shape: SkewShape) -> Tableau:
     """Boxes filled 1..n in column-major order."""
-    boxes = sorted(shape.boxes(), key=lambda rc: (rc[1], rc[0]))
-    entries = {box: k for k, box in enumerate(boxes, start=1)}
-    return Tableau.from_box_entries(shape, entries)
+    order = sorted((c, r) for r, c in boxes(shape))
+    rows = [[] for _ in shape.lam]
+    for k, (_, r) in enumerate(order, start=1):
+        rows[r - 1].append(k)
+    return Tableau(shape, rows)
+
+
+def assemble_components(parts: list) -> dict:
+    """Place box dicts with pairwise separated contents into one diagram.
+
+    Pieces are laid out from northeast to southwest; diagonal shifts keep all
+    contents intact.  Returns the merged box -> value dict at coordinates with
+    min(row) or min(col) equal to 1 and both at least 1.
+    """
+    ordered = sorted(parts, key=lambda p: -max(c - r for (r, c) in p))
+    placed: dict = {}
+    for part in ordered:
+        if not placed:
+            shifted = dict(part)
+        else:
+            max_row = max(r for r, _ in placed)
+            d = (max_row + 1) - min(r for r, _ in part)
+            shifted = {(r + d, c + d): v for (r, c), v in part.items()}
+            min_col_placed = min(c for _, c in placed)
+            overflow = max(c for _, c in shifted) - min_col_placed + 1
+            if overflow > 0:
+                placed = {(r - overflow, c - overflow): v for (r, c), v in placed.items()}
+        placed.update(shifted)
+    s = max(1 - min(r for r, _ in placed), 1 - min(c for _, c in placed))
+    return {(r + s, c + s): v for (r, c), v in placed.items()}
+
+
+def shape_from_boxes(cells) -> SkewShape:
+    """Reconstruct lambda/mu from a set of (row, col) boxes with min coords >= 1."""
+    rows: dict = {}
+    for r, c in set(cells):
+        rows.setdefault(r, []).append(c)
+    max_row = max(rows)
+    lam = [0] * (max_row + 1)
+    mu = [0] * (max_row + 1)
+    below = 0
+    for r in range(max_row, 0, -1):
+        if r in rows:
+            cols = sorted(rows[r])
+            if cols != list(range(cols[0], cols[-1] + 1)):
+                raise AyrepError(f"row {r} is not contiguous: {cols}")
+            lam[r], mu[r] = cols[-1], cols[0] - 1
+        else:
+            lam[r] = mu[r] = below
+        below = lam[r]
+    return SkewShape(lam[1:], mu[1:])
+
+
+def box_join_components(pieces) -> SkewShape:
+    """Chain pieces SW to NE with content gaps of exactly 2, as box dicts."""
+    parts = []
+    next_lo = None
+    for piece in pieces:
+        part = {box: None for box in boxes(piece)}
+        lo = min(c - r for (r, c) in part)
+        if next_lo is not None:
+            part = {(r, c + next_lo - lo): None for (r, c) in part}
+        next_lo = max(c - r for (r, c) in part) + 2
+        parts.append(part)
+    return shape_from_boxes(assemble_components(parts).keys())
+
+
+def box_tableau_from_content(values) -> Tableau:
+    """The content-to-tableau construction of `ayrep.tableaux` with the box
+    layout: each content run is a dict of boxes, assembled as above.  Takes
+    a valid content vector."""
+    first: dict = {}
+    for m, gamma in enumerate(values, start=1):
+        first.setdefault(gamma, m)
+    top: dict = {}
+    parts: list = []
+    piece: dict = {}
+    for gamma in sorted(first):
+        if gamma - 1 in first:
+            top[gamma] = top[gamma - 1] - (first[gamma] < first[gamma - 1])
+        else:
+            top[gamma] = 0
+            parts.append({})
+        piece[gamma] = parts[-1]
+    placed = dict.fromkeys(first, 0)
+    for m, gamma in enumerate(values, start=1):
+        r = top[gamma] + placed[gamma]
+        piece[gamma][(r, r + gamma)] = m
+        placed[gamma] += 1
+    entries = assemble_components(parts)
+    return from_box_entries(shape_from_boxes(entries.keys()), entries)
 
 
 def recursive_connected_skew_shapes(m: int) -> list:
@@ -39,13 +144,13 @@ def recursive_connected_skew_shapes(m: int) -> list:
 
 
 def recursive_skew_shape_family(n: int) -> list:
-    """Joined pieces for every composition of n, chosen by a depth-first
-    search, with repeated shapes dropped."""
+    """Pieces joined by the box layout for every composition of n, chosen by
+    a depth-first search, with repeated shapes dropped."""
     shapes = []
     for sizes in compositions(n):
         def choose(idx, chosen):
             if idx == len(sizes):
-                shapes.append(_join_components(chosen))
+                shapes.append(box_join_components(chosen))
                 return
             for piece in recursive_connected_skew_shapes(sizes[idx]):
                 choose(idx + 1, chosen + [piece])

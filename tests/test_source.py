@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ayrep"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ayrep"
 # __init__ imports names to re-export them, not to use them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# an oracle checks `ayrep` from outside, so it takes only public names from it
+ORACLES = sorted(TESTS.glob("*_oracles.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -48,6 +51,30 @@ def unreferenced_private_definitions(sources: dict) -> list:
     for module, source in sources.items():
         visit(ast.parse(source), frozenset())
     return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def private_ayrep_names(source: str) -> list:
+    """Private names the module takes from `ayrep`: imported by name, or read
+    as an attribute of a name it imported from `ayrep`."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ayrep":
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                if _is_private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                         if alias.name.split(".")[0] == "ayrep")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                found.append(ast.unparse(node))
+    return sorted(found)
 
 
 def test_source_modules_are_found():
@@ -93,3 +120,26 @@ def test_private_definition_check_sees_an_unreferenced_name():
         "b": "from .a import _used\nVALUE = _used(2)\n",
     }
     assert unreferenced_private_definitions(sources) == ["a._Box", "a._method", "a._recursive_only"]
+
+
+def test_oracle_modules_are_found():
+    assert {p.name for p in ORACLES} >= {"group_oracles.py", "tableau_oracles.py"}
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.stem)
+def test_no_oracle_takes_a_private_name_from_ayrep(path):
+    assert private_ayrep_names(path.read_text()) == []
+
+
+def test_private_name_check_sees_imports_and_attributes():
+    source = (
+        "import ayrep.tableaux\n"
+        "from ayrep import tableaux as tab\n"
+        "from ayrep.tableaux import SkewShape, _join_components\n"
+        "from collections import _private\n"  # not from ayrep
+        "def _local():\n"
+        "    return _private\n"
+        "X = ayrep.tableaux._stack(tab._rows, SkewShape.__name__, _local())\n"
+    )
+    assert private_ayrep_names(source) == [
+        "ayrep.tableaux._join_components", "ayrep.tableaux._stack", "tab._rows"]

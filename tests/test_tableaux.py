@@ -26,12 +26,12 @@ from ayrep.tableaux import (
     reading_words,
     relabel,
     row_tableau,
-    shape_from_boxes,
     skew_shape_family,
     straight_shapes,
     tableau_from_content,
 )
 from tableau_oracles import (
+    box_tableau_from_content,
     column_tableau,
     recursive_connected_skew_shapes,
     recursive_skew_shape_family,
@@ -58,16 +58,6 @@ def test_shape_validation():
     assert SkewShape((2, 1)).is_straight
 
 
-def test_boxes_row_major():
-    s = SkewShape((3, 2), (1,))
-    assert s.boxes() == ((1, 2), (1, 3), (2, 1), (2, 2))
-
-
-def test_shape_from_boxes_round_trip():
-    s = SkewShape((3, 3, 1), (3, 1))
-    assert shape_from_boxes(s.boxes()) == s
-
-
 # enumeration ---------------------------------------------------------------------
 
 
@@ -83,6 +73,14 @@ def test_enumerate_standard_examples():
 def test_enumerate_standard_empty_shape():
     with pytest.raises(EmptyShapeError):
         enumerate_standard(SkewShape((1,), (1,)))
+
+
+@pytest.mark.parametrize(
+    "shape", [SkewShape(()), SkewShape((1,), (1,)), SkewShape((2, 1), (2, 1))], ids=str)
+def test_count_standard_of_an_empty_shape_is_an_error(shape):
+    # the empty straight shape has an empty hook product, which counted 1
+    with pytest.raises(EmptyShapeError):
+        count_standard(shape)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -184,6 +182,19 @@ def test_tableau_from_content_on_every_small_vector():
                     tableau_from_content(c)
                 assert err.value.pair == bad
     assert valid == 3829
+
+
+def test_tableau_from_content_matches_the_box_layout():
+    # every valid vector of length <= 5 in [-3, 3], and boxes far off the
+    # diagonal, where (3,) needs no leading empty row and the others do
+    vectors = [c for n in range(1, 6) for c in product(range(-3, 4), repeat=n)
+               if content_violation(c) is None]
+    vectors += [(0, -5), (0, -5, -10), (-4,), (3,)]
+    for c in vectors:
+        q, old = tableau_from_content(c), box_tableau_from_content(c)
+        assert (q.shape, q.rows) == (old.shape, old.rows), c
+    # letter 2 (content -5) would sit in row 2 and column -3: 4 empty rows go on top
+    assert tableau_from_content((0, -5)).shape == SkewShape((5, 5, 5, 5, 5, 1), (5, 5, 5, 5, 4))
 
 
 def test_tableau_from_content_of_nothing_is_empty():
