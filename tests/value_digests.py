@@ -6,7 +6,9 @@ that: an int 0 that turns into Fraction(0), or a float that moves in its
 last bit.  This module writes those values out canonically and hashes them.
 
 - A basis is written as one-line words: a permutation by its images, a
-  tableau by its rows, each read left to right, with "/" between rows.
+  tableau by its rows, each read left to right, with "/" between rows, and
+  a tableau pair as its two tableaux with "|" between them and "-" for an
+  empty side.
 - Each generator's stored entries are sorted by (column, row) and written
   with their type name; a float is written with `float.hex()`.
 - A character is written as its values at the class representatives, sorted
@@ -16,8 +18,10 @@ The digests at level n cover, for type A at size n: the seminormal form of
 every skew shape's row filling and its character, the tableau-basis
 orthogonal form of every skew shape, and the parabolic and induced forms and
 the induced characters of the `induction` sweep (the traced character and
-the class-sum oracle's); and for the signed group at size n - 1: the
-shuffle-basis form of every row-filling pair, seminormal and orthogonal.
+the class-sum oracle's); and for the signed group at size n - 1, for every
+row-filling pair, seminormal and orthogonal: the shuffle-basis form, the
+classical pair form (`bn_classical`) and the index map that
+`match_signed_forms` aligns them by.
 `flat` covers the character tables that the `flat` suite traces, in the
 order it traces them.
 
@@ -45,9 +49,9 @@ from ayrep.groups import identity, partitions
 from ayrep.induction import (
     build_parabolic_from_shapes,
     classical_induced_character,
-    extend_to_bn,
     induce,
     j_intervals,
+    match_signed_forms,
     row_filling_pair,
 )
 from ayrep.reps import (
@@ -71,6 +75,10 @@ def value_text(v) -> str:
 
 
 def word(label) -> str:
+    if label is None:
+        return "-"
+    if isinstance(label, tuple):
+        return "|".join(map(word, label))
     if isinstance(label, Tableau):
         return "/".join(",".join(map(str, row)) for row in label.rows)
     return label.one_line()
@@ -129,14 +137,18 @@ def dumps_at(n: int) -> dict:
             [head, *class_function_lines(classical_induced_character(psi, n))])
     m = n - 1
     if m >= 1:
+        maps = out[f"signed index maps n={m}"] = []
         for form in (SEMINORMAL, ORTHOGONAL):
-            key = f"signed {form} n={m}"
-            out[key] = []
+            signed = out[f"signed {form} n={m}"] = []
+            classical = out[f"classical {form} n={m}"] = []
             for k in range(m + 1):
                 for lam in partitions(k):
                     for mu in partitions(m - k):
-                        rep = extend_to_bn(*row_filling_pair(lam, mu), form)
-                        out[key].append([f"lam={lam} mu={mu}", *rep_lines(rep)])
+                        head = f"lam={lam} mu={mu}"
+                        ext, cl, index_map = match_signed_forms(*row_filling_pair(lam, mu), form)
+                        signed.append([head, *rep_lines(ext)])
+                        classical.append([head, *rep_lines(cl)])
+                        maps.append([f"{form} {head}", " ".join(map(str, index_map))])
     return out
 
 
