@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .cells import Functional, descent_cell
 from .errors import AyrepError
-from .groups import Permutation, conjugated_reflection, identity
+from .groups import Permutation, identity
 from .induction import build_parabolic_from_shapes, induce, row_filling_pair
 from .reps import (
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
-    _require_generic,
-    _step_coefficients,
     build_from_functional,
     char_inner,
     character,
@@ -87,8 +86,10 @@ def _rep_payload(rep: Representation) -> dict:
 def _cmd_cell(args: argparse.Namespace) -> tuple:
     f = Functional(args.f)
     w = Permutation(args.w) if args.w else identity(f.size)
-    cell = descent_cell(f, w)
     fmt = "json" if args.json else args.format
+    if fmt == "dot":
+        return 0, _cell_dot(build_from_functional(f, w))
+    cell = descent_cell(f, w)
     if fmt == "json":
         return 0, _dump(
             {
@@ -99,8 +100,6 @@ def _cmd_cell(args: argparse.Namespace) -> tuple:
                 "boundary": [[t.i, t.j] for t in sorted(cell.boundary)],
             }
         )
-    if fmt == "dot":
-        return 0, _cell_dot(f, cell)
     lines = [
         "members  " + " / ".join(m.one_line() for m in cell.members),
         "T_K      " + " ".join(str(t) for t in sorted(cell.interior)),
@@ -109,22 +108,20 @@ def _cmd_cell(args: argparse.Namespace) -> tuple:
     return 0, lines
 
 
-def _cell_dot(f: Functional, cell) -> list:
-    """Hasse diagram labelled by the seminormal step coefficients; f must be generic."""
-    _require_generic(f, cell.members, cell.interior, cell.boundary)
+def _cell_dot(rep: Representation) -> list:
+    """Hasse diagram of a cell representation, each up-step labelled with its column's a and b."""
     lines = ["digraph cell {", "  rankdir=BT;"]
-    members = set(cell.members)
-    for w in cell.members:
+    for w in rep.basis:
         lines.append(f'  "{w.one_line()}";')
-    for w in cell.members:
-        for i in range(1, f.size):
-            ws = w.times_simple(i)
-            if ws in members and ws.length() > w.length():
-                a, b = _step_coefficients(f.pair(conjugated_reflection(w, i)), True, SEMINORMAL)
-                lines.append(
-                    f'  "{w.one_line()}" -> "{ws.one_line()}" '
-                    f'[label="s{i} (a={a}, b={b})"];'
-                )
+    for j, w in enumerate(rep.basis):
+        for g in rep.gens:
+            col = rep.matrices[g].cols.get(j, {})
+            for k, b in col.items():
+                if rep.basis[k].length() > w.length():
+                    lines.append(
+                        f'  "{w.one_line()}" -> "{rep.basis[k].one_line()}" '
+                        f'[label="s{g} (a={col[j]}, b={b})"];'
+                    )
     lines.append("}")
     return lines
 
@@ -371,8 +368,14 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     status, lines = run(parse_args(argv))
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -22,7 +22,6 @@ from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
     Representation,
-    _swap_adjacent,
     _two_term_matrices,
     build_parabolic,
     character,
@@ -239,9 +238,12 @@ def signed_pair_basis(lam: Sequence[int], mu: Sequence[int], n: int) -> tuple:
     return tuple(basis)
 
 
-def _pair_swap(pair: tuple, i: int) -> tuple:
-    """Exchange letters i and i+1 inside the pair of tableaux."""
-    return tuple(None if t is None else _swap_adjacent(t, i) for t in pair)
+def _pair_word(pair: tuple) -> tuple:
+    """Where letters 1..n sit in a pair of tableaux: (0 or 1 for the tableau,
+    row, col) of each letter in turn."""
+    places = {v: (side, *box) for side, t in enumerate(pair) if t is not None
+              for v, box in t.positions().items()}
+    return tuple(places[v] for v in range(1, len(places) + 1))
 
 
 def bn_classical(lam: Sequence[int], mu: Sequence[int],
@@ -251,31 +253,25 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
     Letters in the same tableau interact through their content difference;
     letters in different tableaux swap places with coefficient one; the extra
     generator is diagonal with sign +1 exactly when letter 1 sits in the
-    first tableau.
+    first tableau.  The steps run on `_pair_word`s: s_g swaps entries g and
+    g+1 of the word, and the swapped pair is standard exactly when its word
+    is in the basis.
     """
     n = sum(lam) + sum(mu)
     basis = signed_pair_basis(tuple(lam), tuple(mu), n)
-    index = {pair: j for j, pair in enumerate(basis)}
+    words = [_pair_word(pair) for pair in basis]
+    index = {word: j for j, word in enumerate(words)}
     one = _one(normalization)
-    mats = {}
-    m0 = SquareMatrix(len(basis))
-    for j, (ta, _tb) in enumerate(basis):
-        in_first = ta is not None and 1 in ta.positions()
-        m0.set_entry(j, j, one if in_first else -one)
-    mats[0] = m0
+    mats = {0: SquareMatrix(len(basis), {j: {j: one if word and word[0][0] == 0 else -one}
+                                         for j, word in enumerate(words)})}
     for g in range(1, n):
-        m = SquareMatrix(len(basis))
-        for j, pair in enumerate(basis):
-            ta, tb = pair
-            a_letters = set(ta.positions()) if ta else set()
-            same_a = g in a_letters and g + 1 in a_letters
-            same_b = g not in a_letters and g + 1 not in a_letters
-            target = _pair_swap(pair, g)
-            if not (same_a or same_b):
-                m.set_entry(index[target], j, one)
+        cols = {}
+        for j, word in enumerate(words):
+            (t1, r1, c1), (t2, r2, c2) = word[g - 1], word[g]
+            target = word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:]
+            if t1 != t2:
+                cols[j] = {index[target]: one}
                 continue
-            t = ta if same_a else tb
-            (r1, c1), (r2, c2) = t.positions()[g], t.positions()[g + 1]
             h = (c2 - r2) - (c1 - r1)
             if normalization == SEMINORMAL:
                 a = Fraction(1, h)
@@ -283,11 +279,10 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
             else:
                 a = 1.0 / h
                 b = math.sqrt(1.0 - a * a)
-            m.set_entry(j, j, a)
-            swapped_side = target[0] if same_a else target[1]
-            if swapped_side.is_increasing():
-                m.set_entry(index[target], j, b)
-        mats[g] = m
+            cols[j] = {j: a}
+            if target in index and b:
+                cols[j][index[target]] = b
+        mats[g] = SquareMatrix(len(basis), cols)
     return Representation("B", n, tuple(range(0, n)), basis, mats, normalization)
 
 
@@ -305,11 +300,8 @@ def match_signed_forms(p: Tableau, q: Optional[Tableau],
     lam = p.shape.lam if p is not None else ()
     mu = q.shape.lam if q is not None else ()
     classical = bn_classical(lam, mu, normalization)
-    cl_index = {pair: j for j, pair in enumerate(classical.basis)}
-    index_map = []
-    for sigma in ext.basis:
-        inv = sigma.inverse()
-        ta = map_entries(p, {e: inv(e) for e in p.positions()}) if p else None
-        tb = map_entries(q, {e: inv(e) for e in q.positions()}) if q else None
-        index_map.append(cl_index[(ta, tb)])
+    cl_index = {_pair_word(pair): j for j, pair in enumerate(classical.basis)}
+    # the pair of sigma puts letter k where (p, q) has the letter sigma(k)
+    home = _pair_word((p, q))
+    index_map = [cl_index[tuple(home[x - 1] for x in sigma.images)] for sigma in ext.basis]
     return ext, classical, index_map

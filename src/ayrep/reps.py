@@ -36,7 +36,7 @@ from .groups import (
     reflection,
 )
 from .linalg import SquareMatrix, power_is_identity, word_is_identity, word_trace
-from .tableaux import SkewShape, Tableau, enumerate_standard
+from .tableaux import SkewShape, enumerate_standard
 
 SEMINORMAL = "seminormal"
 ORTHOGONAL = "orthogonal-float"
@@ -77,13 +77,6 @@ def _step_coefficients(h, up: bool, normalization: str) -> tuple:
     return a, math.sqrt(1.0 - a * a)
 
 
-def _require_generic(f: Functional, members, interior, boundary, gens=None, where="the cell"):
-    """Raise GenericityError naming the first condition f breaks on the cell."""
-    bad = genericity_violation(f, members, interior, boundary, gens)
-    if bad is not None:
-        raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
-
-
 def _two_term_matrices(basis: Sequence, gens: Sequence[int], step) -> dict:
     """Generator matrices sending each basis vector v to a v + b v'.
 
@@ -116,7 +109,9 @@ def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
     members, interior, boundary = _walk_cell(f, w, gens)
-    _require_generic(f, members, interior, boundary, gens, where)
+    bad = genericity_violation(f, members, interior, boundary, gens)
+    if bad is not None:
+        raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
     coords = f.coords
 
     def step(img: tuple, g: int) -> tuple:  # the pairing of the letters img[g-1], img[g]
@@ -153,30 +148,26 @@ def build_parabolic(f: Functional, J: Sequence[int], n: int,
                      "the parabolic cell")
 
 
-def _swap_adjacent(q: Tableau, i: int) -> Tableau:
-    rows = tuple(
-        tuple(i + 1 if v == i else i if v == i + 1 else v for v in row) for row in q.rows
-    )
-    return Tableau(q.shape, rows)
-
-
 def build_orthogonal_skew(shape: SkewShape) -> Representation:
     """Floating-point orthogonal form on the standard fillings of a skew shape.
 
     Each generator sends v_Q to (1/h) v_Q + sqrt(1 - 1/h^2) v_{Q'} where h is
     the content difference of i+1 and i in Q and Q' swaps them; the second
-    term drops when the swap is not standard (|h| = 1).
+    term drops when the swap is not standard (|h| = 1).  The steps run on
+    words listing the (row, col) of letters 1..n, so Q' is the word with
+    entries i and i+1 swapped, and it is standard exactly when it is a word
+    of the basis.
     """
     basis = tuple(enumerate_standard(shape))
     n = shape.size
 
-    def step(q: Tableau, g: int) -> tuple:
-        pos = q.positions()
-        (r1, c1), (r2, c2) = pos[g], pos[g + 1]
+    def step(word: tuple, g: int) -> tuple:
+        (r1, c1), (r2, c2) = word[g - 1], word[g]
         a, b = _step_coefficients((c2 - r2) - (c1 - r1), r1 < r2, ORTHOGONAL)
-        return a, _swap_adjacent(q, g), b
+        return a, word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:], b
 
-    mats = _two_term_matrices(basis, range(1, n), step)
+    words = [tuple(q.positions()[k] for k in range(1, n + 1)) for q in basis]
+    mats = _two_term_matrices(words, range(1, n), step)
     return Representation("A", n, tuple(range(1, n)), basis, mats, ORTHOGONAL)
 
 

@@ -102,28 +102,18 @@ class Tableau:
             self._pos = pos
         return self._pos
 
-    def entry_map(self) -> dict:
-        """Map (row, col) -> entry."""
-        return {box: v for v, box in self.positions().items()}
-
-    def is_increasing(self) -> bool:
-        """Rows increase left to right, columns increase downwards, entries distinct."""
-        vals = [v for row in self.rows for v in row]
-        if len(set(vals)) != len(vals):
+    def is_standard(self) -> bool:
+        """Entries are 1..n, rows increase left to right, columns downwards."""
+        if sorted(v for row in self.rows for v in row) != list(range(1, self.size + 1)):
             return False
         for row in self.rows:
             if any(a >= b for a, b in zip(row, row[1:])):
                 return False
-        entries = self.entry_map()
-        for (r, c), v in entries.items():
-            below = entries.get((r + 1, c))
-            if below is not None and v >= below:
+        lam, mu = self.shape.lam, self.shape.mu
+        for v, (r, c) in self.positions().items():  # row r + 1 is self.rows[r]
+            if r < len(lam) and mu[r] < c <= lam[r] and self.rows[r][c - mu[r] - 1] <= v:
                 return False
         return True
-
-    def is_standard(self) -> bool:
-        vals = sorted(v for row in self.rows for v in row)
-        return vals == list(range(1, self.size + 1)) and self.is_increasing()
 
     def to_text(self) -> str:
         lines = []
@@ -358,7 +348,7 @@ def reading_words(q: Tableau) -> ReadingWords:
         raise NotStandardError("reading words need a standard tableau")
     row_word = [v for row in q.rows for v in reversed(row)]
     cols: dict = {}
-    for (r, c), v in q.entry_map().items():
+    for v, (r, c) in q.positions().items():
         cols.setdefault(c, []).append((r, v))
     down, up = [], []
     for c in sorted(cols):

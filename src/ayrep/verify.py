@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial, inf
+from math import comb, factorial
 
 from .cells import (
     BasicFlat,
@@ -26,6 +26,7 @@ from .cells import (
     is_minimal_ay_cell,
 )
 from .groups import (
+    _check_cap,
     identity,
     is_convex,
     partitions,
@@ -530,13 +531,8 @@ SUITES = {
 }
 
 
-# The largest n_max each suite runs at under a size bound; `flat` takes none.
+# The largest n_max of the suites that stop below the size bound; `flat` takes none.
 _N_MAX_LIMITS = {
-    "coxeter": inf,
-    "axiomB": inf,
-    "cells": inf,
-    "regular": inf,
-    "specht": inf,
     "minimal": 5,
     "induction": 5,
     "tops": 5,
@@ -546,14 +542,17 @@ _N_MAX_LIMITS = {
 
 
 def run_suites(names, n: int = None, seed: int = 0) -> list:
-    """Run the named suites scaled down to the requested size bound."""
+    """Run the named suites scaled down to the size bound, each size capped before any runs."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {sorted(SUITES)}")
+    sizes = {name: min(n, _N_MAX_LIMITS.get(name, n)) for name in names
+             if n is not None and name != "flat"}
+    for size in sizes.values():
+        _check_cap("A", size)
     results = []
     for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        kwargs = {}
-        if n is not None and name in _N_MAX_LIMITS:
-            kwargs["n_max"] = min(n, _N_MAX_LIMITS[name])
+        kwargs = {"n_max": sizes[name]} if name in sizes else {}
         if name == "minimal":
             kwargs["seed"] = seed
         results.append(SUITES[name](**kwargs))

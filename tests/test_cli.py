@@ -193,6 +193,22 @@ def test_builders_above_the_symmetric_cap_are_an_error(monkeypatch, argv):
     ]
 
 
+def test_verify_above_the_cap_fails_before_any_suite_runs(monkeypatch):
+    monkeypatch.delenv("AYREP_MAX_N", raising=False)
+
+    def suite(**kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, suite)
+    suites = "flat,specht,coxeter,axiomB,cells,regular"
+    status, lines = _run(["verify", "--n", "8", "--suite", suites])
+    assert status == 1
+    assert lines == [
+        "error: type A enumeration capped at n=7 (requested 8); raise AYREP_MAX_N to override"
+    ]
+
+
 def test_bn_with_both_shapes_empty_is_an_error():
     status, lines = _run(["bn", "--lam", "", "--mu", ""])
     assert status == 1
@@ -244,6 +260,19 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "members" in proc.stdout
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    # about 115 KB of JSON, more than a pipe holds, so the writer meets the closed end
+    with subprocess.Popen(
+        [sys.executable, "-m", "ayrep.cli", "syt", "--shape", "4,3,2", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_main_returns_status(capsys):

@@ -23,6 +23,7 @@ from ayrep.tableaux import (
     hook_distance,
     hook_length_count,
     inversions,
+    map_entries,
     reading_words,
     relabel,
     row_tableau,
@@ -299,14 +300,14 @@ def test_inversions_examples():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_swapping_southern_neighbor_drops_inversions_by_one(n):
-    from ayrep.reps import _swap_adjacent
-
     for shape in skew_shape_family(n):
         for q in enumerate_standard(shape):
             pos = q.positions()
             for i in range(1, n):
                 if pos[i][0] > pos[i + 1][0]:  # i strictly south of i+1
-                    swapped = _swap_adjacent(q, i)
+                    swap = {v: v for v in pos}
+                    swap[i], swap[i + 1] = i + 1, i
+                    swapped = map_entries(q, swap)
                     assert swapped.is_standard()
                     assert inversions(swapped) == inversions(q) - 1
 
