@@ -3,8 +3,8 @@
 Each file under tests/pinned/ is the stdout of one `ayrep` invocation.  They
 fix every generator matrix entry of the cell, parabolic, induced and signed
 builders, exact and float, which the character and relation checks elsewhere
-do not, and the member order, reflection sets and edge list of a descent
-cell.
+do not, the member order, reflection sets and edge list of a descent
+cell, and every row of the top-element classification at n = 5.
 """
 
 from pathlib import Path
@@ -35,6 +35,8 @@ CASES = {
     "cell_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--json"],
     "cell_base_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--w", "2,1,3,5,4", "--json"],
     "cell_dot": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--format", "dot"],
+    "tops_json": ["tops", "--n", "5", "--json"],
+    "tops_text": ["tops", "--n", "5"],
 }
 
 
