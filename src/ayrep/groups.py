@@ -30,19 +30,13 @@ DEFAULT_CAPS = {"A": 7, "B": 5}
 _CAP_ENV = "AYREP_MAX_N"
 
 
-def group_cap(group_type: str) -> int:
-    """Enumeration cap for the given family, overridable via AYREP_MAX_N."""
+def _check_cap(group_type: str, n: int) -> None:
+    """Refuse n above the family's enumeration cap, overridable via AYREP_MAX_N."""
     env = os.environ.get(_CAP_ENV)
-    if env is None:
-        return DEFAULT_CAPS[group_type]
     try:
-        return int(env)
+        cap = DEFAULT_CAPS[group_type] if env is None else int(env)
     except ValueError:
         raise PreconditionError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
-
-
-def _check_cap(group_type: str, n: int) -> None:
-    cap = group_cap(group_type)
     if n > cap:
         raise SizeCapError(
             f"type {group_type} enumeration capped at n={cap} (requested {n}); "
@@ -64,10 +58,6 @@ class _OneLine:
 
     def one_line(self) -> str:
         return ",".join(str(v) for v in self.images)
-
-    @classmethod
-    def from_one_line(cls, text: str):
-        return cls(int(part) for part in text.split(","))
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.images == other.images
@@ -171,11 +161,6 @@ def reflection(i: int, j: int) -> Reflection:
 @lru_cache(maxsize=None)
 def reflections(n: int) -> tuple:
     return tuple(Reflection(i, j) for i, j in combinations(range(1, n + 1), 2))
-
-
-def conjugated_reflection(w: Permutation, i: int) -> Reflection:
-    """The reflection w s_i w^{-1}, i.e. the transposition of values w(i), w(i+1)."""
-    return reflection(w.images[i - 1], w.images[i])
 
 
 def pair(coords: Sequence[int], t: Reflection):

@@ -255,13 +255,6 @@ class Character:
     values: dict  # class representative -> value
     sizes: dict  # class representative -> class size
 
-    @property
-    def dimension(self):
-        for rep_element, value in self.values.items():
-            if rep_element.is_identity():
-                return value
-        raise KeyError("no identity class")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Character):
             return False

@@ -97,9 +97,9 @@ class TopReport:
 def top_elements(n: int) -> TopReport:
     """Candidate set per partition against the brute-force oracle.
 
-    For each partition the row filling's cell is inspected: its unique
-    maximal element (when the cell is an interval) is the candidate, and the
-    two column readings of the row filling are recorded beside it.
+    For each partition the row filling's cell is inspected: its longest
+    member (the last of the basis) is the candidate, and the two column
+    readings of the row filling are recorded beside it.
     """
     if n < 1:
         raise PreconditionError(f"top elements need n >= 1, got n={n}")
@@ -110,10 +110,10 @@ def top_elements(n: int) -> TopReport:
         r = row_tableau(shape)
         rep = build_from_functional(Functional(content_vector(r)), identity(n))
         members = frozenset(rep.basis)  # the walked cell of the row filling
-        maximal = _maximal_members(members, n)
-        assert maximal, "a finite nonempty cell has a maximal element"
-        maximum = max(maximal, key=lambda w: w.sort_key())
-        is_interval = len(maximal) == 1 and members == frozenset(weak_interval(maximum))
+        # the basis is in sort_key order, so its last member is a longest one and
+        # hence maximal; a cell equal to [id, m] has m as its only maximal member
+        maximum = rep.basis[-1]
+        is_interval = members == frozenset(weak_interval(maximum))
         words = reading_words(r)
         rows.append(
             TopRow(
@@ -137,16 +137,4 @@ def top_elements(n: int) -> TopReport:
         candidates_down=down_set,
         candidates_up=up_set,
         distinct_candidates=len(down_set),
-    )
-
-
-def _maximal_members(members: frozenset, n: int) -> frozenset:
-    """Members with no generator step up that stays inside the set."""
-    return frozenset(
-        pi
-        for pi in members
-        if all(
-            pi.times_simple(i) not in members or pi.times_simple(i).length() < pi.length()
-            for i in range(1, n)
-        )
     )

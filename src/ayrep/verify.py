@@ -116,6 +116,7 @@ def coxeter_suite(n_max: int = 5, include_sample_6: bool = True,
     bad, checked = [], 0
     jobs = [(n, shape) for n in range(1, n_max + 1) for shape in skew_shape_family(n)]
     if include_sample_6 and n_max >= 5:
+        _check_cap("A", 6)  # before the n <= 5 sweep, not after it
         jobs.extend((6, shape) for shape in _sample_shapes_6())
     for _, shape in jobs:
         report = verify_coxeter(_row_filling_rep(shape))

@@ -25,7 +25,6 @@ from ayrep.cells import (
 from ayrep.errors import PreconditionError
 from ayrep.groups import (
     Permutation,
-    conjugated_reflection,
     identity,
     is_convex,
     left_descents_in,
@@ -377,7 +376,7 @@ def _with_reflection_sets(members, gens):
     interior, boundary = set(), set()
     for w in members:
         for i in gens:
-            t = conjugated_reflection(w, i)
+            t = reflection(w(i), w(i + 1))
             (interior if w.times_simple(i) in member_set else boundary).add(t)
     return tuple(members), frozenset(interior), frozenset(boundary)
 
@@ -503,8 +502,8 @@ def _permutation_genericity_violation(f, members, interior, boundary, gens=None)
                 continue
             if w.times_simple(i) in member_set or w.times_simple(i + 1) in member_set:
                 continue
-            t1 = conjugated_reflection(w, i)
-            t2 = conjugated_reflection(w, i + 1)
+            t1 = reflection(w(i), w(i + 1))
+            t2 = reflection(w(i + 1), w(i + 2))
             if f.pair(t1) != f.pair(t2):
                 return (
                     "corner",

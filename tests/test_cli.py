@@ -209,6 +209,21 @@ def test_verify_above_the_cap_fails_before_any_suite_runs(monkeypatch):
     ]
 
 
+def test_coxeter_checks_its_n6_sample_against_the_cap_before_any_build(monkeypatch):
+    # a lowered cap must fail at once, not after the n <= 5 sweep
+    def build(*args):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setenv("AYREP_MAX_N", "5")
+    monkeypatch.setattr(verify, "_row_filling_rep", build)
+    monkeypatch.setattr(verify, "build_orthogonal_skew", build)
+    status, lines = _run(["verify", "--n", "5", "--suite", "coxeter"])
+    assert status == 1
+    assert lines == [
+        "error: type A enumeration capped at n=5 (requested 6); raise AYREP_MAX_N to override"
+    ]
+
+
 def test_bn_with_both_shapes_empty_is_an_error():
     status, lines = _run(["bn", "--lam", "", "--mu", ""])
     assert status == 1

@@ -186,12 +186,11 @@ def test_pair_shift_invariance(coords, shift):
 
 
 def test_pair_of_conjugated_reflection_matches_position_difference():
-    from ayrep.groups import conjugated_reflection
-
+    # w s_i w^-1 is the transposition of the values w(i), w(i+1)
     f = (0, 2, -1, 4)
     for w in perms(4):
         for i in range(1, 4):
-            t = conjugated_reflection(w, i)
+            t = reflection(w(i), w(i + 1))
             sign = 1 if w(i) < w(i + 1) else -1
             assert pair(f, t) == sign * (f[w(i + 1) - 1] - f[w(i) - 1])
 
@@ -458,7 +457,6 @@ def test_signed_permutations():
     assert len(_signed_bfs_distances(2)) == 8
     s0 = SignedPermutation((1, 2)) * _signed_gen(2, 0)
     assert s0.images == (-1, 2)
-    assert SignedPermutation.from_one_line("-2,1").one_line() == "-2,1"
 
 
 # conjugacy classes -------------------------------------------------------------
@@ -536,7 +534,6 @@ def test_signed_class_data_matches_brute_force(n):
 def test_serialization():
     w = Permutation((3, 2, 1, 5, 4))
     assert w.one_line() == "3,2,1,5,4"
-    assert Permutation.from_one_line("3,2,1,5,4") == w
 
 
 def test_the_two_families_share_one_line_words_but_not_equality():
@@ -546,7 +543,6 @@ def test_the_two_families_share_one_line_words_but_not_equality():
     assert w != v and v != w and len({w, v}) == 2
     assert w != (2, 1) and v != (2, 1)
     assert hash(w) == hash((2, 1)) and hash(v) == hash(("B", (2, 1)))  # set orders rely on these
-    assert type(SignedPermutation.from_one_line("-1,2")) is SignedPermutation
     assert not SignedPermutation((-1, 2)).is_identity() and identity(3).is_identity()
 
 

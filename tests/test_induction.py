@@ -5,7 +5,14 @@ from math import comb
 import pytest
 
 from ayrep.errors import NotStandardError, PreconditionError
-from ayrep.groups import Permutation, class_data_symmetric, identity, partitions, sym_group
+from ayrep.groups import (
+    Permutation,
+    SignedPermutation,
+    class_data_symmetric,
+    identity,
+    partitions,
+    sym_group,
+)
 from ayrep.induction import (
     bn_classical,
     build_parabolic_from_shapes,
@@ -310,5 +317,5 @@ def test_bn_dimension_identity(n):
 def test_b2_unique_two_dimensional_irreducible():
     rep = extend_to_bn(row_tableau(SkewShape((1,))), _letters_shifted((1,), 1))
     chi = character(rep)
-    assert chi.dimension == 2
+    assert chi.values[SignedPermutation((1, 2))] == 2
     assert char_inner(chi, chi) == 1

@@ -1,20 +1,44 @@
 import pytest
 
-from ayrep.groups import Permutation, identity, partitions
+from ayrep.cells import Functional
+from ayrep.groups import Permutation, identity, partitions, weak_interval
+from ayrep.reps import build_from_functional
 from ayrep.tableaux import (
     SkewShape,
+    content_vector,
     enumerate_standard,
     relabel,
     relabel_cell,
     row_tableau,
+    skew_shape_family,
 )
-from ayrep.tops import _maximal_members, is_top_brute, top_elements
+from ayrep.tops import is_top_brute, top_elements
 from tableau_oracles import column_tableau
+
+
+def maximal_members(members: frozenset, n: int) -> frozenset:
+    """Oracle: members with no generator step up that stays inside the set."""
+    return frozenset(
+        pi
+        for pi in members
+        if all(
+            pi.times_simple(i) not in members or pi.times_simple(i).length() < pi.length()
+            for i in range(1, n)
+        )
+    )
 
 
 def maximal_elements_of_cell(q):
     """Length-maximal members of a filling's cell."""
-    return _maximal_members(relabel_cell(q), q.size)
+    return maximal_members(relabel_cell(q), q.size)
+
+
+def maximum_by_steps(members: frozenset, n: int) -> tuple:
+    """(maximum, is_interval) by the step rule: the sort-key-largest maximal
+    member, and whether it is the only one and the set is [id, maximum]."""
+    maximal = maximal_members(members, n)
+    maximum = max(maximal, key=lambda w: w.sort_key())
+    return maximum, len(maximal) == 1 and members == frozenset(weak_interval(maximum))
 
 
 def test_is_top_brute_examples():
@@ -53,6 +77,25 @@ def test_row_interval_sizes_match_the_relabel_cells(n):
     # top_elements reads each row filling's cell off its representation's basis
     for row in top_elements(n).rows:
         assert row.interval_size == len(relabel_cell(row_tableau(SkewShape(row.lam))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_last_member_of_every_walked_cell_is_the_step_rule_maximum(n):
+    # top_elements reads the maximum off the end of the basis, which is in
+    # sort_key order, and calls the cell an interval when it is [id, maximum]
+    for shape in skew_shape_family(n):
+        for q in enumerate_standard(shape):
+            basis = build_from_functional(Functional(content_vector(q)), identity(n)).basis
+            members = frozenset(basis)
+            new = (basis[-1], members == frozenset(weak_interval(basis[-1])))
+            assert new == maximum_by_steps(members, n), q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_top_rows_match_the_step_rule_on_the_relabel_cells(n):
+    for row in top_elements(n).rows:
+        members = relabel_cell(row_tableau(SkewShape(row.lam)))
+        assert (row.maximum, row.is_interval) == maximum_by_steps(members, n), row.lam
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
