@@ -15,15 +15,18 @@ last bit.  This module writes those values out canonically and hashes them.
   by their one-line words, each with its type name.
 
 The digests at level n cover, for type A at size n: the seminormal form of
-every skew shape's row filling and its character, the tableau-basis
-orthogonal form of every skew shape, and the parabolic and induced forms and
+every skew shape's row filling and its character, the cell builder's
+orthogonal form of the same row filling, the tableau-basis orthogonal form
+of every skew shape, and the parabolic and induced forms and
 the induced characters of the `induction` sweep (the traced character and
 the class-sum oracle's); and for the signed group at size n - 1, for every
 row-filling pair, seminormal and orthogonal: the shuffle-basis form, the
 classical pair form (`bn_classical`) and the index map that
 `match_signed_forms` aligns them by.
 `flat` covers the character tables that the `flat` suite traces, in the
-order it traces them.
+order it traces them, and the generator matrices of every representation it
+builds (one per generic functional and base element of each cell), in the
+order it builds them.
 
 Tier-1 (`test_value_digests.py`) checks the levels n <= 5.  The golden CI
 job runs this file as a script for level 6 and for `flat`:
@@ -118,13 +121,15 @@ def induction_cases(n: int):
 def dumps_at(n: int) -> dict:
     """Section name -> the list of dumped objects (each a list of lines) at level n."""
     out = {f"{name} n={n}": [] for name in (
-        "seminormal", "character", "orthogonal", "parabolic", "induced",
+        "seminormal", "character", "cell orthogonal", "orthogonal", "parabolic", "induced",
         "induced character", "classical induced character")}
     for shape in skew_shape_family(n):
         f = Functional(content_vector(row_tableau(shape)))
         rep = build_from_functional(f, identity(n), SEMINORMAL)
         out[f"seminormal n={n}"].append([str(shape), *rep_lines(rep)])
         out[f"character n={n}"].append([str(shape), *character_lines(character(rep))])
+        out[f"cell orthogonal n={n}"].append(
+            [str(shape), *rep_lines(build_from_functional(f, identity(n), ORTHOGONAL))])
         out[f"orthogonal n={n}"].append([str(shape), *rep_lines(build_orthogonal_skew(shape))])
     for J, shapes in induction_cases(n):
         head = f"J={J} shapes={shapes}"
@@ -153,22 +158,28 @@ def dumps_at(n: int) -> dict:
 
 
 def flat_dumps() -> dict:
-    """The characters the `flat` suite traces, with their bases, in trace order."""
-    traced = []
+    """The characters the `flat` suite traces, with their bases, in trace order,
+    and the representations it builds, in build order."""
+    traced, built = [], []
 
     def recording_character(rep):
         chi = character(rep)
         traced.append(["basis " + " ".join(map(word, rep.basis)), *character_lines(chi)])
         return chi
 
-    verify.character = recording_character
+    def recording_build(f, v, normalization=SEMINORMAL):
+        rep = build_from_functional(f, v, normalization)
+        built.append([f"f={f.coords} v={word(v)}", *rep_lines(rep)])
+        return rep
+
+    verify.character, verify.build_from_functional = recording_character, recording_build
     try:
         result = verify.flat_suite()
     finally:
-        verify.character = character
+        verify.character, verify.build_from_functional = character, build_from_functional
     if not result.ok:
         raise AssertionError(f"the flat suite failed: {result.counterexamples}")
-    return {"flat characters": traced}
+    return {"flat characters": traced, "flat representations": built}
 
 
 def digest(objects: list) -> dict:
