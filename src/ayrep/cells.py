@@ -58,11 +58,13 @@ class Functional:
 
 @dataclass(frozen=True)
 class Cell:
-    """A descent class with its interior and boundary reflection sets."""
+    """A descent class, its interior and boundary reflection sets, and its step graph."""
 
     members: tuple  # sorted by (length, one-line word)
     interior: frozenset  # w s w^-1 with both w, ws inside
     boundary: frozenset  # w s w^-1 with w inside, ws outside
+    gens: tuple  # the generator indices g of the steps w -> w s_g
+    steps: tuple  # steps[j * len(gens) + p]: position of members[j] s_gens[p], or None
 
     @property
     def member_set(self) -> frozenset:
@@ -91,10 +93,10 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     """
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    return Cell(*_walk_cell(f, w, range(1, w.size)))
+    return _walk_cell(f, w, range(1, w.size))
 
 
-def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> tuple:
+def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> Cell:
     """Breadth-first walk from start along the steps w -> w s_i, i in gens,
     in the descent cell over A: a reflection set, or a Functional standing
     for its `boundary_reflections`, found only once the type-A cap on
@@ -104,19 +106,23 @@ def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> tuple:
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
     not in A; t goes to the interior set if it does and to the boundary set
-    otherwise.  Returns (members sorted by (length, word), interior, boundary);
-    members come from `elements` when given.
+    otherwise.  Each member gets an id when found and a row of its neighbours'
+    ids (-1 across a wall); the one sort into (length, word) order maps ids to
+    positions.  The rows stay in one flat tuple: a tuple per row held ~0.3 MiB
+    more peak RSS on `verify --suite flat`, as CPython pools freed small tuples.
     """
     if elements is None:
         _check_cap("A", start.size)
     if isinstance(A, Functional):
         A = boundary_reflections(A)
+    gens = tuple(gens)
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
     # hashes and compares equal to its Reflection, so it is looked up in A.
     # Each member's length rides along: w s_i is one longer than w exactly
     # when w(i) < w(i+1).
-    seen = {start.images}
+    ids = {start.images: 0}
     order = [(start.length(), start.images)]
+    rows = []  # rows[k * m + p]: the step of id k along gens[p], m = len(gens)
     interior, boundary = set(), set()
     for length, img in order:
         for i in gens:
@@ -124,22 +130,28 @@ def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> tuple:
             t = (x, y) if x < y else (y, x)
             if t in A:
                 boundary.add(t)
+                rows.append(-1)
                 continue
             interior.add(t)
             nxt = img[:i - 1] + (y, x) + img[i + 1:]
-            if nxt not in seen:
-                seen.add(nxt)
+            k = ids.get(nxt)
+            if k is None:
+                k = ids[nxt] = len(order)
                 order.append((length + 1 if x < y else length - 1, nxt))
-    order.sort()
-    # from a list, not a generator: tuple() over a generator guesses a size
-    # and resizes, and that held ~0.45 MiB more memory at the end of
-    # `verify --suite convexity` (tracemalloc)
+            rows.append(k)
+    ranked = sorted(range(len(order)), key=order.__getitem__)  # position -> id
+    # id -> position, the inverse permutation; position[-1] is None, across a wall
+    position = sorted(range(len(order)), key=ranked.__getitem__) + [None]
+    m = len(gens)
+    steps = tuple([position[rows[k * m + p]] for k in ranked for p in range(m)])
+    # from a list, not a generator: tuple() over a generator guesses a size and
+    # resizes, which held ~0.45 MiB more at the end of `verify --suite convexity`
     if elements is None:
-        members = tuple([Permutation._unsafe(img, length) for length, img in order])
+        members = tuple([Permutation._unsafe(order[k][1], order[k][0]) for k in ranked])
     else:
-        members = tuple([elements[img] for _, img in order])
-    return (members, frozenset(map(Reflection._make, interior)),
-            frozenset(map(Reflection._make, boundary)))
+        members = tuple([elements[order[k][1]] for k in ranked])
+    return Cell(members, frozenset(map(Reflection._make, interior)),
+                frozenset(map(Reflection._make, boundary)), gens, steps)
 
 
 def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
@@ -152,7 +164,7 @@ def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
     if not J <= set(range(1, n)):
         raise ValueError(f"J must be a set of generator indices 1..{n - 1}")
     A = frozenset(reflection(j, j + 1) for j in J)
-    return set(_walk_cell(A, identity(n), range(1, n))[0])
+    return set(_walk_cell(A, identity(n), range(1, n)).members)
 
 
 def descent_partition(n: int, A: frozenset) -> list:
@@ -163,54 +175,42 @@ def descent_partition(n: int, A: frozenset) -> list:
     """
     group = sym_group(n)
     by_images = {v.images: v for v in group}
+    gens = tuple(range(1, n))
     cells, seen = [], set()
     for v in group:
         if v.images in seen:
             continue
-        cell = Cell(*_walk_cell(A, v, range(1, n), by_images))
+        cell = _walk_cell(A, v, gens, by_images)
         seen.update([w.images for w in cell.members])
         cells.append(cell)
     cells.sort(key=lambda c: sorted(left_descents_in(A, c.members[0])))
     return cells
 
 
-def genericity_violation(f: Functional, members: Iterable[Permutation],
-                         interior: frozenset, boundary: frozenset, gens=None):
+def genericity_violation(f: Functional, cell: Cell):
     """None if f is generic for the cell, else (condition, detail).
 
     Conditions: interior pairings avoid {0, 1, -1}; boundary pairings equal
-    +-1; when two adjacent generators both step out of the cell at the same
-    element the two boundary pairings agree.
+    +-1; at a member whose steps along two adjacent generators both leave the
+    cell (None in the step graph), the two boundary pairings agree.
     """
-    for t in sorted(interior):
+    for t in sorted(cell.interior):
         if f.pair(t) in (-1, 0, 1):
             return ("interior", f"<f,{t}> = {f.pair(t)}")
-    for t in sorted(boundary):
+    for t in sorted(cell.boundary):
         if abs(f.pair(t)) != 1:
             return ("boundary", f"<f,{t}> = {f.pair(t)}")
-    # The corner test runs on one-line tuples: w s_i swaps positions i, i+1.
-    words = sorted((w.length(), w.images) for w in members)
-    member_set = {img for _, img in words}
-    if gens is None:
-        gens = range(1, f.size)
-    gen_set = set(gens)
-    corners = [i for i in gen_set if i + 1 in gen_set]
-    coords = f.coords
-    for _, img in words:
-        for i in corners:
-            x, y, z = img[i - 1], img[i], img[i + 1]
-            if (img[:i - 1] + (y, x) + img[i + 1:] in member_set
-                    or img[:i] + (z, y) + img[i + 2:] in member_set):
+    gens, steps, m = cell.gens, cell.steps, len(cell.gens)
+    corners = [(p, gens.index(i + 1), i) for p, i in enumerate(gens) if i + 1 in gens]
+    for j, w in enumerate(cell.members):
+        for p, q, i in corners:  # indexed in place: slices would be pooled tuples
+            if steps[j * m + p] is not None or steps[j * m + q] is not None:
                 continue
-            p1 = coords[y - 1] - coords[x - 1] if x < y else coords[x - 1] - coords[y - 1]
-            p2 = coords[z - 1] - coords[y - 1] if y < z else coords[y - 1] - coords[z - 1]
-            if p1 != p2:
-                w = Permutation._unsafe(img)
-                t1, t2 = reflection(x, y), reflection(y, z)
-                return (
-                    "corner",
-                    f"at {w.one_line()}: <f,{t1}> = {p1} != <f,{t2}> = {p2}",
-                )
+            x, y, z = w.images[i - 1:i + 2]
+            t1, t2 = reflection(x, y), reflection(y, z)
+            if f.pair(t1) != f.pair(t2):
+                return ("corner", f"at {w.one_line()}: <f,{t1}> = {f.pair(t1)} "
+                                  f"!= <f,{t2}> = {f.pair(t2)}")
     return None
 
 
@@ -220,7 +220,7 @@ def is_generic(f: Functional, cell: Cell) -> bool:
         raise PreconditionError("cell does not contain the identity")
     if not is_convex(cell.members):
         raise PreconditionError("cell is not convex")
-    return genericity_violation(f, cell.members, cell.interior, cell.boundary) is None
+    return genericity_violation(f, cell) is None
 
 
 def is_generic_integer(f: Functional) -> bool:
@@ -333,8 +333,7 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
 
 def _identity_cell_members(coords: tuple) -> frozenset:
     n = len(coords)
-    members, _, _ = _walk_cell(Functional(coords), identity(n), range(1, n))
-    return frozenset(members)
+    return frozenset(_walk_cell(Functional(coords), identity(n), range(1, n)).members)
 
 
 # basic flats -----------------------------------------------------------------

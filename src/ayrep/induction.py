@@ -88,23 +88,23 @@ def induce(psi: Representation, n: int) -> Representation:
     reps_sorted = sorted(minimal_coset_reps(n, J), key=lambda r: r.sort_key())
     psi_index = {m: k for k, m in enumerate(psi.basis)}
     pairs = [(m, r) for m in psi.basis for r in reps_sorted]
+    index = {pair: k for k, pair in enumerate(pairs)}
     rep_set = set(reps_sorted)
     one = _one(psi.normalization)
 
-    def step(pair: tuple, s: int) -> tuple:
-        m, r = pair
+    def step(m, r, s: int) -> tuple:
         rs = r.times_simple(s)
         if rs in rep_set:
-            return 0, (m, rs), one
+            return 0, index[m, rs], one
         # Deodhar's lemma: rs = s_j r, i.e. r(s), r(s+1) are the letters j, j+1
         j = min(r(s), r(s + 1))
         psi_j = psi.matrices[j]
         k = psi_index[m]
         mp = m.times_simple(j)
         b = psi_j.entry(psi_index[mp], k) if mp in psi_index else 0
-        return psi_j.entry(k, k), (mp, r), b
+        return psi_j.entry(k, k), index.get((mp, r)), b
 
-    mats = _two_term_matrices(pairs, range(1, n), step)
+    mats = _two_term_matrices((s, [step(m, r, s) for m, r in pairs]) for s in range(1, n))
     basis = tuple(m * r for m, r in pairs)
     return Representation("A", n, tuple(range(1, n)), basis, mats, psi.normalization)
 

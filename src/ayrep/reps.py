@@ -6,14 +6,12 @@ a is the reciprocal pairing of the conjugated reflection.  The orthogonal
 variant puts sqrt(1 - a^2) on both sides and is kept in floating point purely
 for display and cross-checks; characters agree between the two.
 
-A coefficient depends only on the pairing h, the direction of the step and
-the normalization, so `_step_coefficients` is one memoised table shared by
-every builder: each distinct coefficient is a single immutable Fraction (or
-float) that all matrices hold, and comparing two builds' columns mostly
-takes the identity shortcut.  The cell and parabolic builders share one
-body, `_cell_rep`, which steps on one-line tuples (w s_i swaps positions i
-and i+1) rather than on Permutation objects; the basis it returns is still
-the Permutation members.
+`_step_coefficients` is one memoised table shared by every builder, so each
+distinct coefficient is one Fraction (or float) that all matrices hold, and
+comparing two builds' columns mostly takes the identity shortcut.  Every
+builder writes its columns through `_two_term_matrices`; the cell and
+parabolic builders share one body, `_cell_rep`, which reads each neighbour
+w s_g off the step graph of the walked cell.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 from .cells import Functional, genericity_violation, _walk_cell
@@ -77,50 +76,64 @@ def _step_coefficients(h, up: bool, normalization: str) -> tuple:
     return a, math.sqrt(1.0 - a * a)
 
 
-def _two_term_matrices(basis: Sequence, gens: Sequence[int], step) -> dict:
-    """Generator matrices sending each basis vector v to a v + b v'.
+def _two_term_matrices(columns) -> dict:
+    """Generator matrices sending each basis vector v_j to a v_j + b v_k.
 
-    `step(v, g)` returns (a, v', b); the b term is dropped when v' is not in
-    the basis, and zero coefficients are never stored.  Each column is a
-    fresh dict, written diagonal first.
+    `columns` yields (g, steps), one list per generator, each written and
+    dropped before the next: steps[j] is (a, k, b), k the basis index of the
+    neighbour or None when the step leaves the basis (b is then dropped).
+    Zero coefficients are never stored.  Each column is a fresh dict, written
+    diagonal first.
     """
-    index = {v: k for k, v in enumerate(basis)}
     mats = {}
-    for g in gens:
+    for g, steps in columns:
         cols = {}
-        for j, v in enumerate(basis):
-            a, neighbor, b = step(v, g)
+        for j, (a, k, b) in enumerate(steps):
             col = {j: a} if a else {}
-            k = index.get(neighbor)
             if k is not None and b:
                 col[k] = b
             if col:
                 cols[j] = col
-        mats[g] = SquareMatrix(len(basis), cols)
+        mats[g] = SquareMatrix(len(steps), cols)
     return mats
 
 
 def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
               where: str) -> Representation:
     """The one body of the cell and parabolic builders: the descent cell of w
-    inside <s_g : g in gens>, walked, checked generic, and its matrices."""
+    inside <s_g : g in gens>, walked, checked generic, and its matrices.
+
+    A column takes its neighbour from the walk's step graph and (a, b) from a
+    table over the letters x, y that s_g swaps.  Once f is generic, a = 1/h
+    != 0 for h = <f, t>, t = w s_g w^-1 (interior pairings avoid 0, boundary
+    ones are +-1).  A step inside the cell has t interior: |h| >= 2, so
+    1 - a^2 >= 3/4 and b != 0.  A step out crosses a wall: |h| = 1, so b = 0,
+    but for the seminormal b = 1 going up, dropped with the missing neighbour.
+    """
     if normalization not in (SEMINORMAL, ORTHOGONAL):
         raise ValueError(f"unknown normalization {normalization!r}")
     if f.size != w.size:
         raise PreconditionError("functional and permutation sizes differ")
-    members, interior, boundary = _walk_cell(f, w, gens)
-    bad = genericity_violation(f, members, interior, boundary, gens)
+    cell = _walk_cell(f, w, gens)
+    bad = genericity_violation(f, cell)
     if bad is not None:
         raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
-    coords = f.coords
+    table = [[None] * (w.size + 1) for _ in range(w.size + 1)]  # (a, b) per letters x, y
+    words = [v.images for v in cell.members]
 
-    def step(img: tuple, g: int) -> tuple:  # the pairing of the letters img[g-1], img[g]
-        x, y = img[g - 1], img[g]
-        a, b = _step_coefficients(coords[y - 1] - coords[x - 1], x < y, normalization)
-        return a, img[:g - 1] + (y, x) + img[g + 1:], b
+    def column(p: int, g: int) -> list:
+        col = []
+        for img, k in zip(words, islice(cell.steps, p, None, len(gens))):
+            x, y = img[g - 1], img[g]
+            ab = table[x][y]
+            if ab is None:
+                h = f.coords[y - 1] - f.coords[x - 1]
+                ab = table[x][y] = _step_coefficients(h, x < y, normalization)
+            col.append((ab[0], k, ab[1]))
+        return col
 
-    mats = _two_term_matrices([v.images for v in members], gens, step)
-    return Representation("A", w.size, gens, members, mats, normalization)
+    mats = _two_term_matrices((g, column(p, g)) for p, g in enumerate(gens))
+    return Representation("A", w.size, gens, cell.members, mats, normalization)
 
 
 def build_from_functional(f: Functional, w: Permutation,
@@ -160,14 +173,15 @@ def build_orthogonal_skew(shape: SkewShape) -> Representation:
     """
     basis = tuple(enumerate_standard(shape))
     n = shape.size
+    words = [tuple(q.positions()[k] for k in range(1, n + 1)) for q in basis]
+    index = {word: k for k, word in enumerate(words)}
 
     def step(word: tuple, g: int) -> tuple:
         (r1, c1), (r2, c2) = word[g - 1], word[g]
         a, b = _step_coefficients((c2 - r2) - (c1 - r1), r1 < r2, ORTHOGONAL)
-        return a, word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:], b
+        return a, index.get(word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:]), b
 
-    words = [tuple(q.positions()[k] for k in range(1, n + 1)) for q in basis]
-    mats = _two_term_matrices(words, range(1, n), step)
+    mats = _two_term_matrices((g, [step(word, g) for word in words]) for g in range(1, n))
     return Representation("A", n, tuple(range(1, n)), basis, mats, ORTHOGONAL)
 
 

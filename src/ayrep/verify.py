@@ -229,7 +229,7 @@ def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> Sui
                 break
             generics = []
             for f in flat_integer_points(flat, span):
-                if genericity_violation(f, cell.members, cell.interior, cell.boundary) is None:
+                if genericity_violation(f, cell) is None:
                     generics.append(f)
                     if len(generics) >= points_needed:
                         break
@@ -241,7 +241,7 @@ def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> Sui
                 traced = None  # (rep, character) last traced for this f
                 for v in cell.members:
                     rep = build_from_functional(f, v, SEMINORMAL)
-                    if frozenset(rep.basis) != cell.member_set:
+                    if rep.basis != cell.members:  # both in (length, word) order
                         bad.append(f"{flat}: cell drift for f={f!r}, v={v.one_line()}")
                         continue
                     if traced is None or not _same_matrices(rep, traced[0]):

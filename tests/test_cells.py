@@ -96,10 +96,12 @@ def test_is_generic_examples():
 
 def test_is_generic_preconditions():
     f = Functional((0, 2, -1))
-    no_id = Cell((P(2, 1, 3),), frozenset(), frozenset())
+    members = (P(2, 1, 3),)
+    no_id = Cell(members, frozenset(), frozenset(), (1, 2), _step_graph(members, (1, 2)))
     with pytest.raises(PreconditionError):
         is_generic(f, no_id)
-    non_convex = Cell((identity(3), P(2, 3, 1)), frozenset(), frozenset())
+    members = (identity(3), P(2, 3, 1))
+    non_convex = Cell(members, frozenset(), frozenset(), (1, 2), _step_graph(members, (1, 2)))
     with pytest.raises(PreconditionError):
         is_generic(f, non_convex)
 
@@ -381,6 +383,13 @@ def _with_reflection_sets(members, gens):
     return tuple(members), frozenset(interior), frozenset(boundary)
 
 
+def _step_graph(members, gens):
+    """steps[j * len(gens) + p]: the position of members[j] s_gens[p] among
+    the members, or None, found with Permutation.times_simple."""
+    position = {w: j for j, w in enumerate(members)}
+    return tuple(position.get(w.times_simple(g)) for w in members for g in gens)
+
+
 def _scan_classes(elements, A):
     """Descent classes over A by scanning every element, keyed by descent set."""
     buckets = {}
@@ -461,11 +470,40 @@ def test_parabolic_cells_match_scan(n):
             f = parabolic_functional(J, n, shapes)
             A = boundary_reflections(f)
             expected = _with_reflection_sets(_scan_classes(elements, A)[frozenset()], J)
-            assert _walk_cell(A, identity(n), J) == expected
+            cell = _walk_cell(A, identity(n), J)
+            assert _as_triple(cell) == expected
+            assert cell.gens == J and cell.steps == _step_graph(expected[0], J)
             assert build_parabolic(f, J, n).basis == expected[0]
 
 
-# lengths carried through the walk; the corner test on one-line words ----------
+# the step graph the walk records ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_step_graph_matches_times_simple_on_every_partition_cell(n):
+    """Every +-1 pattern at n <= 4: coordinates within +-3 give the same 1, 2,
+    7 and 41 patterns as coordinates within +-6."""
+    gens = tuple(range(1, n))
+    patterns = {
+        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
+        for coords in product(range(-3, 4), repeat=n)
+    }
+    for A in patterns:
+        for cell in descent_partition(n, A):
+            assert cell.gens == gens
+            assert cell.steps == _step_graph(cell.members, gens)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_step_graph_matches_times_simple_on_identity_cells(n):
+    gens = tuple(range(1, n))
+    for shape in skew_shape_family(n):
+        cell = descent_cell(Functional(content_vector(row_tableau(shape))), identity(n))
+        assert cell.gens == gens
+        assert cell.steps == _step_graph(cell.members, gens), shape
+
+
+# lengths carried through the walk; the corner rule on the step graph ----------
 
 
 def _inversions(images):
@@ -517,8 +555,9 @@ def test_corner_test_matches_permutation_version_on_descent_cells(n):
     for coords in product(range(-2, 3), repeat=n):
         f = Functional(coords)
         for cell in descent_partition(n, boundary_reflections(f)):
-            args = (f, cell.members, cell.interior, cell.boundary)
-            assert genericity_violation(*args) == _permutation_genericity_violation(*args)
+            expected = _permutation_genericity_violation(
+                f, cell.members, cell.interior, cell.boundary)
+            assert genericity_violation(f, cell) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -529,5 +568,9 @@ def test_corner_test_matches_permutation_version_on_random_subsets(n):
         members = rng.sample(group, rng.randint(1, len(group)))
         f = Functional(rng.randint(-2, 2) for _ in range(n))
         gens = rng.choice([None, [g for g in range(1, n) if rng.random() < 0.7]])
-        args = (f, members, frozenset(), frozenset(), gens)
-        assert genericity_violation(*args) == _permutation_genericity_violation(*args)
+        expected = _permutation_genericity_violation(f, members, frozenset(), frozenset(), gens)
+        # the rule reads the subset's step graph, derived here with times_simple
+        gens = tuple(range(1, n)) if gens is None else tuple(gens)
+        members = tuple(sorted(members, key=lambda w: w.sort_key()))
+        cell = Cell(members, frozenset(), frozenset(), gens, _step_graph(members, gens))
+        assert genericity_violation(f, cell) == expected

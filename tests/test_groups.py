@@ -368,7 +368,7 @@ def test_coset_reps_walk_matches_group_scan(n):
         J = {i + 1 for i in range(n - 1) if mask >> i & 1}
         assert minimal_coset_reps(n, J) == _brute_coset_reps(n, J)
         A = frozenset(reflection(j, j + 1) for j in J)
-        members = _walk_cell(A, identity(n), range(1, n))[0]
+        members = _walk_cell(A, identity(n), range(1, n)).members
         assert list(members) == sorted(members, key=lambda w: w.sort_key())
 
 

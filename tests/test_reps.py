@@ -4,10 +4,11 @@ from itertools import product
 
 import pytest
 
-from ayrep.cells import Functional, descent_cell
+from ayrep import verify
+from ayrep.cells import Functional, _walk_cell, descent_cell
 from ayrep.errors import GenericityError, PreconditionError
 from ayrep.groups import Permutation, partitions, reflection, sym_group, identity, reduced_word
-from ayrep.induction import j_intervals, parabolic_functional
+from ayrep.induction import build_parabolic_from_shapes, j_intervals, parabolic_functional
 from ayrep.linalg import SquareMatrix, word_trace
 from ayrep.reps import (
     ORTHOGONAL,
@@ -34,6 +35,7 @@ from ayrep.tableaux import (
     row_tableau,
     skew_shape_family,
 )
+from value_digests import induction_cases
 
 HALF = Fraction(1, 2)
 
@@ -410,6 +412,77 @@ def test_parabolic_builder_matches_reference(n, normalization):
             _assert_same_entries(rep, _reference_on_permutations(rep, f.coords))
 
 
+# the builder that reads the walk's step graph against the one that indexed the basis
+
+
+def _index_cell_rep(f, w, gens, normalization):
+    """(basis, matrices) of the descent cell of w inside <s_g : g in gens>, built
+    as the cell builder did before the walk kept its step graph: the walk gives
+    the members only, and each neighbour w s_g is the one-line word with
+    positions g, g+1 swapped, looked up in a basis index."""
+    basis = _walk_cell(f, w, gens).members
+    index = {v.images: k for k, v in enumerate(basis)}
+    mats = {}
+    for g in gens:
+        cols = {}
+        for j, v in enumerate(basis):
+            img = v.images
+            x, y = img[g - 1], img[g]
+            a, b = _step_coefficients(f.coords[y - 1] - f.coords[x - 1], x < y, normalization)
+            col = {j: a} if a else {}
+            k = index.get(img[:g - 1] + (y, x) + img[g + 1:])
+            if k is not None and b:
+                col[k] = b
+            if col:
+                cols[j] = col
+        mats[g] = SquareMatrix(len(basis), cols)
+    return basis, mats
+
+
+def _assert_same_build(rep, f, w):
+    """The same basis, the same stored order of columns and entries, and
+    entries that are the same objects (the float `_push` reads them in order)."""
+    basis, mats = _index_cell_rep(f, w, rep.gens, rep.normalization)
+    assert rep.basis == basis
+    assert list(rep.matrices) == list(mats)
+    for g, m in mats.items():
+        got = rep.matrices[g]
+        assert got.dim == m.dim
+        assert [(j, list(col)) for j, col in got.cols.items()] == \
+            [(j, list(col)) for j, col in m.cols.items()], g
+        assert all(got.cols[j][i] is v for j, col in m.cols.items() for i, v in col.items()), g
+
+
+@pytest.mark.parametrize("normalization", [SEMINORMAL, ORTHOGONAL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_builder_matches_index_builder_on_skew_shapes(n, normalization):
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        _assert_same_build(build_from_functional(f, identity(n), normalization), f, identity(n))
+
+
+@pytest.mark.parametrize("normalization", [SEMINORMAL, ORTHOGONAL])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_builder_matches_index_builder_on_the_induction_sweep(n, normalization):
+    for J, shapes in induction_cases(n):
+        rep = build_parabolic_from_shapes(J, n, shapes, normalization)
+        _assert_same_build(rep, parabolic_functional(J, n, shapes), identity(n))
+
+
+def test_builder_matches_index_builder_on_every_flat_build(monkeypatch):
+    built = []
+
+    def recording_build(f, v, normalization=SEMINORMAL):
+        built.append((build_from_functional(f, v, normalization), f, v))
+        return built[-1][0]
+
+    monkeypatch.setattr(verify, "build_from_functional", recording_build)
+    assert verify.flat_suite().ok
+    assert len(built) == 1440
+    for rep, f, v in built:
+        _assert_same_build(rep, f, v)
+
+
 def test_parabolic_builder_rejects_an_unknown_normalization():
     with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
         build_parabolic(Functional((0, 1, 0)), [1], 3, "bogus")
@@ -444,9 +517,10 @@ def test_orthogonal_skew_builder_matches_reference(n):
 
 
 def test_two_term_builder_stores_no_zeros():
-    steps = {("u", 1): (0, "v", Fraction(1)), ("v", 1): (Fraction(1, 2), "u", 0),
-             ("u", 2): (0, "w", Fraction(1)), ("v", 2): (0.0, "u", 0.0)}
-    mats = _two_term_matrices(("u", "v"), (1, 2), lambda v, g: steps[v, g])
+    # basis u, v (indices 0, 1); the step of u along s2 leaves the basis
+    columns = [(1, [(0, 1, Fraction(1)), (Fraction(1, 2), 0, 0)]),
+               (2, [(0, None, Fraction(1)), (0.0, 0, 0.0)])]
+    mats = _two_term_matrices(columns)
     assert mats[1].cols == {0: {1: Fraction(1)}, 1: {1: Fraction(1, 2)}}
     assert mats[2].cols == {}
 

@@ -1,5 +1,6 @@
 """Every matrix entry and character value of the sweeps at n <= 5 (signed
-n <= 4), and the `flat` suite's character tables, against pinned digests.
+n <= 4), and the `flat` suite's character tables and generator matrices,
+against pinned digests.
 
 See value_digests.py for what is dumped and how to re-pin; the golden CI job
 checks level 6 by running that module as a script.
