@@ -23,6 +23,12 @@ the class-sum oracle's); and for the signed group at size n - 1, for every
 row-filling pair, seminormal and orthogonal: the shuffle-basis form, the
 classical pair form (`bn_classical`) and the index map that
 `match_signed_forms` aligns them by.
+Up to n = 5, the largest size the `minimal` and `tops` suites reach, level n
+also covers the answers of three brute-force oracles: the relabel cell of
+every standard filling of every skew shape, the family of translated cells
+that `minimal` checks its recognizer against, and the elements that
+`is_top_brute` certifies.  A cell is written as its members' one-line words
+in `sort_key` order, and the family as its cells sorted by that text.
 `flat` covers the character tables that the `flat` suite traces, in the
 order it traces them, and the generator matrices of every representation it
 builds (one per generic functional and base element of each cell), in the
@@ -48,7 +54,7 @@ from pathlib import Path
 
 from ayrep import verify
 from ayrep.cells import Functional
-from ayrep.groups import identity, partitions
+from ayrep.groups import Permutation, identity, partitions, sym_group
 from ayrep.induction import (
     build_parabolic_from_shapes,
     classical_induced_character,
@@ -64,9 +70,18 @@ from ayrep.reps import (
     build_orthogonal_skew,
     character,
 )
-from ayrep.tableaux import Tableau, content_vector, row_tableau, skew_shape_family
+from ayrep.tableaux import (
+    Tableau,
+    content_vector,
+    enumerate_standard,
+    relabel_cell,
+    row_tableau,
+    skew_shape_family,
+)
+from ayrep.tops import is_top_brute
 
 PINNED = Path(__file__).resolve().parent / "pinned" / "value_digests.json"
+ORACLE_MAX_N = 5  # the limit of the `minimal` and `tops` suites
 
 
 def value_text(v) -> str:
@@ -105,6 +120,10 @@ def class_function_lines(values: dict) -> list:
 
 def character_lines(chi) -> list:
     return [f"character {chi.kind} order={chi.order}", *class_function_lines(chi.values)]
+
+
+def cell_text(members) -> str:
+    return " ".join(w.one_line() for w in sorted(members, key=Permutation.sort_key))
 
 
 def induction_cases(n: int):
@@ -154,7 +173,21 @@ def dumps_at(n: int) -> dict:
                         signed.append([head, *rep_lines(ext)])
                         classical.append([head, *rep_lines(cl)])
                         maps.append([f"{form} {head}", " ".join(map(str, index_map))])
+    if n <= ORACLE_MAX_N:
+        out.update(oracle_dumps(n))
     return out
+
+
+def oracle_dumps(n: int) -> dict:
+    """The answers of the brute-force oracles at size n."""
+    cells = [[str(shape), word(q), cell_text(relabel_cell(q))]
+             for shape in skew_shape_family(n) for q in enumerate_standard(shape)]
+    family = sorted(cell_text(members) for members in verify._brute_minimal_family(n))
+    return {
+        f"relabel cells n={n}": cells,
+        f"minimal family n={n}": [[text] for text in family],
+        f"top oracle n={n}": [[word(w)] for w in sym_group(n) if is_top_brute(w)],
+    }
 
 
 def flat_dumps() -> dict:
