@@ -320,8 +320,15 @@ def relabel_cell(q: Tableau) -> frozenset:
     """{pi : relabel(q, pi) is standard}, by brute force over the whole group.
 
     The oracle for descent cells: it uses no functional and no descent data.
+    If q holds 1..n, relabel(q, pi) is standard exactly when each pair (a, b) of
+    q, b just right of or below a, has pi^{-1}(a) < pi^{-1}(b): a left of b in pi's word.
     """
-    return frozenset(pi for pi in sym_group(q.size) if relabel(q, pi).is_standard())
+    n, at = q.size, {box: v for v, box in q.positions().items()}
+    if sorted(at.values()) != list(range(1, n + 1)):  # no pair rule: relabel each
+        return frozenset(pi for pi in sym_group(n) if relabel(q, pi).is_standard())
+    pairs = [(a, at[b]) for (r, c), a in at.items() for b in ((r, c + 1), (r + 1, c)) if b in at]
+    return frozenset(pi for pi in sym_group(n)
+                     if all(pi.images.index(a) < pi.images.index(b) for a, b in pairs))
 
 
 def map_entries(q: Tableau, mapping: dict) -> Tableau:

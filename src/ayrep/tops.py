@@ -1,7 +1,7 @@
 """Classification of elements whose weak-order interval carries an irreducible.
 
 The ground truth is a brute-force search: translate the interval by each of
-its members and compare against every straight-shape standard filling's cell.
+its members and look each translate up among the straight-shape fillings' cells.
 The closed-form candidates come from reading the row filling of each
 partition by columns; both reading directions are reported because they
 disagree under the composition conventions pinned in this package.
@@ -26,8 +26,8 @@ from .tableaux import (
 )
 
 
-def straight_cell_sets(n: int) -> tuple:
-    """(partition, filling, cell) for every standard filling of a straight shape.
+def straight_cell_sets(n: int) -> dict:
+    """Each straight-shape standard filling's cell, mapped to its fillings in order.
 
     The cell is computed directly from relabeling standardness, independent
     of any functional machinery.
@@ -37,29 +37,33 @@ def straight_cell_sets(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _straight_cell_sets(n: int) -> tuple:
-    out = []
+def _straight_cell_sets(n: int) -> dict:
+    out = {}
     for lam in partitions(n):
-        shape = SkewShape(lam)
-        for q in enumerate_standard(shape):
-            out.append((lam, q, relabel_cell(q)))
-    return tuple(out)
+        for q in enumerate_standard(SkewShape(lam)):
+            cell = relabel_cell(q)
+            out[cell] = out.get(cell, ()) + (q,)
+    return out
 
 
 def is_top_brute(pi: Permutation) -> bool:
     """Whether [id, pi] is a translated straight-shape cell carrying an
-    irreducible representation (verified through the exact character norm)."""
+    irreducible representation (verified through the exact character norm).
+
+    Translation keeps size, so an interval of no cell's size is no translated
+    cell; each translate is looked up in `straight_cell_sets`, in its order.
+    """
     n = pi.size
     interval = frozenset(weak_interval(pi))
-    candidates = straight_cell_sets(n)
+    fillings = straight_cell_sets(n)
+    if all(len(members) != len(interval) for members in fillings):
+        return False
     for sigma in sorted(interval, key=lambda w: w.sort_key()):
         inv = sigma.inverse()
-        translated = frozenset(inv * w for w in interval)
-        for _lam, q, members in candidates:
-            if translated == members:
-                rep = build_from_functional(Functional(content_vector(q)), identity(n))
-                if is_irreducible(rep):
-                    return True
+        for q in fillings.get(frozenset(inv * w for w in interval), ()):
+            rep = build_from_functional(Functional(content_vector(q)), identity(n))
+            if is_irreducible(rep):
+                return True
     return False
 
 

@@ -112,14 +112,10 @@ def _row_filling_rep(shape: SkewShape) -> Representation:
 
 def coxeter_suite(n_max: int = 5, include_sample_6: bool = True,
                   tol: float = FLOAT_TOL) -> SuiteResult:
-    """Involutions and braid relations, exact seminormal and float orthogonal.
-
-    At n_max = 5 a sample of size-6 shapes rides along; from n_max = 6 on the
-    sweep holds every size-6 shape, so the sample would only repeat some.
-    """
+    """Involutions and braid relations, exact seminormal and float orthogonal."""
     bad, checked = [], 0
     jobs = [(n, shape) for n in range(1, n_max + 1) for shape in skew_shape_family(n)]
-    if include_sample_6 and n_max == 5:
+    if include_sample_6 and n_max == 5:  # from n_max = 6 the sweep holds every size-6 shape
         _check_cap("A", 6)  # before the n <= 5 sweep, not after it
         jobs.extend((6, shape) for shape in _sample_shapes_6())
     for _, shape in jobs:
@@ -309,14 +305,18 @@ def specht_suite(n_max: int = 5, dim_sum_max: int = 6) -> SuiteResult:
 
 
 def _brute_minimal_family(n: int) -> set:
-    """All translated cells sigma * B_Q, by direct relabel standardness."""
+    """All translated cells sigma * B_Q, by direct relabel standardness.
+
+    Each B_Q adds its whole left orbit {sigma * B_Q}, so a B_Q already in the
+    family has its orbit there too and is skipped.
+    """
     group = sym_group(n)
     family = set()
     for shape in skew_shape_family(n):
         for q in enumerate_standard(shape):
             members = relabel_cell(q)
-            for sigma in group:
-                family.add(frozenset(sigma * w for w in members))
+            if members not in family:
+                family.update(frozenset(sigma * w for w in members) for sigma in group)
     return family
 
 

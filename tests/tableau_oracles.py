@@ -1,13 +1,30 @@
-"""Fillings, layouts and shape lists the tests compare against; `ayrep` itself
-never builds them this way.
+"""Fillings, layouts, shape lists and brute-force answers the tests compare
+against; `ayrep` itself never computes them this way.
 
 The box layout below places skew diagrams as dicts of (row, col) boxes, with
 the overflow repair the stacking rule of `ayrep.tableaux` proves it never
 needs.
+
+The last section holds the brute-force oracles of `ayrep` in their direct
+form, with none of the shortcuts the library takes: a `Tableau` relabelled
+and tested per permutation, every relabel cell translated by every
+permutation, and every translate of an interval compared with every
+straight-shape cell.
 """
 
+from ayrep.cells import Functional
 from ayrep.errors import AyrepError
-from ayrep.tableaux import SkewShape, Tableau, compositions
+from ayrep.groups import Permutation, identity, partitions, sym_group, weak_interval
+from ayrep.reps import build_from_functional, is_irreducible
+from ayrep.tableaux import (
+    SkewShape,
+    Tableau,
+    compositions,
+    content_vector,
+    enumerate_standard,
+    relabel,
+    skew_shape_family,
+)
 
 
 def boxes(shape: SkewShape) -> list:
@@ -157,3 +174,43 @@ def recursive_skew_shape_family(n: int) -> list:
 
         choose(0, [])
     return list(dict.fromkeys(shapes))
+
+
+# brute-force oracles in their direct form ---------------------------------------
+
+
+def scan_relabel_cell(q: Tableau) -> frozenset:
+    """{pi : relabel(q, pi) is standard}, one relabelled tableau per pi."""
+    return frozenset(pi for pi in sym_group(q.size) if relabel(q, pi).is_standard())
+
+
+def translated_cell_family(n: int) -> set:
+    """Every sigma * B_Q, each relabel cell translated by every sigma."""
+    family = set()
+    for shape in skew_shape_family(n):
+        for q in enumerate_standard(shape):
+            members = scan_relabel_cell(q)
+            for sigma in sym_group(n):
+                family.add(frozenset(sigma * w for w in members))
+    return family
+
+
+def straight_candidates(n: int) -> list:
+    """(filling, cell) for every standard filling of a straight shape."""
+    return [(q, scan_relabel_cell(q)) for lam in partitions(n)
+            for q in enumerate_standard(SkewShape(lam))]
+
+
+def is_top_by_comparison(pi: Permutation, candidates: list) -> bool:
+    """Whether some translate sigma^{-1} [id, pi] (sigma in the interval) equals
+    a candidate cell whose representation is irreducible."""
+    interval = frozenset(weak_interval(pi))
+    for sigma in sorted(interval, key=Permutation.sort_key):
+        inv = sigma.inverse()
+        translated = frozenset(inv * w for w in interval)
+        for q, members in candidates:
+            if translated == members:
+                rep = build_from_functional(Functional(content_vector(q)), identity(pi.size))
+                if is_irreducible(rep):
+                    return True
+    return False
