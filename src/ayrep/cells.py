@@ -191,8 +191,10 @@ def genericity_violation(f: Functional, cell: Cell):
     """None if f is generic for the cell, else (condition, detail).
 
     Conditions: interior pairings avoid {0, 1, -1}; boundary pairings equal
-    +-1; at a member whose steps along two adjacent generators both leave the
-    cell (None in the step graph), the two boundary pairings agree.
+    +-1; at a member w whose steps along two adjacent generators i, i+1 both
+    leave the cell (None in the step graph), the letters x, y, z at positions
+    i, i+1, i+2 of w have f_y - f_x = f_z - f_y, directed as the builder reads
+    them (the undirected pairings agree with these only when x < y < z).
     """
     for t in sorted(cell.interior):
         if f.pair(t) in (-1, 0, 1):
@@ -200,17 +202,16 @@ def genericity_violation(f: Functional, cell: Cell):
     for t in sorted(cell.boundary):
         if abs(f.pair(t)) != 1:
             return ("boundary", f"<f,{t}> = {f.pair(t)}")
-    gens, steps, m = cell.gens, cell.steps, len(cell.gens)
+    c, gens, steps, m = f.coords, cell.gens, cell.steps, len(cell.gens)
     corners = [(p, gens.index(i + 1), i) for p, i in enumerate(gens) if i + 1 in gens]
     for j, w in enumerate(cell.members):
         for p, q, i in corners:  # indexed in place: slices would be pooled tuples
             if steps[j * m + p] is not None or steps[j * m + q] is not None:
                 continue
             x, y, z = w.images[i - 1:i + 2]
-            t1, t2 = reflection(x, y), reflection(y, z)
-            if f.pair(t1) != f.pair(t2):
-                return ("corner", f"at {w.one_line()}: <f,{t1}> = {f.pair(t1)} "
-                                  f"!= <f,{t2}> = {f.pair(t2)}")
+            xy, yz = c[y - 1] - c[x - 1], c[z - 1] - c[y - 1]
+            if xy != yz:
+                return ("corner", f"at {w.one_line()}: f{y} - f{x} = {xy} != f{z} - f{y} = {yz}")
     return None
 
 

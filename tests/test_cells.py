@@ -540,13 +540,11 @@ def _permutation_genericity_violation(f, members, interior, boundary, gens=None)
                 continue
             if w.times_simple(i) in member_set or w.times_simple(i + 1) in member_set:
                 continue
-            t1 = reflection(w(i), w(i + 1))
-            t2 = reflection(w(i + 1), w(i + 2))
-            if f.pair(t1) != f.pair(t2):
-                return (
-                    "corner",
-                    f"at {w.one_line()}: <f,{t1}> = {f.pair(t1)} != <f,{t2}> = {f.pair(t2)}",
-                )
+            # directed: the pairings of (x, y) and (y, z) read left to right in w
+            x, y, z = w(i), w(i + 1), w(i + 2)
+            xy, yz = f.coords[y - 1] - f.coords[x - 1], f.coords[z - 1] - f.coords[y - 1]
+            if xy != yz:
+                return ("corner", f"at {w.one_line()}: f{y} - f{x} = {xy} != f{z} - f{y} = {yz}")
     return None
 
 

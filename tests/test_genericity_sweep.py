@@ -1,6 +1,14 @@
 """Every cell of every descent partition at n <= 4, for the functionals with
 f_1 = 0 and the other coordinates in [-3, 3].
 
+Each (cell, f) pair that `genericity_violation` accepts is built, and the
+matrices must satisfy the Coxeter relations.  Its character must be the
+skew character that the paper's classification names: with sigma the cell's
+shortest member and g = (f_sigma(1), ..., f_sigma(n)), sigma^-1 C is the
+identity cell of the content vector g, so the character is `mn_character`
+of the shape of `tableau_from_content(g)`.  That check reads no step graph
+and no corner, so it does not restate the rule it checks.
+
 The verdict of `genericity_violation` on each (cell, f) pair is pinned in
 pinned/genericity_verdicts.json, one line per pair: the coordinates of f,
 the cell's shortest member and the violated condition ("ok" when f is
@@ -20,6 +28,8 @@ from pathlib import Path
 import pytest
 
 from ayrep.cells import Functional, boundary_reflections, descent_partition, genericity_violation
+from ayrep.reps import build_from_functional, character, mn_character, verify_coxeter
+from ayrep.tableaux import tableau_from_content
 
 PINNED = Path(__file__).resolve().parent / "pinned" / "genericity_verdicts.json"
 SIZES = (1, 2, 3, 4)
@@ -45,6 +55,23 @@ def verdict_lines(n: int) -> list:
 @pytest.mark.parametrize("n", SIZES)
 def test_verdicts_match_the_pinned_table(n):
     assert verdict_lines(n) == json.loads(PINNED.read_text())[str(n)]
+
+
+@pytest.mark.parametrize("n, accepted", [(1, 1), (2, 8), (3, 64), (4, 504)])
+def test_every_accepted_pair_is_the_representation_of_its_translated_content(n, accepted):
+    count = 0
+    for f, cell in sweep(n):
+        if genericity_violation(f, cell) is not None:
+            continue
+        sigma = cell.members[0]
+        rep = build_from_functional(f, sigma)
+        assert rep.basis == cell.members and verify_coxeter(rep).ok, (f, sigma)
+        g = tuple(f.coords[x - 1] for x in sigma.images)
+        shape = tableau_from_content(g).shape
+        for cls, value in character(rep).values.items():
+            assert value == mn_character(shape, cls.cycle_type()), (f, sigma, cls)
+        count += 1
+    assert count == accepted
 
 
 if __name__ == "__main__":
