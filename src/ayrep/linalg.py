@@ -3,16 +3,15 @@
 Columns hold images of basis vectors: entry (i, j) is the coefficient of
 basis vector i in the image of basis vector j.  Generator matrices in this
 package have at most two nonzero entries per column, so everything stays
-dict-of-dict sparse.
+dict-of-dict sparse.  A matrix never changes after it is built.
 
 Word traces and relation checks run on integers.  Each exact matrix M is
 scaled by the lcm s of its entry denominators, so that N = s*M has integer
 entries; seminormal entries are 1/h, 1 and 1 - 1/h^2, so s divides h^2.
 Then M1 * ... * Mk = (N1 * ... * Nk) / (s1 * ... * sk) exactly, and each
 basis vector is pushed through the word in Python ints with a single
-division at the end.  A matrix computes its scaled form once, on first use,
-and keeps it until `set_entry` changes it; change a matrix only through
-`set_entry`.
+division at the end, so an exact trace is a Fraction whatever the word.
+A matrix computes its scaled form once, on first use, and keeps it.
 
 A relation is checked as a word too: `word_is_identity` pushes each basis
 vector through M1 * ... * Mk and compares the result with (s1 * ... * sk)
@@ -37,13 +36,6 @@ class SquareMatrix:
         self.dim = dim
         self.cols = cols if cols is not None else {}
         self._form = None
-
-    def set_entry(self, i: int, j: int, value) -> None:
-        self._form = None
-        if value == 0:
-            self.cols.get(j, {}).pop(i, None)
-        else:
-            self.cols.setdefault(j, {})[i] = value
 
     def entry(self, i: int, j: int):
         return self.cols.get(j, {}).get(i, 0)
@@ -84,7 +76,7 @@ class SquareMatrix:
         return SquareMatrix(self.dim, cols)
 
     def scaled_form(self) -> tuple:
-        """The (s, columns, kind) of `_scaled`, computed on first use and kept."""
+        """The (s, columns, is_float) of `_scaled`, computed on first use and kept."""
         if self._form is None:
             self._form = _scaled(self)
         return self._form
@@ -97,22 +89,17 @@ class SquareMatrix:
 
 
 def _scaled(m: SquareMatrix) -> tuple:
-    """(s, columns, kind): columns[j] lists the (i, s * m[i, j]) of column j.
-
-    kind is the type of the entries: float if any is a float (then s = 1 and
-    the entries are kept), else Fraction if any is one, else int.
-    """
+    """(s, columns, is_float): columns[j] lists the (i, s * m[i, j]); s = 1 if a float is in m."""
     entries = [v for col in m.cols.values() for v in col.values()]
     columns = [()] * m.dim
     if any(isinstance(v, float) for v in entries):
         for j, col in m.cols.items():
             columns[j] = tuple(col.items())
-        return 1, columns, float
+        return 1, columns, True
     s = lcm(*(v.denominator for v in entries))
     for j, col in m.cols.items():
         columns[j] = tuple((i, v.numerator * (s // v.denominator)) for i, v in col.items())
-    kind = Fraction if any(isinstance(v, Fraction) for v in entries) else int
-    return s, columns, kind
+    return s, columns, False
 
 
 def _push(chain: Sequence, j: int) -> dict:
@@ -136,21 +123,15 @@ def _push(chain: Sequence, j: int) -> dict:
 def word_trace(matrices: Sequence[SquareMatrix], dim: int):
     """Trace of the product matrices[0] * matrices[1] * ... without forming it.
 
-    Exact words give int 0 when no diagonal term survives and a Fraction
-    otherwise (an int when every entry is an int); float words give a float.
+    An exact word, the empty one included, gives a Fraction.  A float word
+    gives a float, or int 0 when no diagonal term survives.
     """
-    if not matrices:
-        return dim if dim else 0
     forms = [m.scaled_form() for m in matrices]
     chain = [columns for _, columns, _ in forms]
-    kinds = {kind for _, _, kind in forms}
-    total, survived = 0, False
-    for j in range(dim):
-        vec = _push(chain, j)
-        if j in vec:
-            total += vec[j]
-            survived = True
-    if float in kinds or Fraction not in kinds or not survived:
+    total = 0
+    for j in range(dim):  # not sum(): since Python 3.12 it rounds float sums differently
+        total += _push(chain, j).get(j, 0)
+    if any(is_float for _, _, is_float in forms):
         return total
     return Fraction(total, prod(s for s, _, _ in forms))
 

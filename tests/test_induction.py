@@ -142,13 +142,11 @@ def test_class_sum_oracle_rejects_float_character():
 def test_induce_rejects_broken_input():
     psi = build_parabolic_from_shapes([1, 2], 4, [(2, 1)])
     assert psi.dim == 2
-    mats = {
-        g: SquareMatrix(m.dim, {j: dict(c) for j, c in m.cols.items()})
-        for g, m in psi.matrices.items()
-    }
     # the first generator leaves the cell at the first basis vector; giving
     # that column a neighbor entry breaks the two-term support condition
-    mats[1].set_entry(1, 0, Fraction(1, 3))
+    cols = {j: dict(c) for j, c in psi.matrices[1].cols.items()}
+    cols[0][1] = Fraction(1, 3)
+    mats = {**psi.matrices, 1: SquareMatrix(psi.dim, cols)}
     bad = Representation("A", 4, psi.gens, psi.basis, mats, SEMINORMAL)
     with pytest.raises(PreconditionError):
         induce(bad, 4)

@@ -59,14 +59,13 @@ def _dense_mul(a: list, b: list) -> list:
 
 
 def _dense_trace(mats: list, dim: int):
-    """Trace of mats[0] * mats[1] * ...: int 0 if every diagonal entry is 0."""
+    """Trace of mats[0] * mats[1] * ..., from the dense product."""
     if not mats:
         return dim
     acc = _dense(mats[0])
     for m in mats[1:]:
         acc = _dense_mul(acc, _dense(m))
-    diagonal = [acc[i][i] for i in range(dim) if acc[i][i]]
-    return sum(diagonal[1:], diagonal[0]) if diagonal else 0
+    return sum(acc[i][i] for i in range(dim))
 
 
 def _class_words(rep) -> list:
@@ -104,44 +103,66 @@ def _exact_reps() -> list:
 
 
 def test_exact_word_traces_match_dense_products():
-    types = []
+    traced = 0
     for rep in _exact_reps():
         for word in _class_words(rep):
             mats = [rep.matrices[g] for g in word]
             got = word_trace(mats, rep.dim)
-            expected = _dense_trace(mats, rep.dim)
-            assert got == expected, (rep.basis[0], word)
-            assert type(got) is type(expected), (rep.basis[0], word, got)
-            types.append(type(got))
-    assert len(types) > 900
-    assert set(types) == {int, Fraction}  # int for the identity class and for 0
+            assert got == _dense_trace(mats, rep.dim), (rep.basis[0], word)
+            # the identity class and a vanishing trace included
+            assert type(got) is Fraction, (rep.basis[0], word, got)
+            traced += 1
+    assert traced > 900
 
 
 def test_float_word_traces_match_dense_products():
     reps = _skew_reps(4, ORTHOGONAL)
     reps += [build_orthogonal_skew(s) for n in range(1, 5) for s in skew_shape_family(n)]
+    floats = 0
     for rep in reps:
         for word in _class_words(rep):
             mats = [rep.matrices[g] for g in word]
-            assert word_trace(mats, rep.dim) == pytest.approx(
-                _dense_trace(mats, rep.dim), rel=0, abs=1e-12
-            )
+            got = word_trace(mats, rep.dim)
+            assert got == pytest.approx(_dense_trace(mats, rep.dim), rel=0, abs=1e-12)
+            # the empty word has no entry to be a float; a float word gives
+            # a float, or int 0 when no diagonal term survives
+            if not word:
+                assert type(got) is Fraction
+            else:
+                assert type(got) is float or (type(got) is int and got == 0), (word, got)
+                floats += type(got) is float
+    assert floats > 200
 
 
-def test_int_entries_trace_to_an_int():
+def test_int_entries_trace_to_a_fraction():
     swap = SquareMatrix(2, {0: {1: 1}, 1: {0: 1}})
     assert word_trace([swap, swap], 2) == 2
-    assert type(word_trace([swap, swap], 2)) is int
-    assert type(word_trace([swap], 2)) is int
+    assert type(word_trace([swap, swap], 2)) is Fraction
+    assert word_trace([swap], 2) == 0  # no diagonal term survives
+    assert type(word_trace([swap], 2)) is Fraction
+    off_diagonal = SquareMatrix(2, {0: {1: Fraction(1, 3)}, 1: {0: Fraction(3)}})
+    assert type(word_trace([off_diagonal], 2)) is Fraction
+
+
+def test_float_words_keep_int_zero_when_no_diagonal_term_survives():
+    swap = SquareMatrix(2, {0: {1: 1.0}, 1: {0: 1.0}})
+    assert word_trace([swap], 2) == 0 and type(word_trace([swap], 2)) is int
+    assert word_trace([swap, swap], 2) == 2.0 and type(word_trace([swap, swap], 2)) is float
+
+
+@pytest.mark.parametrize("dim", [0, 1, 5])
+def test_the_empty_word_traces_to_the_dimension_as_a_fraction(dim):
+    assert word_trace([], dim) == Fraction(dim)
+    assert type(word_trace([], dim)) is Fraction
 
 
 def test_power_is_identity_exact():
     rep = build_from_functional(Functional((0, 2, -1)), identity(3))
     s1, s2 = rep.matrices[1], rep.matrices[2]
     assert power_is_identity(s1, 2)
-    perturbed = SquareMatrix(s1.dim, {j: dict(c) for j, c in s1.cols.items()})
-    perturbed.set_entry(0, 0, s1.entry(0, 0) + Fraction(1, 10**6))
-    assert not power_is_identity(perturbed, 2)
+    cols = {j: dict(c) for j, c in s1.cols.items()}
+    cols[0][0] += Fraction(1, 10**6)
+    assert not power_is_identity(SquareMatrix(s1.dim, cols), 2)
     braid = s1 * s2
     assert not power_is_identity(braid, 2)
     assert power_is_identity(braid, 3)
@@ -157,9 +178,9 @@ def test_power_is_identity_float():
     braid = rep.matrices[1] * rep.matrices[2]
     assert power_is_identity(braid, 3, 1e-9)
     assert not power_is_identity(braid, 2, 1e-9)
-    perturbed = SquareMatrix(braid.dim, {j: dict(c) for j, c in braid.cols.items()})
-    perturbed.set_entry(0, 0, braid.entry(0, 0) + 1e-6)
-    assert not power_is_identity(perturbed, 3, 1e-9)
+    cols = {j: dict(c) for j, c in braid.cols.items()}
+    cols[0][0] = braid.entry(0, 0) + 1e-6
+    assert not power_is_identity(SquareMatrix(braid.dim, cols), 3, 1e-9)
     shear = SquareMatrix(2, {0: {0: 1.0}, 1: {0: 1e-6, 1: 1.0}})
     assert not power_is_identity(shear, 2, 1e-9)
 
@@ -239,9 +260,9 @@ def _perturbed(rep):
         for j, col in m.cols.items():
             for i, v in col.items():
                 if i != j:
-                    bad = SquareMatrix(m.dim, {k: dict(c) for k, c in m.cols.items()})
-                    bad.set_entry(i, j, v + (Fraction(1, 7) if rep.is_exact else 1e-3))
-                    mats = {**rep.matrices, g: bad}
+                    cols = {k: dict(c) for k, c in m.cols.items()}
+                    cols[j][i] = v + (Fraction(1, 7) if rep.is_exact else 1e-3)
+                    mats = {**rep.matrices, g: SquareMatrix(m.dim, cols)}
                     return Representation(rep.group_type, rep.n, rep.gens, rep.basis, mats,
                                           rep.normalization)
     return None
@@ -273,19 +294,6 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
-
-
-def test_set_entry_clears_the_scaled_form(monkeypatch):
-    rep = build_from_functional(Functional((0, 2, -1)), identity(3))
-    s1 = rep.matrices[1]
-    m = SquareMatrix(s1.dim, {j: dict(c) for j, c in s1.cols.items()})
-    scaled = _count_calls(monkeypatch, linalg, "_scaled")
-    assert power_is_identity(m, 2) and power_is_identity(m, 2)
-    assert word_trace([m], m.dim) == -1
-    assert len(scaled) == 1
-    m.set_entry(2, 0, m.entry(2, 0) + Fraction(1, 3))
-    assert not power_is_identity(m, 2)
-    assert len(scaled) == 2
 
 
 @pytest.mark.parametrize("build", [

@@ -98,9 +98,9 @@ def test_orthogonal_skew_examples():
 def test_verify_coxeter_detects_perturbation():
     rep = build_from_functional(Functional((0, 1, -1)), identity(3))
     assert verify_coxeter(rep).ok
-    broken = {g: SquareMatrix(m.dim, {j: dict(c) for j, c in m.cols.items()})
-              for g, m in rep.matrices.items()}
-    broken[1].set_entry(0, 0, broken[1].entry(0, 0) + 1)
+    cols = {j: dict(c) for j, c in rep.matrices[1].cols.items()}
+    cols[0][0] += 1
+    broken = {**rep.matrices, 1: SquareMatrix(rep.dim, cols)}
     bad = Representation("A", 3, (1, 2), rep.basis, broken, SEMINORMAL)
     report = verify_coxeter(bad)
     assert not report.ok
@@ -112,17 +112,15 @@ def test_axiom_b_on_regular_representation():
     index = {w: k for k, w in enumerate(group)}
     mats = {}
     for g in (1, 2):
-        m = SquareMatrix(6)
-        for j, w in enumerate(group):
-            m.set_entry(index[w.times_simple(g)], j, Fraction(1))
-        mats[g] = m
+        mats[g] = SquareMatrix(6, {j: {index[w.times_simple(g)]: Fraction(1)}
+                                   for j, w in enumerate(group)})
     reg = Representation("A", 3, (1, 2), tuple(group), mats, SEMINORMAL)
     assert verify_axiom_B(reg).ok
 
     # mix three basis vectors: the support condition breaks
-    scrambled = {g: SquareMatrix(6, {j: dict(c) for j, c in m.cols.items()})
-                 for g, m in mats.items()}
-    scrambled[1].set_entry(5, 0, Fraction(1, 3))
+    cols = {j: dict(c) for j, c in mats[1].cols.items()}
+    cols[0][5] = Fraction(1, 3)
+    scrambled = {**mats, 1: SquareMatrix(6, cols)}
     bad = Representation("A", 3, (1, 2), tuple(group), scrambled, SEMINORMAL)
     assert not verify_axiom_B(bad).ok
 
@@ -342,7 +340,7 @@ def _reference_matrices(basis, gens, pairing, neighbor, up, normalization):
     index = {v: k for k, v in enumerate(basis)}
     mats = {}
     for g in gens:
-        m = SquareMatrix(len(basis))
+        cols = {}
         for j, v in enumerate(basis):
             h = pairing(v, g)
             if normalization == SEMINORMAL:
@@ -351,10 +349,10 @@ def _reference_matrices(basis, gens, pairing, neighbor, up, normalization):
             else:
                 a = 1.0 / h
                 b = math.sqrt(1.0 - a * a)
-            m.set_entry(j, j, a)
-            if neighbor(v, g) in index:
-                m.set_entry(index[neighbor(v, g)], j, b)
-        mats[g] = m
+            cols[j] = {j: a}
+            if neighbor(v, g) in index and b != 0:
+                cols[j][index[neighbor(v, g)]] = b
+        mats[g] = SquareMatrix(len(basis), cols)
     return mats
 
 
@@ -535,8 +533,8 @@ def test_shared_coefficients_but_not_columns():
             assert col is not other
             assert all(col[i] is other[i] for i in col)
     before = {g: m.to_dense() for g, m in second.matrices.items()}
-    first.matrices[1].set_entry(0, 0, Fraction(7))
-    first.matrices[2].set_entry(1, 0, 0)
+    first.matrices[1].cols[0][0] = Fraction(7)
+    first.matrices[2].cols[0].pop(1, None)
     assert {g: m.to_dense() for g, m in second.matrices.items()} == before
     assert first.matrices[1].entry(0, 0) == 7
 
