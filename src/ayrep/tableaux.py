@@ -312,6 +312,8 @@ def relabel(q: Tableau, pi: Permutation) -> Tableau:
     """Replace each entry e by pi^{-1}(e); the result need not be standard."""
     if pi.size != q.size:
         raise PreconditionError(f"permutation size {pi.size} != tableau size {q.size}")
+    if not all(1 <= v <= q.size for row in q.rows for v in row):
+        raise PreconditionError(f"relabel needs entries in 1..{q.size}")
     inv = pi.inverse()
     return Tableau(q.shape, [tuple(inv(v) for v in row) for row in q.rows])
 
@@ -320,12 +322,13 @@ def relabel_cell(q: Tableau) -> frozenset:
     """{pi : relabel(q, pi) is standard}, by brute force over the whole group.
 
     The oracle for descent cells: it uses no functional and no descent data.
-    If q holds 1..n, relabel(q, pi) is standard exactly when each pair (a, b) of
-    q, b just right of or below a, has pi^{-1}(a) < pi^{-1}(b): a left of b in pi's word.
+    q must hold each of 1..n once.  Then relabel(q, pi) is standard exactly when
+    each pair (a, b) of q, b just right of or below a, has pi^{-1}(a) < pi^{-1}(b):
+    a left of b in pi's word.
     """
     n, at = q.size, {box: v for v, box in q.positions().items()}
-    if sorted(at.values()) != list(range(1, n + 1)):  # no pair rule: relabel each
-        return frozenset(pi for pi in sym_group(n) if relabel(q, pi).is_standard())
+    if sorted(at.values()) != list(range(1, n + 1)):
+        raise PreconditionError(f"relabel_cell needs each of 1..{n} once")
     pairs = [(a, at[b]) for (r, c), a in at.items() for b in ((r, c + 1), (r + 1, c)) if b in at]
     return frozenset(pi for pi in sym_group(n)
                      if all(pi.images.index(a) < pi.images.index(b) for a, b in pairs))

@@ -9,6 +9,7 @@ Each must give exactly the answer of the direct form.
 import pytest
 
 from ayrep import verify
+from ayrep.errors import PreconditionError
 from ayrep.groups import sym_group
 from ayrep.tableaux import (
     SkewShape,
@@ -40,22 +41,19 @@ def test_relabel_cell_matches_the_scan_on_every_row_filling_at_5():
         assert relabel_cell(q) == scan_relabel_cell(q), q
 
 
-def _outcome(f, q):
-    try:
-        return f(q)
-    except Exception as e:  # the exception's type is the answer to compare
-        return type(e)
-
-
 @pytest.mark.parametrize("rows", [
-    ((1, 1), (2,)),   # a repeated entry: never standard
-    ((0, 1), (2,)),   # 0 is read as the last letter by the one-line lookup
-    ((1, 2), (4,)),   # past n: the lookup raises
+    ((1, 1), (2,)),   # a repeated entry
+    ((0, 1), (2,)),   # 0, which the one-line lookup would read as the last letter
+    ((1, 2), (4,)),   # past n
     ((3, 1), (2,)),   # 1..n, not standard itself
 ])
 def test_relabel_cell_keeps_the_scan_off_standard_input(rows):
     q = Tableau(SkewShape((2, 1)), rows)
-    assert _outcome(relabel_cell, q) == _outcome(scan_relabel_cell, q)
+    if sorted(v for row in rows for v in row) == [1, 2, 3]:
+        assert relabel_cell(q) == scan_relabel_cell(q)
+    else:  # refused, not scanned: q must hold each of 1..n once
+        with pytest.raises(PreconditionError):
+            relabel_cell(q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

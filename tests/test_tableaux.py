@@ -219,6 +219,12 @@ def test_relabel_examples():
         relabel(q, Permutation((1, 2)))
 
 
+@pytest.mark.parametrize("rows", [((0, 1), (2,)), ((-1, 1), (2,)), ((1, 2), (4,))])
+def test_relabel_rejects_entries_outside_1_to_n(rows):
+    with pytest.raises(PreconditionError, match=r"entries in 1\.\.3"):
+        relabel(T((2, 1), (), rows), identity(3))
+
+
 @given(st.permutations([1, 2, 3, 4]), st.permutations([1, 2, 3, 4]))
 @settings(max_examples=60, deadline=None)
 def test_relabel_is_group_action(a, b):
