@@ -194,7 +194,7 @@ def genericity_violation(f: Functional, cell: Cell):
     +-1; at a member w whose steps along two adjacent generators i, i+1 both
     leave the cell (None in the step graph), the letters x, y, z at positions
     i, i+1, i+2 of w have f_y - f_x = f_z - f_y, directed as the builder reads
-    them (the undirected pairings agree with these only when x < y < z).
+    them (the undirected pairings test the same only when x < y < z or x > y > z).
     """
     for t in sorted(cell.interior):
         if f.pair(t) in (-1, 0, 1):

@@ -47,8 +47,8 @@ def verdict_lines(n: int) -> list:
     lines = []
     for f, cell in sweep(n):
         bad = genericity_violation(f, cell)
-        f_text = ",".join(map(str, f.coords))
-        lines.append(f"f={f_text} at {cell.members[0].one_line()}: {'ok' if bad is None else bad[0]}")
+        verdict = "ok" if bad is None else bad[0]
+        lines.append(f"f={','.join(map(str, f.coords))} at {cell.members[0].one_line()}: {verdict}")
     return lines
 
 
