@@ -17,10 +17,10 @@ from .groups import (
     Permutation,
     Reflection,
     _check_cap,
+    _inversion_masks,
     _walls,
     identity,
     is_convex,
-    left_descents_in,
     pair,
     reflection,
     reflections,
@@ -35,7 +35,10 @@ class Functional:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
-        self.coords = tuple(int(c) for c in coords)
+        given = tuple(coords)
+        self.coords = tuple(int(c) for c in given)
+        if self.coords != given:
+            raise PreconditionError(f"functional coordinates must be integers, got {given}")
         if not self.coords:
             raise ValueError("a functional needs at least one coordinate")
 
@@ -65,10 +68,6 @@ class Cell:
     boundary: frozenset  # w s w^-1 with w inside, ws outside
     gens: tuple  # the generator indices g of the steps w -> w s_g
     steps: tuple  # steps[j * len(gens) + p]: position of members[j] s_gens[p], or None
-
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
 
     @property
     def size(self) -> int:
@@ -167,23 +166,33 @@ def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
     return set(_walk_cell(A, identity(n), range(1, n)).members)
 
 
-def descent_partition(n: int, A: frozenset) -> list:
-    """Partition of the group into descent classes over the reflection set A.
+def descent_classes(n: int, A: frozenset) -> list:
+    """The descent classes over the reflection set A, by definition: the group
+    bucketed on left inversions in A.  Each is a tuple in (length, word) order;
+    they come ordered by their sorted descent sets."""
+    group = sym_group(n)  # the cap, before the masks
+    refl = reflections(n)
+    a_mask = sum(1 << k for k, t in enumerate(refl) if t in A)
+    buckets = {}
+    for w, mask in zip(group, _inversion_masks(n)):
+        buckets.setdefault(mask & a_mask, []).append(w)
+    ordered = sorted(buckets, key=lambda m: [t for k, t in enumerate(refl) if m >> k & 1])
+    return [tuple(buckets[m]) for m in ordered]
 
-    Each class is walked from its first element in the group's order; the
-    classes come ordered by their sorted descent sets.
+
+def descent_partition(n: int, A: frozenset) -> list:
+    """The descent classes over the reflection set A as cells, in
+    `descent_classes` order, each walked from its first member for its
+    step graph.  A convex class is connected, so the walk must reach it all.
     """
-    group = sym_group(n)
-    by_images = {v.images: v for v in group}
+    by_images = {v.images: v for v in sym_group(n)}
     gens = tuple(range(1, n))
-    cells, seen = [], set()
-    for v in group:
-        if v.images in seen:
-            continue
-        cell = _walk_cell(A, v, gens, by_images)
-        seen.update([w.images for w in cell.members])
+    cells = []
+    for members in descent_classes(n, A):
+        cell = _walk_cell(A, members[0], gens, by_images)
+        if cell.members != members:
+            raise AssertionError(f"the walk from {members[0].one_line()} missed its descent class")
         cells.append(cell)
-    cells.sort(key=lambda c: sorted(left_descents_in(A, c.members[0])))
     return cells
 
 
@@ -276,6 +285,8 @@ def is_minimal_ay_cell(members: Iterable[Permutation]):
     member_list = sorted(set(members), key=lambda w: w.sort_key())
     if not member_list:
         raise PreconditionError("the empty set is not a cell")
+    if len({w.size for w in member_list}) > 1:
+        raise PreconditionError("permutations of different sizes are not a cell")
     if not is_convex(member_list):
         return False, None
     sigma = member_list[0]

@@ -189,6 +189,15 @@ def _sym_group(n: int) -> tuple:
     return tuple(sorted(group, key=Permutation.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _inversion_masks(n: int) -> tuple:
+    """Each element of `_sym_group(n)`'s left inversion set, in its order: bit k is
+    set when reflections(n)[k] = (x, y) has y left of x.  Callers check the cap first."""
+    bit = {t: 1 << k for k, t in enumerate(reflections(n))}
+    return tuple([sum(bit[y, x] for a, x in enumerate(w.images) for y in w.images[a + 1:] if y < x)
+                  for w in _sym_group(n)])
+
+
 def reduced_word(w) -> tuple:
     """One reduced word (g_1,...,g_k) with w = s_{g_1} * ... * s_{g_k}.
 
@@ -253,8 +262,7 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     _check_cap("A", len(next(iter(K))))
     walls = _walls(K)
     for img in K:
-        position = {v: p for p, v in enumerate(img)}
-        if any(position[x] > position[y] for x, y in walls):
+        if any(img.index(x) > img.index(y) for x, y in walls):
             return False
     return True
 

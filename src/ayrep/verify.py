@@ -17,7 +17,7 @@ from .cells import (
     boundary_reflections,
     cell_tableau_bijection,
     descent_cell,
-    descent_partition,
+    descent_classes,
     flat_integer_points,
     flat_partition,
     genericity_violation,
@@ -496,12 +496,12 @@ def convexity_suite(n_max: int = 5, coord_bound: int = 3,
         seen_cells = set()
         convex_count = 0
         for A in sorted(patterns, key=lambda a: (len(a), sorted(a))):
-            for cell in descent_partition(n, A):
-                key = cell.member_set
+            for members in descent_classes(n, A):
+                key = frozenset(members)
                 if key in seen_cells:
                     continue
                 seen_cells.add(key)
-                if not is_convex(cell.members):
+                if not is_convex(members):
                     bad.append(f"n={n}: non-convex descent cell over A={sorted(A)}")
                 convex_count += 1
         checked += convex_count

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
+import ayrep.cells
 from ayrep.cells import (
     BasicFlat,
     Cell,
@@ -13,6 +15,7 @@ from ayrep.cells import (
     boundary_reflections,
     cell_tableau_bijection,
     descent_cell,
+    descent_classes,
     descent_partition,
     flat_determined_reflections,
     flat_integer_points,
@@ -25,6 +28,7 @@ from ayrep.cells import (
 from ayrep.errors import PreconditionError
 from ayrep.groups import (
     Permutation,
+    _inversion_masks,
     identity,
     is_convex,
     left_descents_in,
@@ -61,6 +65,12 @@ def test_boundary_reflections_examples():
         reflection(1, 2),
         reflection(1, 3),
     }
+
+
+def test_functional_refuses_non_integer_coordinates():
+    assert Functional((2.0, 1)).coords == (2, 1)
+    with pytest.raises(PreconditionError, match=r"must be integers, got \(0.5, 1\)"):
+        Functional((0.5, 1))
 
 
 def test_descent_cell_examples():
@@ -156,7 +166,7 @@ def test_cell_tableau_bijection_rejects_non_bijections(monkeypatch):
                 with pytest.raises(AssertionError):
                     cell_tableau_bijection(f, q)
             monkeypatch.undo()
-        others = [c for c in cells if c.member_set != cell.member_set]
+        others = [c for c in cells if c.members != cell.members]
         assert others
         for other in others:
             monkeypatch.setattr("ayrep.cells.descent_cell", lambda *_, c=other: c)
@@ -197,6 +207,12 @@ def test_is_minimal_ay_cell_examples():
 
     with pytest.raises(PreconditionError):
         is_minimal_ay_cell(set())
+
+
+def test_is_minimal_ay_cell_refuses_mixed_sizes():
+    for members in ({identity(2), identity(3)}, {P(2, 1), identity(3)}, {P(2, 1), P(1, 3, 2)}):
+        with pytest.raises(PreconditionError, match="different sizes"):
+            is_minimal_ay_cell(members)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -390,6 +406,14 @@ def _step_graph(members, gens):
     return tuple(position.get(w.times_simple(g)) for w in members for g in gens)
 
 
+def _patterns(n):
+    """The +-1 patterns the convexity suite visits: coordinates within +-3."""
+    return {
+        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
+        for coords in product(range(-3, 4), repeat=n)
+    }
+
+
 def _scan_classes(elements, A):
     """Descent classes over A by scanning every element, keyed by descent set."""
     buckets = {}
@@ -429,11 +453,7 @@ def test_descent_cell_walk_matches_scan_from_every_base_element(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_descent_partition_matches_bucket_scan(n):
     """Every +-1 pattern the convexity suite visits (coordinates within +-3)."""
-    patterns = {
-        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
-        for coords in product(range(-3, 4), repeat=n)
-    }
-    for A in patterns:
+    for A in _patterns(n):
         buckets = _scan_classes(sym_group(n), A)
         expected = [
             _with_reflection_sets(buckets[key], range(1, n))
@@ -442,20 +462,41 @@ def test_descent_partition_matches_bucket_scan(n):
         assert [_as_triple(c) for c in descent_partition(n, A)] == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_descent_class_is_the_walk_from_its_members(n):
+    """From every member at n <= 4, from the first at n = 5."""
+    gens = range(1, n)
+    for A in _patterns(n):
+        for members in descent_classes(n, A):
+            for w in members if n <= 4 else members[:1]:
+                assert _walk_cell(A, w, gens).members == members
+
+
+def test_descent_partition_refuses_a_walk_that_misses_a_member(monkeypatch):
+    walk = _walk_cell
+
+    def short_walk(*args):
+        cell = walk(*args)
+        return dataclasses.replace(cell, members=cell.members[:-1])
+
+    monkeypatch.setattr(ayrep.cells, "_walk_cell", short_walk)
+    with pytest.raises(AssertionError, match="the walk from 1,2,3 missed its descent class"):
+        descent_partition(3, frozenset())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_descent_partition_shares_the_group_elements(n, monkeypatch):
     group = {v.images: v for v in sym_group(n)}
+    _inversion_masks.cache_clear()  # so that the masks are found under the patch
 
     def build(*args):
         raise AssertionError("descent_partition built a Permutation")
 
     monkeypatch.setattr(Permutation, "__init__", build)
     monkeypatch.setattr(Permutation, "_unsafe", build)
-    patterns = {
-        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
-        for coords in product(range(-3, 4), repeat=n)
-    }
-    for A in patterns:
+    for A in _patterns(n):
+        for members in descent_classes(n, A):
+            assert all(w is group[w.images] for w in members)
         for cell in descent_partition(n, A):
             assert all(w is group[w.images] for w in cell.members)
 
@@ -484,11 +525,7 @@ def test_step_graph_matches_times_simple_on_every_partition_cell(n):
     """Every +-1 pattern at n <= 4: coordinates within +-3 give the same 1, 2,
     7 and 41 patterns as coordinates within +-6."""
     gens = tuple(range(1, n))
-    patterns = {
-        frozenset(t for t in reflections(n) if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
-        for coords in product(range(-3, 4), repeat=n)
-    }
-    for A in patterns:
+    for A in _patterns(n):
         for cell in descent_partition(n, A):
             assert cell.gens == gens
             assert cell.steps == _step_graph(cell.members, gens)

@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import ayrep.cells
 import ayrep.groups
-from ayrep.cells import Functional, _walk_cell, descent_cell, descent_partition, minimal_coset_reps
+from ayrep.cells import (
+    Functional,
+    _walk_cell,
+    descent_cell,
+    descent_classes,
+    descent_partition,
+    minimal_coset_reps,
+)
 from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
@@ -305,7 +312,7 @@ def _suite_descent_cells(n):
         for coords in itertools.product(range(-3, 4), repeat=n)
     }
     return sorted(
-        {c.member_set for A in patterns for c in descent_partition(n, A)},
+        {frozenset(members) for A in patterns for members in descent_classes(n, A)},
         key=lambda K: sorted(w.sort_key() for w in K),
     )
 
@@ -412,6 +419,8 @@ def test_group_caps(monkeypatch):
         lambda n: minimal_coset_reps(n, {1}),
         straight_cell_sets,
         lambda n: descent_cell(Functional(range(n)), identity(n)),
+        lambda n: descent_classes(n, frozenset()),
+        lambda n: descent_partition(n, frozenset()),
         lambda n: build_from_functional(Functional(range(n)), identity(n)),
         lambda n: build_parabolic(Functional(range(n)), [1], n),
         lambda n: shuffle_cell(*row_filling_pair((n - 1,), (1,))),

@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 from ayrep import induction, reps, verify
+from ayrep.groups import Permutation
 from ayrep.linalg import SquareMatrix
 from ayrep.reps import ORTHOGONAL, SEMINORMAL
 from ayrep.tableaux import skew_shape_family
@@ -118,3 +119,18 @@ def test_bn_suite_reports_a_classical_mismatch_in_each_form(monkeypatch, form):
         f"n=1 ((),(1,)) {form}: generator 0 mismatch",
         f"n=1 ((1,),()) {form}: generator 0 mismatch",
     )
+
+
+def test_convexity_suite_reports_a_non_convex_descent_class(monkeypatch):
+    # {123, 231} is not convex: 213 and 132 lie on geodesics between its members
+    classes = verify.descent_classes
+
+    def with_a_gap(n, A):
+        if n == 3 and not A:
+            return [tuple(map(Permutation, ((1, 2, 3), (2, 3, 1))))]
+        return classes(n, A)
+
+    monkeypatch.setattr(verify, "descent_classes", with_a_gap)
+    result = verify.convexity_suite(n_max=3, equiv_n_max=2)
+    assert not result.ok
+    assert result.counterexamples == ("n=3: non-convex descent cell over A=[]",)
