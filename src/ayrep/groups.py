@@ -253,8 +253,8 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     the wall, its inversion set being sandwiched between theirs.
     For ws = w s_i the wall is the transposition of the letters w(i), w(i+1),
     and u lies on w's side when its one-line word orders those two letters as
-    w's does.  Costs O(|K| n^2) on one-line words; checked against the
-    sandwich test and a brute-force path search in the tests.
+    w's does.  O(|K| n^3) by `tuple.index`, at n <= 5 faster than a position
+    dict; checked against the sandwich test and a brute-force path search.
     """
     K = {w.images for w in members}
     if not K:
