@@ -36,7 +36,10 @@ class Functional:
 
     def __init__(self, coords: Iterable[int]):
         given = tuple(coords)
-        self.coords = tuple(int(c) for c in given)
+        try:  # a bool is dropped, so it is refused like any other non-integer
+            self.coords = tuple(int(c) for c in given if not isinstance(c, bool))
+        except (TypeError, ValueError, OverflowError):
+            self.coords = ()
         if self.coords != given:
             raise PreconditionError(f"functional coordinates must be integers, got {given}")
         if not self.coords:
@@ -338,14 +341,10 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
             else:
                 c[x] = c[parent] + next(step)
         cand = tuple(c[x] for x in range(1, n + 1))
-        if content_violation(cand) is None and _identity_cell_members(cand) == members:
+        if (content_violation(cand) is None
+                and set(descent_cell(Functional(cand), identity(n)).members) == members):
             return cand
     return None
-
-
-def _identity_cell_members(coords: tuple) -> frozenset:
-    n = len(coords)
-    return frozenset(_walk_cell(Functional(coords), identity(n), range(1, n)).members)
 
 
 # basic flats -----------------------------------------------------------------

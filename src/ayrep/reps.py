@@ -197,9 +197,9 @@ class VerificationReport:
         return self.ok
 
 
-def verify_coxeter(rep: Representation, tol: float = FLOAT_TOL) -> VerificationReport:
-    """Check involutivity and all braid relations of the generator matrices."""
-    tolerance = None if rep.is_exact else tol
+def verify_coxeter(rep: Representation) -> VerificationReport:
+    """Check involutivity and all braid relations, float matrices within FLOAT_TOL."""
+    tolerance = None if rep.is_exact else FLOAT_TOL
     failures = []
     gens = list(rep.gens)
     for g in gens:

@@ -110,12 +110,11 @@ def _row_filling_rep(shape: SkewShape) -> Representation:
     return build_from_functional(f, identity(shape.size), SEMINORMAL)
 
 
-def coxeter_suite(n_max: int = 5, include_sample_6: bool = True,
-                  tol: float = FLOAT_TOL) -> SuiteResult:
+def coxeter_suite(n_max: int = 5) -> SuiteResult:
     """Involutions and braid relations, exact seminormal and float orthogonal."""
     bad, checked = [], 0
     jobs = [(n, shape) for n in range(1, n_max + 1) for shape in skew_shape_family(n)]
-    if include_sample_6 and n_max == 5:  # from n_max = 6 the sweep holds every size-6 shape
+    if n_max == 5:  # from n_max = 6 the sweep holds every size-6 shape
         _check_cap("A", 6)  # before the n <= 5 sweep, not after it
         jobs.extend((6, shape) for shape in _sample_shapes_6())
     for _, shape in jobs:
@@ -123,11 +122,11 @@ def coxeter_suite(n_max: int = 5, include_sample_6: bool = True,
         if not report.ok:
             bad.append(f"seminormal {shape}: {report.failures[0]}")
         orth = build_orthogonal_skew(shape)
-        report = verify_coxeter(orth, tol)
+        report = verify_coxeter(orth)
         if not report.ok:
             bad.append(f"orthogonal {shape}: {report.failures[0]}")
         checked += 1
-    return _result("coxeter", [f"{checked} shapes checked (exact and tol {tol})"], bad, checked)
+    return _result("coxeter", [f"{checked} shapes checked (exact and tol {FLOAT_TOL})"], bad, checked)
 
 
 def axiom_b_suite(n_max: int = 5) -> SuiteResult:
@@ -212,7 +211,7 @@ def _same_matrices(a, b) -> bool:
     return all(m.cols == b.matrices[g].cols for g, m in a.matrices.items())
 
 
-def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> SuiteResult:
+def flat_suite() -> SuiteResult:
     """Characters agree across generic functionals on a flat and base elements.
 
     The representation is built from every base element of the cell; its
@@ -220,15 +219,16 @@ def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> Sui
     the representation last traced for the same functional.
     """
     bad, details = [], []
+    points_needed = 3  # generic functionals per cell
     flats = sample_flats()
     for flat in flats:
         cells = flat_partition(flat, flat.n)
         used_cells = 0
         for cell in cells:
-            if used_cells >= max_cells:
+            if used_cells >= 2:
                 break
             generics = []
-            for f in flat_integer_points(flat, span):
+            for f in flat_integer_points(flat, 6):
                 if genericity_violation(f, cell) is None:
                     generics.append(f)
                     if len(generics) >= points_needed:
@@ -270,10 +270,11 @@ def flat_suite(points_needed: int = 3, span: int = 6, max_cells: int = 2) -> Sui
     return _result("flat", details, bad, len(flats))
 
 
-def specht_suite(n_max: int = 5, dim_sum_max: int = 6) -> SuiteResult:
+def specht_suite(n_max: int = 5) -> SuiteResult:
     """Built characters equal the border-strip oracle; irreducibles realized."""
     bad, details = [], []
     checked = 0
+    dim_sum_max = 6  # the dimension identity needs no built matrices, so it runs past n_max
     straight = {}  # straight shape -> its traced character
     for n in range(1, n_max + 1):
         for shape in skew_shape_family(n):
@@ -320,7 +321,7 @@ def _brute_minimal_family(n: int) -> set:
     return family
 
 
-def minimal_suite(n_max: int = 4, seed: int = 0, samples: int = 150) -> SuiteResult:
+def minimal_suite(n_max: int = 4, seed: int = 0) -> SuiteResult:
     """Recognizer agrees with the brute-force family of translated cells."""
     bad, details = [], []
     rng = random.Random(seed)
@@ -334,7 +335,7 @@ def minimal_suite(n_max: int = 4, seed: int = 0, samples: int = 150) -> SuiteRes
         else:
             subsets = list(family)
             subsets.extend(frozenset(weak_interval(w)) for w in group)
-            for _ in range(samples):
+            for _ in range(150):
                 size = rng.randint(1, len(group))
                 subsets.append(frozenset(rng.sample(group, size)))
         agreements = 0
@@ -407,13 +408,13 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
     return _result("induction", details, bad, checked + size_checked)
 
 
-def _check_signed_pair(p, q, form: str, tol: float = FLOAT_TOL) -> tuple:
+def _check_signed_pair(p, q, form: str) -> tuple:
     """The signed form of (p, q), its `bn` JSON verdicts, and one line per
     failed check: the relations, an entrywise match with the classical pair
     form, and norm 1 when exact.  The pair passes when no line is returned."""
     ext, classical, index_map = match_signed_forms(p, q, form)
-    rel = verify_coxeter(ext, tol)
-    match_tol = None if ext.is_exact else tol
+    rel = verify_coxeter(ext)
+    match_tol = None if ext.is_exact else FLOAT_TOL
     mismatch = next((g for g in ext.gens if not ext.matrices[g].reindexed(index_map)
                      .equals(classical.matrices[g], match_tol)), None)
     irreducible = is_irreducible(ext) if ext.is_exact else None
@@ -427,7 +428,7 @@ def _check_signed_pair(p, q, form: str, tol: float = FLOAT_TOL) -> tuple:
     return ext, checks, failures
 
 
-def bn_suite(n_max: int = 4, tol: float = FLOAT_TOL) -> SuiteResult:
+def bn_suite(n_max: int = 4) -> SuiteResult:
     """Signed-group forms: relations, entrywise match, dimensions, norms."""
     bad, details = [], []
     for n in range(1, n_max + 1):
@@ -438,7 +439,7 @@ def bn_suite(n_max: int = 4, tol: float = FLOAT_TOL) -> SuiteResult:
                 for mu in partitions(n - k):
                     p, q = row_filling_pair(lam, mu)
                     for form in (SEMINORMAL, ORTHOGONAL):
-                        ext, _, failures = _check_signed_pair(p, q, form, tol)
+                        ext, _, failures = _check_signed_pair(p, q, form)
                         bad.extend(f"n={n} ({lam},{mu}) {form}: {x}" for x in failures)
                     dims_sq += ext.dim**2
                     count += 1
@@ -481,14 +482,13 @@ def tops_suite(n_max: int = 5) -> SuiteResult:
     return _result("tops", details, bad, len(details))
 
 
-def convexity_suite(n_max: int = 5, coord_bound: int = 3,
-                    equiv_n_max: int = 4, equiv_bound: int = 2) -> SuiteResult:
+def convexity_suite(n_max: int = 5) -> SuiteResult:
     """Descent cells are convex; the two genericity tests coincide."""
     bad, details, checked = [], [], 0
     for n in range(2, n_max + 1):
         refl = reflections(n)
         patterns = set()
-        for coords in product(range(-coord_bound, coord_bound + 1), repeat=n):
+        for coords in product(range(-3, 4), repeat=n):
             A = frozenset(
                 t for t in refl if abs(coords[t.j - 1] - coords[t.i - 1]) == 1
             )
@@ -501,16 +501,17 @@ def convexity_suite(n_max: int = 5, coord_bound: int = 3,
                 if key in seen_cells:
                     continue
                 seen_cells.add(key)
-                if not is_convex(members):
+                if is_convex(members):
+                    convex_count += 1
+                else:
                     bad.append(f"n={n}: non-convex descent cell over A={sorted(A)}")
-                convex_count += 1
-        checked += convex_count
+        checked += len(seen_cells)
         details.append(
             f"n={n}: {len(patterns)} +-1 patterns, {convex_count} distinct cells convex"
         )
     agree = 0
-    for n in range(2, min(equiv_n_max, n_max) + 1):
-        for coords in product(range(-equiv_bound, equiv_bound + 1), repeat=n):
+    for n in range(2, min(4, n_max) + 1):
+        for coords in product(range(-2, 3), repeat=n):
             f = Functional(coords)
             direct = is_generic_integer(f)
             via_cell = is_generic(f, descent_cell(f, identity(n)))

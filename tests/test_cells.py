@@ -71,6 +71,9 @@ def test_functional_refuses_non_integer_coordinates():
     assert Functional((2.0, 1)).coords == (2, 1)
     with pytest.raises(PreconditionError, match=r"must be integers, got \(0.5, 1\)"):
         Functional((0.5, 1))
+    for coords in ((float("inf"), 0), (None, 1), (True, 0)):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            Functional(coords)
 
 
 def test_descent_cell_examples():

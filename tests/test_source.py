@@ -1,9 +1,13 @@
-"""Static checks on the source of `ayrep`, by the standard library's `ast`."""
+"""Static checks on the source of `ayrep`, by the standard library's `ast`
+and, for signatures, `inspect`."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from ayrep import reps, verify
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ayrep"
@@ -143,3 +147,13 @@ def test_private_name_check_sees_imports_and_attributes():
     )
     assert private_ayrep_names(source) == [
         "ayrep.tableaux._join_components", "ayrep.tableaux._stack", "tab._rows"]
+
+
+def test_suites_take_only_the_size_bound_and_seed():
+    # Every other value a suite or relation check uses is a constant, pinned by
+    # the detail lines in test_acceptance.py; a parameter no caller sets would
+    # be one more configuration to cover.
+    extra = {name: sorted(set(inspect.signature(fn).parameters) - {"n_max", "seed"})
+             for name, fn in verify.SUITES.items()}
+    assert {name: params for name, params in extra.items() if params} == {}
+    assert list(inspect.signature(reps.verify_coxeter).parameters) == ["rep"]
