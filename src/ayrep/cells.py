@@ -98,12 +98,11 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     return _walk_cell(f, w, range(1, w.size))
 
 
-def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> Cell:
+def _walk_cell(A, start: Permutation, gens) -> Cell:
     """Breadth-first walk from start along the steps w -> w s_i, i in gens,
     in the descent cell over A: a reflection set, or a Functional standing
     for its `boundary_reflections`, found only once the type-A cap on
-    start's size has passed.  `elements` (one-line word -> element) comes
-    from a group already enumerated under the cap, so no check is repeated.
+    start's size has passed.
 
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
@@ -113,8 +112,7 @@ def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> Cell:
     positions.  The rows stay in one flat tuple: a tuple per row held ~0.3 MiB
     more peak RSS on `verify --suite flat`, as CPython pools freed small tuples.
     """
-    if elements is None:
-        _check_cap("A", start.size)
+    _check_cap("A", start.size)
     if isinstance(A, Functional):
         A = boundary_reflections(A)
     gens = tuple(gens)
@@ -148,10 +146,7 @@ def _walk_cell(A, start: Permutation, gens, elements: dict = None) -> Cell:
     steps = tuple([position[rows[k * m + p]] for k in ranked for p in range(m)])
     # from a list, not a generator: tuple() over a generator guesses a size and
     # resizes, which held ~0.45 MiB more at the end of `verify --suite convexity`
-    if elements is None:
-        members = tuple([Permutation._unsafe(order[k][1], order[k][0]) for k in ranked])
-    else:
-        members = tuple([elements[order[k][1]] for k in ranked])
+    members = tuple([Permutation._unsafe(order[k][1], order[k][0]) for k in ranked])
     return Cell(members, frozenset(map(Reflection._make, interior)),
                 frozenset(map(Reflection._make, boundary)), gens, steps)
 
@@ -188,11 +183,10 @@ def descent_partition(n: int, A: frozenset) -> list:
     `descent_classes` order, each walked from its first member for its
     step graph.  A convex class is connected, so the walk must reach it all.
     """
-    by_images = {v.images: v for v in sym_group(n)}
     gens = tuple(range(1, n))
     cells = []
     for members in descent_classes(n, A):
-        cell = _walk_cell(A, members[0], gens, by_images)
+        cell = _walk_cell(A, members[0], gens)
         if cell.members != members:
             raise AssertionError(f"the walk from {members[0].one_line()} missed its descent class")
         cells.append(cell)
@@ -245,21 +239,15 @@ def is_generic_integer(f: Functional) -> bool:
     return content_violation(f.coords) is None
 
 
-def cell_tableau_bijection(f: Functional, q: Tableau) -> dict:
-    """The map pi -> relabel(q, pi) from the identity cell onto standard fillings."""
-    from .tableaux import content_vector, derived, enumerate_standard
+def cell_tableau_bijection(q: Tableau) -> dict:
+    """The map pi -> relabel(q, pi) from the identity cell of q's contents onto fillings."""
+    from .tableaux import content_vector, enumerate_standard
 
-    if f.size != q.size:
-        raise PreconditionError("functional and tableau sizes differ")
-    if f.size > 1 and derived(f.coords) != derived(content_vector(q)):
-        raise PreconditionError("derived coordinates do not match the tableau contents")
-    if not is_generic_integer(f):
-        raise PreconditionError("functional is not generic")
-    cell = descent_cell(f, identity(f.size))
+    cell = descent_cell(Functional(content_vector(q)), identity(q.size))
     fillings = enumerate_standard(q.shape)
     # relabel(q, pi) by its rows, with pi^-1 taken on the one-line word
     by_rows = {t.rows: t for t in fillings}
-    inv = [0] * f.size
+    inv = [0] * q.size
     relabelled = {}
     for pi in cell.members:
         for pos, val in enumerate(pi.images, start=1):
@@ -286,11 +274,7 @@ def is_minimal_ay_cell(members: Iterable[Permutation]):
     translates K to an identity cell, every member does.
     """
     member_list = sorted(set(members), key=lambda w: w.sort_key())
-    if not member_list:
-        raise PreconditionError("the empty set is not a cell")
-    if len({w.size for w in member_list}) > 1:
-        raise PreconditionError("permutations of different sizes are not a cell")
-    if not is_convex(member_list):
+    if not is_convex(member_list):  # refuses an empty set and mixed sizes
         return False, None
     sigma = member_list[0]
     inv = sigma.inverse()
@@ -399,12 +383,9 @@ def flat_determined_reflections(flat: BasicFlat) -> frozenset:
     )
 
 
-def flat_partition(flat: BasicFlat, n: int) -> list:
+def flat_partition(flat: BasicFlat) -> list:
     """Descent classes over the reflections the flat determines to +-1."""
-    if n != flat.n:
-        raise PreconditionError("size mismatch")
-    A = flat_determined_reflections(flat)
-    return descent_partition(n, A)
+    return descent_partition(flat.n, flat_determined_reflections(flat))
 
 
 def flat_integer_points(flat: BasicFlat, span: int):

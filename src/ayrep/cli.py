@@ -178,7 +178,7 @@ def _cmd_rep(args: argparse.Namespace) -> tuple:
 
 def _cmd_induce(args: argparse.Namespace) -> tuple:
     psi = build_parabolic_from_shapes(args.j, args.n, args.shapes, args.form)
-    induced = induce(psi, args.n)
+    induced = induce(psi)
     chi = character(induced)
     ok = verify_coxeter(induced).ok
     if args.json:

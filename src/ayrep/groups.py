@@ -174,6 +174,9 @@ def pair(coords: Sequence[int], t: Reflection):
 def left_descents_in(candidates: Iterable[Reflection], w: Permutation) -> set:
     """{t in candidates : l(t w) < l(w)}; for t=(i,j) that is w^{-1}(i) > w^{-1}(j)."""
     where = {v: pos for pos, v in enumerate(w.images)}  # w^{-1}, without a Permutation
+    candidates = tuple(candidates)
+    if not all(t.i in where and t.j in where for t in candidates):
+        raise PreconditionError(f"reflections must move letters within 1..{w.size}")
     return {t for t in candidates if where[t.i] > where[t.j]}
 
 
@@ -257,8 +260,8 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     dict; checked against the sandwich test and a brute-force path search.
     """
     K = {w.images for w in members}
-    if not K:
-        raise PreconditionError("convexity of the empty set is undefined")
+    if len({len(img) for img in K}) != 1:
+        raise PreconditionError("convexity needs members of one size, not none or different sizes")
     _check_cap("A", len(next(iter(K))))
     walls = _walls(K)
     for img in K:

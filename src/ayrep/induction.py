@@ -66,10 +66,10 @@ def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Function
 
 def build_parabolic_from_shapes(J: Sequence[int], n: int, shapes: Sequence,
                                 normalization: str = SEMINORMAL) -> Representation:
-    return build_parabolic(parabolic_functional(J, n, shapes), J, n, normalization)
+    return build_parabolic(parabolic_functional(J, n, shapes), J, normalization)
 
 
-def induce(psi: Representation, n: int) -> Representation:
+def induce(psi: Representation) -> Representation:
     """Extend a parabolic cell representation to the full group.
 
     Basis vectors are indexed by products m*r over cell members m and minimal
@@ -77,9 +77,9 @@ def induce(psi: Representation, n: int) -> Representation:
     representatives or folds back into the parabolic where psi's coefficients
     apply.
     """
-    if psi.group_type != "A" or psi.n != n:
-        raise PreconditionError("induction needs a type A representation on n letters")
-    J = set(psi.gens)
+    if psi.group_type != "A":
+        raise PreconditionError("induction needs a type A representation")
+    n, J = psi.n, set(psi.gens)
     if not J <= set(range(1, n)):
         raise PreconditionError("generators outside the ambient group")
     axiom = verify_axiom_B(psi)
@@ -113,7 +113,7 @@ def _one(normalization: str):
     return Fraction(1) if normalization == SEMINORMAL else 1.0
 
 
-def classical_induced_character(psi: Representation, n: int) -> dict:
+def classical_induced_character(psi: Representation) -> dict:
     """Induced character by Frobenius' class-sum formula, as the matrix-free oracle.
 
     Ind chi(g) = |S_n| / (|S_J| |g^{S_n}|) * sum |c| chi(c), over the classes c
@@ -121,13 +121,13 @@ def classical_induced_character(psi: Representation, n: int) -> dict:
     class representatives to exact values.
 
     >>> psi = build_parabolic_from_shapes([1], 3, [(2,)])
-    >>> list(classical_induced_character(psi, 3).values())
+    >>> list(classical_induced_character(psi).values())
     [Fraction(0, 1), Fraction(1, 1), Fraction(3, 1)]
     """
-    if not psi.is_exact:
-        raise PreconditionError("the induced character is taken in exact arithmetic")
-    sub = class_data_parabolic(n, frozenset(psi.gens))
-    full = class_data_symmetric(n)
+    if psi.group_type != "A" or not psi.is_exact:
+        raise PreconditionError("the induced character is taken of type A, in exact arithmetic")
+    sub = class_data_parabolic(psi.n, frozenset(psi.gens))
+    full = class_data_symmetric(psi.n)
     chi = character(psi).values
     out = {}
     for g in full.reps:
@@ -204,7 +204,7 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
     when the first position holds a letter of p.
     """
     k, n, f = _pair_functional(p, q)
-    induced = induce(build_parabolic(f, [g for g in range(1, n) if g != k], n, normalization), n)
+    induced = induce(build_parabolic(f, [g for g in range(1, n) if g != k], normalization))
     basis = tuple(sorted(induced.basis, key=lambda w: w.sort_key()))
     position = {w: j for j, w in enumerate(basis)}
     index_map = [position[w] for w in induced.basis]
@@ -216,11 +216,9 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
     return Representation("B", n, tuple(range(0, n)), basis, mats, normalization)
 
 
-def signed_pair_basis(lam: Sequence[int], mu: Sequence[int], n: int) -> tuple:
+def signed_pair_basis(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     """All pairs of standard tableaux of the two shapes over letter splittings."""
-    k = sum(lam)
-    if k + sum(mu) != n:
-        raise PreconditionError("shapes must split the letters")
+    k, n = sum(lam), sum(lam) + sum(mu)
     fill_a = list(enumerate_standard(SkewShape(tuple(lam)))) if k else [None]
     fill_b = list(enumerate_standard(_second_shape(mu))) if n - k else [None]
     basis = []
@@ -258,7 +256,7 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
     is in the basis.
     """
     n = sum(lam) + sum(mu)
-    basis = signed_pair_basis(tuple(lam), tuple(mu), n)
+    basis = signed_pair_basis(tuple(lam), tuple(mu))
     words = [_pair_word(pair) for pair in basis]
     index = {word: j for j, word in enumerate(words)}
     one = _one(normalization)

@@ -154,10 +154,10 @@ def parabolic_generators(J: Sequence[int], n: int) -> tuple:
     return J
 
 
-def build_parabolic(f: Functional, J: Sequence[int], n: int,
+def build_parabolic(f: Functional, J: Sequence[int],
                     normalization: str = SEMINORMAL) -> Representation:
-    """Identity descent cell and matrices inside the parabolic <s_j : j in J>."""
-    return _cell_rep(f, identity(n), parabolic_generators(J, n), normalization,
+    """Identity descent cell and matrices inside the parabolic <s_j : j in J> on f's letters."""
+    return _cell_rep(f, identity(f.size), parabolic_generators(J, f.size), normalization,
                      "the parabolic cell")
 
 
@@ -324,8 +324,8 @@ def mn_character(shape: SkewShape, cycle_type: Sequence[int]) -> int:
     classical irreducible character.
     """
     cycle_type = tuple(sorted((int(p) for p in cycle_type), reverse=True))
-    if sum(cycle_type) != shape.size:
-        raise PreconditionError("cycle type size must match the shape size")
+    if sum(cycle_type) != shape.size or min(cycle_type, default=1) < 1:
+        raise PreconditionError("cycle type must have positive parts summing to the shape size")
     return _mn(shape.lam, shape.mu, cycle_type)
 
 

@@ -249,6 +249,8 @@ def tableau_from_content(values: Sequence[int]) -> Tableau:
     vals = tuple(values)
     if not vals:
         raise EmptyShapeError("an empty content vector has no tableau")
+    if not all(type(v) is int for v in vals):
+        raise PreconditionError(f"contents must be integers, got {vals}")
     bad = content_violation(vals)
     if bad is not None:
         raise ContentVectorError(
@@ -375,9 +377,9 @@ class HookDistance(NamedTuple):
 
 def hook_distance(q: Tableau, k: int) -> HookDistance:
     """c(k+1) - c(k) with the adjacency trichotomy; never 0 on standard input."""
-    if not 1 <= k < q.size:
-        raise PreconditionError(f"k must be in 1..{q.size - 1}")
     pos = q.positions()
+    if not (1 <= k < q.size and k in pos and k + 1 in pos):
+        raise PreconditionError(f"k must be in 1..{q.size - 1}, with k and k + 1 entries of q")
     (r1, c1), (r2, c2) = pos[k], pos[k + 1]
     value = (c2 - r2) - (c1 - r1)
     if r1 == r2:

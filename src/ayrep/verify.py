@@ -146,9 +146,8 @@ def cells_suite(n_max: int = 6) -> SuiteResult:
     bad, checked = [], 0
     for n in range(1, n_max + 1):
         for shape in skew_shape_family(n):
-            q = row_tableau(shape)
             try:
-                size = len(cell_tableau_bijection(Functional(content_vector(q)), q))
+                size = len(cell_tableau_bijection(row_tableau(shape)))
             except AssertionError as exc:
                 bad.append(f"{shape}: {exc}")
                 checked += 1
@@ -222,7 +221,7 @@ def flat_suite() -> SuiteResult:
     points_needed = 3  # generic functionals per cell
     flats = sample_flats()
     for flat in flats:
-        cells = flat_partition(flat, flat.n)
+        cells = flat_partition(flat)
         used_cells = 0
         for cell in cells:
             if used_cells >= 2:
@@ -378,12 +377,12 @@ def induction_suite(n_max: int = 5) -> SuiteResult:
             pools = [partitions(b - a + 1) for a, b in intervals]
             for combo in product(*pools):
                 psi = build_parabolic_from_shapes(J, n, list(combo))
-                induced = induce(psi, n)
+                induced = induce(psi)
                 if not verify_coxeter(induced).ok:
                     bad.append(f"n={n} J={J} {combo}: induced matrices break relations")
                     continue
                 chi = character(induced)
-                oracle = classical_induced_character(psi, n)
+                oracle = classical_induced_character(psi)
                 for cls_rep, value in chi.values.items():
                     if value != oracle[cls_rep]:
                         bad.append(

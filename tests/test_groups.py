@@ -169,6 +169,9 @@ def test_left_descents_examples():
     assert left_descents_in(reflections(3), identity(3)) == set()
     assert left_descents_in({reflection(1, 2)}, Permutation((2, 1, 3))) == {reflection(1, 2)}
     assert left_descents_in({reflection(1, 3)}, Permutation((1, 3, 2))) == set()
+    # letter 4 has no position in a permutation of 3 letters
+    with pytest.raises(PreconditionError, match=r"within 1\.\.3"):
+        left_descents_in([reflection(1, 4)], identity(3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -262,6 +265,9 @@ def test_convexity_examples():
     assert is_convex({identity(3)})
     assert is_convex({identity(3), Permutation((2, 1, 3)), Permutation((1, 3, 2))})
     assert not is_convex({identity(3), Permutation((2, 3, 1))})
+    for members in ([], [identity(2), identity(3)], [Permutation((2, 1)), Permutation((1, 3, 2))]):
+        with pytest.raises(PreconditionError, match="one size"):
+            is_convex(members)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -422,7 +428,7 @@ def test_group_caps(monkeypatch):
         lambda n: descent_classes(n, frozenset()),
         lambda n: descent_partition(n, frozenset()),
         lambda n: build_from_functional(Functional(range(n)), identity(n)),
-        lambda n: build_parabolic(Functional(range(n)), [1], n),
+        lambda n: build_parabolic(Functional(range(n)), [1]),
         lambda n: shuffle_cell(*row_filling_pair((n - 1,), (1,))),
     ]
     for check in checks:
@@ -451,7 +457,7 @@ def test_the_cap_comes_before_any_scan_of_reflections(monkeypatch):
     checks = [
         lambda: descent_cell(f, identity(n)),
         lambda: build_from_functional(f, identity(n)),
-        lambda: build_parabolic(f, [1], n),
+        lambda: build_parabolic(f, [1]),
         lambda: shuffle_cell(*row_filling_pair((n - 1,), (1,))),
     ]
     for check in checks:

@@ -65,7 +65,7 @@ def test_j_intervals():
 
 def test_induce_trivial_from_two_letters():
     psi = build_parabolic_from_shapes([1], 3, [(2,)])
-    induced = induce(psi, 3)
+    induced = induce(psi)
     assert induced.dim == 3
     assert _by_type(character(induced).values) == {(1, 1, 1): 3, (2, 1): 1, (3,): 0}
     assert verify_coxeter(induced).ok
@@ -74,7 +74,7 @@ def test_induce_trivial_from_two_letters():
 
 def test_induce_from_full_group_is_identity():
     psi = build_parabolic_from_shapes([1, 2], 3, [(1, 1, 1)])  # sign representation
-    induced = induce(psi, 3)
+    induced = induce(psi)
     assert induced.dim == psi.dim
     assert _by_type(character(induced).values) == _by_type(character(psi).values)
 
@@ -82,7 +82,7 @@ def test_induce_from_full_group_is_identity():
 def test_induce_tensor_product():
     # trivial of the first two letters times trivial of the third
     psi = build_parabolic_from_shapes([1], 3, [(2,)])
-    induced = induce(psi, 3)
+    induced = induce(psi)
     chi = _by_type(character(induced).values)
     assert chi == {(1, 1, 1): 3, (2, 1): 1, (3,): 0}  # trivial + standard
 
@@ -90,8 +90,8 @@ def test_induce_tensor_product():
 def test_induce_matches_classical_oracle():
     for J, shapes in [([1], [(2,)]), ([1], [(1, 1)]), ([2], [(2,)]), ([], [])]:
         psi = build_parabolic_from_shapes(J, 3, shapes)
-        induced = induce(psi, 3)
-        oracle = classical_induced_character(psi, 3)
+        induced = induce(psi)
+        oracle = classical_induced_character(psi)
         assert character(induced).values == oracle
 
 
@@ -119,7 +119,7 @@ def test_class_sum_oracle_matches_conjugate_average(n):
         J = [g for g in range(1, n) if mask >> (g - 1) & 1]
         for shapes in product(*(partitions(b - a + 1) for a, b in j_intervals(J))):
             psi = build_parabolic_from_shapes(J, n, list(shapes))
-            got = classical_induced_character(psi, n)
+            got = classical_induced_character(psi)
             expected = _conjugate_average_character(psi, n)
             assert [(g, v, type(v)) for g, v in got.items()] == [
                 (g, v, type(v)) for g, v in expected.items()
@@ -128,15 +128,20 @@ def test_class_sum_oracle_matches_conjugate_average(n):
 
 def test_class_sum_oracle_enumerates_no_group(monkeypatch):
     psi = build_parabolic_from_shapes([1, 3], 5, [(2,), (1, 1)])
-    expected = character(induce(psi, 5)).values
+    expected = character(induce(psi)).values
     monkeypatch.setenv("AYREP_MAX_N", "4")
-    assert classical_induced_character(psi, 5) == expected
+    assert classical_induced_character(psi) == expected
 
 
 def test_class_sum_oracle_rejects_float_character():
     psi = build_parabolic_from_shapes([1], 3, [(2,)], ORTHOGONAL)
     with pytest.raises(PreconditionError, match="exact arithmetic"):
-        classical_induced_character(psi, 3)
+        classical_induced_character(psi)
+
+
+def test_class_sum_oracle_rejects_a_signed_group_form():
+    with pytest.raises(PreconditionError, match="type A"):
+        classical_induced_character(extend_to_bn(*row_filling_pair((1,), (1,))))
 
 
 def test_induce_rejects_broken_input():
@@ -149,7 +154,7 @@ def test_induce_rejects_broken_input():
     mats = {**psi.matrices, 1: SquareMatrix(psi.dim, cols)}
     bad = Representation("A", 4, psi.gens, psi.basis, mats, SEMINORMAL)
     with pytest.raises(PreconditionError):
-        induce(bad, 4)
+        induce(bad)
 
 
 @pytest.mark.parametrize("J, n, shapes", [([5], 3, [(2,)]), ([0], 3, [(1,)])])
@@ -275,7 +280,7 @@ def test_match_signed_forms_rejects_a_skew_tableau():
 
 def test_signed_pair_basis_names_a_bad_second_shape():
     with pytest.raises(ValueError, match=r"^mu must be a positive weakly decreasing sequence: \(1, 2\)"):
-        signed_pair_basis((1,), (1, 2), 4)
+        signed_pair_basis((1,), (1, 2))
 
 
 def test_bn_classical_trivial():

@@ -93,7 +93,7 @@ def _induced_reps(n_max: int) -> list:
                 continue
             pools = [partitions(b - a + 1) for a, b in j_intervals(J)]
             for combo in product(*pools):
-                reps.append(induce(build_parabolic_from_shapes(J, n, list(combo)), n))
+                reps.append(induce(build_parabolic_from_shapes(J, n, list(combo))))
     return reps
 
 

@@ -217,6 +217,9 @@ def test_mn_examples():
     assert mn_character(SkewShape((2, 1)), (3,)) == -1
     with pytest.raises(PreconditionError):
         mn_character(SkewShape((2, 1)), (2, 2))
+    for cycle_type in ((2, 0), (3, -1)):
+        with pytest.raises(PreconditionError, match="positive parts"):
+            mn_character(SkewShape((2,)), cycle_type)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -406,7 +409,7 @@ def test_parabolic_builder_matches_reference(n, normalization):
         J = tuple(g for g in gens if mask >> (g - 1) & 1)
         for shapes in product(*(partitions(b - a + 1) for a, b in j_intervals(J))):
             f = parabolic_functional(J, n, shapes)
-            rep = build_parabolic(f, J, n, normalization)
+            rep = build_parabolic(f, J, normalization)
             _assert_same_entries(rep, _reference_on_permutations(rep, f.coords))
 
 
@@ -483,13 +486,7 @@ def test_builder_matches_index_builder_on_every_flat_build(monkeypatch):
 
 def test_parabolic_builder_rejects_an_unknown_normalization():
     with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
-        build_parabolic(Functional((0, 1, 0)), [1], 3, "bogus")
-
-
-@pytest.mark.parametrize("coords", [(0, 1), (0, 1, 0, 0)])
-def test_parabolic_builder_rejects_a_functional_of_another_size(coords):
-    with pytest.raises(PreconditionError, match="functional and permutation sizes differ"):
-        build_parabolic(Functional(coords), [2], 3)
+        build_parabolic(Functional((0, 1, 0)), [1], "bogus")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ayrep import reps, verify
+from ayrep import cells, induction, reps, verify
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ayrep"
@@ -157,3 +157,22 @@ def test_suites_take_only_the_size_bound_and_seed():
              for name, fn in verify.SUITES.items()}
     assert {name: params for name, params in extra.items() if params} == {}
     assert list(inspect.signature(reps.verify_coxeter).parameters) == ["rep"]
+
+
+# No parameter whose value another argument of the same call already fixes:
+# n is the size of the functional, the representation or the two shapes, the
+# tableau gives its contents, and a walk checks the cap and builds its members.
+SIGNATURES = {
+    cells.cell_tableau_bijection: ["q"],
+    cells.flat_partition: ["flat"],
+    cells._walk_cell: ["A", "start", "gens"],
+    induction.induce: ["psi"],
+    induction.classical_induced_character: ["psi"],
+    induction.signed_pair_basis: ["lam", "mu"],
+    reps.build_parabolic: ["f", "J", "normalization"],
+}
+
+
+def test_no_parameter_repeats_what_another_argument_fixes():
+    found = {fn.__name__: list(inspect.signature(fn).parameters) for fn in SIGNATURES}
+    assert found == {fn.__name__: params for fn, params in SIGNATURES.items()}

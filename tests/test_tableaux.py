@@ -203,6 +203,12 @@ def test_tableau_from_content_of_nothing_is_empty():
         tableau_from_content(())
 
 
+@pytest.mark.parametrize("values", [(0, None), (0, 1.5), (0, True)])
+def test_tableau_from_content_refuses_non_integer_contents(values):
+    with pytest.raises(PreconditionError, match="integers"):
+        tableau_from_content(values)
+
+
 # relabeling -----------------------------------------------------------------------
 
 
@@ -279,6 +285,9 @@ def test_hook_distance_examples():
     assert hook_distance(col, 1) == (-1, "column")
     with pytest.raises(PreconditionError):
         hook_distance(q, 3)
+    # the filling (1, 5) has no letter 2
+    with pytest.raises(PreconditionError, match="entries of q"):
+        hook_distance(Tableau(SkewShape((2,)), ((1, 5),)), 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

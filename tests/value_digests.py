@@ -153,12 +153,12 @@ def dumps_at(n: int) -> dict:
     for J, shapes in induction_cases(n):
         head = f"J={J} shapes={shapes}"
         psi = build_parabolic_from_shapes(J, n, shapes)
-        induced = induce(psi, n)
+        induced = induce(psi)
         out[f"parabolic n={n}"].append([head, *rep_lines(psi)])
         out[f"induced n={n}"].append([head, *rep_lines(induced)])
         out[f"induced character n={n}"].append([head, *character_lines(character(induced))])
         out[f"classical induced character n={n}"].append(
-            [head, *class_function_lines(classical_induced_character(psi, n))])
+            [head, *class_function_lines(classical_induced_character(psi))])
     m = n - 1
     if m >= 1:
         maps = out[f"signed index maps n={m}"] = []
