@@ -4,7 +4,8 @@ Each file under tests/pinned/ is the stdout of one `ayrep` invocation.  They
 fix every generator matrix entry of the cell, parabolic, induced and signed
 builders, exact and float, which the character and relation checks elsewhere
 do not, the member order, reflection sets and edge list of a descent
-cell, and every row of the top-element classification at n = 5.
+cell, every row of the top-element classification at n = 5, and the
+detail lines of the shape-family suites at n = 5.
 """
 
 from pathlib import Path
@@ -15,10 +16,11 @@ from ayrep.cli import main
 
 PINNED = Path(__file__).parent / "pinned"
 
-# pinned/verify_coxeter_n6.json (`verify --n 6 --suite coxeter --json`) and
-# pinned/verify_minimal_n5.json (`verify --n 5 --suite minimal --json`) are not
-# cases here: they are checked in CI only, by the golden job, because they
-# take about 9 s and 30 s.
+# pinned/verify_coxeter_n6.json (`verify --n 6 --suite coxeter --json`),
+# pinned/verify_minimal_n5.json (`verify --n 5 --suite minimal --json`) and
+# pinned/verify_family_n6.json (`verify --n 6 --suite specht,cells,coxeter,axiomB
+# --json`) are not cases here: they are checked in CI only, by the golden job,
+# because they take about 9 s, 2.5 s and 10 s.
 
 CASES = {
     "rep_seminormal": ["rep", "--n", "5", "--f", "0,1,2,-1,0", "--json"],
@@ -37,6 +39,9 @@ CASES = {
     "cell_dot": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--format", "dot"],
     "tops_json": ["tops", "--n", "5", "--json"],
     "tops_text": ["tops", "--n", "5"],
+    # the four suites of the shape family, out of `SUITES` order, so that the
+    # order of the results is pinned too
+    "verify_family_n5": ["verify", "--n", "5", "--suite", "specht,cells,coxeter,axiomB", "--json"],
 }
 
 
