@@ -93,16 +93,14 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     of the reflections paired to +-1), and a convex set is connected: each
     member is joined to w by a geodesic that never leaves it.
     """
-    if f.size != w.size:
-        raise PreconditionError("functional and permutation sizes differ")
     return _walk_cell(f, w, range(1, w.size))
 
 
 def _walk_cell(A, start: Permutation, gens) -> Cell:
     """Breadth-first walk from start along the steps w -> w s_i, i in gens,
-    in the descent cell over A: a reflection set, or a Functional standing
-    for its `boundary_reflections`, found only once the type-A cap on
-    start's size has passed.
+    in the descent cell over A: a reflection set, or a Functional of start's
+    size standing for its `boundary_reflections`, found only once the type-A
+    cap on start's size has passed.
 
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
@@ -114,6 +112,8 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
     """
     _check_cap("A", start.size)
     if isinstance(A, Functional):
+        if A.size != start.size:
+            raise PreconditionError("functional and permutation sizes differ")
         A = boundary_reflections(A)
     gens = tuple(gens)
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
@@ -245,18 +245,19 @@ def cell_tableau_bijection(q: Tableau) -> dict:
 
     cell = descent_cell(Functional(content_vector(q)), identity(q.size))
     fillings = enumerate_standard(q.shape)
-    # relabel(q, pi) by its rows, with pi^-1 taken on the one-line word
     by_rows = {t.rows: t for t in fillings}
-    inv = [0] * q.size
-    relabelled = {}
-    for pi in cell.members:
-        for pos, val in enumerate(pi.images, start=1):
-            inv[val - 1] = pos
-        relabelled[pi] = tuple([tuple([inv[v - 1] for v in row]) for row in q.rows])
-    images = set(relabelled.values())
-    if images != by_rows.keys() or not len(relabelled) == len(by_rows) == len(fillings):
+    rows = relabelled_rows(q, cell, [t.rows for t in fillings])
+    return {pi: by_rows[r] for pi, r in zip(cell.members, rows)}
+
+
+def relabelled_rows(q: Tableau, cell: Cell, fillings: list) -> list:
+    """The rows of relabel(q, pi) for each member pi of the cell, in order,
+    checked to be the row tuples of the standard `fillings`, each once."""
+    relabelled = [tuple([tuple([inv[v - 1] for v in row]) for row in q.rows])
+                  for inv in (pi.inverse().images for pi in cell.members)]
+    if sorted(relabelled) != sorted(fillings):  # distinct members give distinct images
         raise AssertionError("relabel map failed to be a bijection onto standard fillings")
-    return {pi: by_rows[r] for pi, r in relabelled.items()}
+    return relabelled
 
 
 def is_minimal_ay_cell(members: Iterable[Permutation]):

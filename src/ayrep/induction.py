@@ -218,20 +218,16 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
 
 def signed_pair_basis(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     """All pairs of standard tableaux of the two shapes over letter splittings."""
-    k, n = sum(lam), sum(lam) + sum(mu)
-    fill_a = list(enumerate_standard(SkewShape(tuple(lam)))) if k else [None]
-    fill_b = list(enumerate_standard(_second_shape(mu))) if n - k else [None]
+    k, n, _ = _pair_functional(*row_filling_pair(lam, mu))  # refuses the empty pair
+    fill_a = enumerate_standard(SkewShape(tuple(lam))) if k else [None]
+    fill_b = enumerate_standard(_second_shape(mu)) if n - k else [None]
     basis = []
     for subset in combinations(range(1, n + 1), k):
         complement = tuple(v for v in range(1, n + 1) if v not in subset)
         for fa in fill_a:
             ta = map_entries(fa, {e: subset[e - 1] for e in fa.positions()}) if fa else None
             for fb in fill_b:
-                tb = (
-                    map_entries(fb, {e: complement[e - 1] for e in fb.positions()})
-                    if fb
-                    else None
-                )
+                tb = map_entries(fb, {e: complement[e - 1] for e in fb.positions()}) if fb else None
                 basis.append((ta, tb))
     return tuple(basis)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
-from .cells import Functional, genericity_violation, _walk_cell
+from .cells import Cell, Functional, genericity_violation, _walk_cell
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
@@ -98,10 +98,9 @@ def _two_term_matrices(columns) -> dict:
     return mats
 
 
-def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
-              where: str) -> Representation:
-    """The one body of the cell and parabolic builders: the descent cell of w
-    inside <s_g : g in gens>, walked, checked generic, and its matrices.
+def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Representation:
+    """The one body of the cell and parabolic builders: a walked descent cell,
+    checked generic for f, and its matrices.
 
     A column takes its neighbour from the walk's step graph and (a, b) from a
     table over the letters x, y that s_g swaps.  Once f is generic, a = 1/h
@@ -112,13 +111,11 @@ def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
     """
     if normalization not in (SEMINORMAL, ORTHOGONAL):
         raise ValueError(f"unknown normalization {normalization!r}")
-    if f.size != w.size:
-        raise PreconditionError("functional and permutation sizes differ")
-    cell = _walk_cell(f, w, gens)
     bad = genericity_violation(f, cell)
     if bad is not None:
         raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
-    table = [[None] * (w.size + 1) for _ in range(w.size + 1)]  # (a, b) per letters x, y
+    n, gens = f.size, cell.gens
+    table = [[None] * (n + 1) for _ in range(n + 1)]  # (a, b) per letters x, y
     words = [v.images for v in cell.members]
 
     def column(p: int, g: int) -> list:
@@ -133,7 +130,7 @@ def _cell_rep(f: Functional, w: Permutation, gens: tuple, normalization: str,
         return col
 
     mats = _two_term_matrices((g, column(p, g)) for p, g in enumerate(gens))
-    return Representation("A", w.size, gens, cell.members, mats, normalization)
+    return Representation("A", n, gens, cell.members, mats, normalization)
 
 
 def build_from_functional(f: Functional, w: Permutation,
@@ -143,7 +140,7 @@ def build_from_functional(f: Functional, w: Permutation,
     Basis vectors are the cell members in (length, word) order; the matrices
     realize each generator as a two-term action per basis vector.
     """
-    return _cell_rep(f, w, tuple(range(1, w.size)), normalization, "the cell")
+    return _cell_rep(f, _walk_cell(f, w, range(1, w.size)), normalization, "the cell")
 
 
 def parabolic_generators(J: Sequence[int], n: int) -> tuple:
@@ -157,8 +154,8 @@ def parabolic_generators(J: Sequence[int], n: int) -> tuple:
 def build_parabolic(f: Functional, J: Sequence[int],
                     normalization: str = SEMINORMAL) -> Representation:
     """Identity descent cell and matrices inside the parabolic <s_j : j in J> on f's letters."""
-    return _cell_rep(f, identity(f.size), parabolic_generators(J, f.size), normalization,
-                     "the parabolic cell")
+    cell = _walk_cell(f, identity(f.size), parabolic_generators(J, f.size))
+    return _cell_rep(f, cell, normalization, "the parabolic cell")
 
 
 def build_orthogonal_skew(shape: SkewShape) -> Representation:
@@ -323,10 +320,14 @@ def mn_character(shape: SkewShape, cycle_type: Sequence[int]) -> int:
     Independent of any matrix construction; for straight shapes this is the
     classical irreducible character.
     """
-    cycle_type = tuple(sorted((int(p) for p in cycle_type), reverse=True))
-    if sum(cycle_type) != shape.size or min(cycle_type, default=1) < 1:
+    given = tuple(cycle_type)
+    try:  # Functional's rule: int(p) == p and p no bool, so 2.0 passes and 1.5, "1", True do not
+        parts = [int(p) for p in given if not isinstance(p, bool) and int(p) == p]
+    except (TypeError, ValueError, OverflowError):
+        parts = []
+    if len(parts) != len(given) or sum(parts) != shape.size or min(parts, default=1) < 1:
         raise PreconditionError("cycle type must have positive parts summing to the shape size")
-    return _mn(shape.lam, shape.mu, cycle_type)
+    return _mn(shape.lam, shape.mu, tuple(sorted(parts, reverse=True)))
 
 
 @lru_cache(maxsize=None)

@@ -147,6 +147,11 @@ def row_tableau(shape: SkewShape) -> Tableau:
 
 def enumerate_standard(shape: SkewShape) -> list:
     """All standard fillings, sorted by their row-major reading."""
+    return [Tableau(shape, filling) for filling in standard_rows(shape)]
+
+
+def standard_rows(shape: SkewShape) -> list:
+    """The rows of every standard filling, as tuples, in `enumerate_standard` order."""
     n = shape.size
     if n == 0:
         raise EmptyShapeError("cannot enumerate fillings of an empty shape")
@@ -169,7 +174,7 @@ def enumerate_standard(shape: SkewShape) -> list:
 
     rec(1)
     out.sort()
-    return [Tableau(shape, filling) for filling in out]
+    return out
 
 
 def hook_length_count(lam: Sequence[int]) -> int:

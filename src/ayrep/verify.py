@@ -13,9 +13,9 @@ from math import comb, factorial
 
 from .cells import (
     BasicFlat,
+    Cell,
     Functional,
     boundary_reflections,
-    cell_tableau_bijection,
     descent_cell,
     descent_classes,
     flat_integer_points,
@@ -24,6 +24,7 @@ from .cells import (
     is_generic,
     is_generic_integer,
     is_minimal_ay_cell,
+    relabelled_rows,
 )
 from .groups import (
     _check_cap,
@@ -48,6 +49,7 @@ from .reps import (
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
+    _cell_rep,
     build_from_functional,
     build_orthogonal_skew,
     char_inner,
@@ -58,7 +60,6 @@ from .reps import (
     verify_coxeter,
 )
 from .tableaux import (
-    SkewShape,
     content_vector,
     count_standard,
     enumerate_standard,
@@ -66,6 +67,7 @@ from .tableaux import (
     relabel_cell,
     row_tableau,
     skew_shape_family,
+    standard_rows,
     straight_shapes,
 )
 from .tops import top_elements
@@ -94,70 +96,104 @@ def _result(name, details, bad, checked: int):
     return SuiteResult(name, not bad, tuple(details), tuple(bad))
 
 
-def _sample_shapes_6():
-    """Deterministic sample at size 6: all straight shapes plus small skews."""
-    sample = list(straight_shapes(6))
-    family = skew_shape_family(6)
-    for shape in family[::7]:
-        if not shape.is_straight and count_standard(shape) <= 40:
-            sample.append(shape)
-    return sample
+# The suites of the shape family, which share one `_family_sweep`, and their default n_max.
+_FAMILY = {"coxeter": 5, "axiomB": 5, "cells": 6, "specht": 5}
 
 
-def _row_filling_rep(shape: SkewShape) -> Representation:
-    """The seminormal representation on the identity cell of the shape's row filling."""
-    f = Functional(content_vector(row_tableau(shape)))
-    return build_from_functional(f, identity(shape.size), SEMINORMAL)
+def _row_filling_rep(f: Functional, cell: Cell) -> Representation:
+    """The seminormal representation on the walked identity cell of a row filling's contents."""
+    return _cell_rep(f, cell, SEMINORMAL, "the cell")
 
 
-def coxeter_suite(n_max: int = 5) -> SuiteResult:
+def _family_sweep(sizes: dict) -> dict:
+    """The family suites named in `sizes` (name -> n_max) in one pass over
+    their shapes; name -> its SuiteResult.  Per shape the row filling's
+    identity cell is walked once, for `cells`, and the exact form built on
+    it once, for `axiomB`, `coxeter` and `specht`, then dropped.
+    """
+    sample = set()  # coxeter's n = 6 sample: every straight shape, small skews of every 7th
+    if sizes.get("coxeter") == 5:  # from n_max = 6 the sweep holds every size-6 shape
+        _check_cap("A", 6)  # before the sweep builds anything
+        sample = set(straight_shapes(6)) | {shape for shape in skew_shape_family(6)[::7]
+                                            if count_standard(shape) <= 40}
+    bad = {name: [] for name in sizes}
+    counts = dict.fromkeys(sizes, 0)
+    straight = {}  # straight shape -> its traced character, for `specht`
+    for n in range(1, max([*sizes.values(), 6 if sample else 0]) + 1):
+        for shape in skew_shape_family(n):
+            names = [name for name, n_max in sizes.items()
+                     if n <= n_max or name == "coxeter" and shape in sample]
+            if not names:
+                continue
+            q = row_tableau(shape)
+            f = Functional(content_vector(q))
+            cell = descent_cell(f, identity(n))
+            for name in names:
+                counts[name] += 1
+            if "cells" in names:
+                try:
+                    size = len(relabelled_rows(q, cell, standard_rows(shape)))
+                    # straight shapes are also counted independently, by the hook formula
+                    if shape.is_straight and size != count_standard(shape):
+                        raise AssertionError(f"cell size {size} != {count_standard(shape)} "
+                                             "fillings")
+                except AssertionError as exc:
+                    bad["cells"].append(f"{shape}: {exc}")
+            rep = _row_filling_rep(f, cell) if names != ["cells"] else None
+            if "axiomB" in names:
+                report = verify_axiom_B(rep)
+                if not report.ok:
+                    bad["axiomB"].append(f"{shape}: {report.failures[0]}")
+            if "coxeter" in names:
+                for form, built in (("seminormal", rep),
+                                    ("orthogonal", build_orthogonal_skew(shape))):
+                    report = verify_coxeter(built)
+                    if not report.ok:
+                        bad["coxeter"].append(f"{form} {shape}: {report.failures[0]}")
+            if "specht" in names:
+                chi = character(rep)
+                if shape.is_straight:
+                    straight[shape] = chi
+                for cls_rep, value in chi.values.items():
+                    expected = mn_character(shape, cls_rep.cycle_type())
+                    if value != expected:
+                        bad["specht"].append(
+                            f"{shape} at class {cls_rep.cycle_type()}: {value} != {expected}")
+    details = {"coxeter": [f"{counts.get('coxeter')} shapes checked (exact and tol {FLOAT_TOL})"],
+               "axiomB": [f"{counts.get('axiomB')} representations checked"],
+               "cells": [f"{counts.get('cells')} shapes checked up to n={sizes.get('cells')}"],
+               "specht": [f"{counts.get('specht')} skew shapes matched the strip oracle"]}
+    if "specht" in sizes:  # the straight characters are the irreducibles
+        for n in range(1, sizes["specht"] + 1):
+            shapes = straight_shapes(n)
+            for shape in shapes:
+                if char_inner(straight[shape], straight[shape]) != 1:
+                    bad["specht"].append(f"straight {shape}: norm != 1")
+            if len({straight[shape] for shape in shapes}) != len(shapes):
+                bad["specht"].append(f"n={n}: straight-shape characters not pairwise distinct")
+            details["specht"].append(f"n={n}: all {len(shapes)} irreducibles realized")
+        dim_sum_max = 6  # the dimension identity needs no built matrices, so it runs past n_max
+        for n in range(1, dim_sum_max + 1):
+            total = sum(hook_length_count(lam) ** 2 for lam in partitions(n))
+            if total != factorial(n):
+                bad["specht"].append(f"n={n}: sum of squared dimensions {total} != {factorial(n)}")
+        details["specht"].append(f"dimension identity checked up to n={dim_sum_max}")
+    return {name: _result(name, details[name], bad[name], counts[name]) for name in sizes}
+
+
+def coxeter_suite(n_max: int = _FAMILY["coxeter"]) -> SuiteResult:
     """Involutions and braid relations, exact seminormal and float orthogonal."""
-    bad, checked = [], 0
-    jobs = [(n, shape) for n in range(1, n_max + 1) for shape in skew_shape_family(n)]
-    if n_max == 5:  # from n_max = 6 the sweep holds every size-6 shape
-        _check_cap("A", 6)  # before the n <= 5 sweep, not after it
-        jobs.extend((6, shape) for shape in _sample_shapes_6())
-    for _, shape in jobs:
-        report = verify_coxeter(_row_filling_rep(shape))
-        if not report.ok:
-            bad.append(f"seminormal {shape}: {report.failures[0]}")
-        orth = build_orthogonal_skew(shape)
-        report = verify_coxeter(orth)
-        if not report.ok:
-            bad.append(f"orthogonal {shape}: {report.failures[0]}")
-        checked += 1
-    return _result("coxeter", [f"{checked} shapes checked (exact and tol {FLOAT_TOL})"], bad, checked)
+    return _family_sweep({"coxeter": n_max})["coxeter"]
 
 
-def axiom_b_suite(n_max: int = 5) -> SuiteResult:
+def axiom_b_suite(n_max: int = _FAMILY["axiomB"]) -> SuiteResult:
     """Two-term local action on every cell representation of the sweep."""
-    bad, checked = [], 0
-    for n in range(1, n_max + 1):
-        for shape in skew_shape_family(n):
-            report = verify_axiom_B(_row_filling_rep(shape))
-            if not report.ok:
-                bad.append(f"{shape}: {report.failures[0]}")
-            checked += 1
-    return _result("axiomB", [f"{checked} representations checked"], bad, checked)
+    return _family_sweep({"axiomB": n_max})["axiomB"]
 
 
-def cells_suite(n_max: int = 6) -> SuiteResult:
+def cells_suite(n_max: int = _FAMILY["cells"]) -> SuiteResult:
     """Cell sizes equal standard-filling counts; relabel map is a bijection."""
-    bad, checked = [], 0
-    for n in range(1, n_max + 1):
-        for shape in skew_shape_family(n):
-            try:
-                size = len(cell_tableau_bijection(row_tableau(shape)))
-            except AssertionError as exc:
-                bad.append(f"{shape}: {exc}")
-                checked += 1
-                continue
-            # straight shapes are also counted independently, by the hook formula
-            if shape.is_straight and size != count_standard(shape):
-                bad.append(f"{shape}: cell size {size} != {count_standard(shape)} fillings")
-                continue
-            checked += 1
-    return _result("cells", [f"{checked} shapes checked up to n={n_max}"], bad, checked)
+    return _family_sweep({"cells": n_max})["cells"]
 
 
 def regular_suite(n_max: int = 5) -> SuiteResult:
@@ -269,39 +305,9 @@ def flat_suite() -> SuiteResult:
     return _result("flat", details, bad, len(flats))
 
 
-def specht_suite(n_max: int = 5) -> SuiteResult:
+def specht_suite(n_max: int = _FAMILY["specht"]) -> SuiteResult:
     """Built characters equal the border-strip oracle; irreducibles realized."""
-    bad, details = [], []
-    checked = 0
-    dim_sum_max = 6  # the dimension identity needs no built matrices, so it runs past n_max
-    straight = {}  # straight shape -> its traced character
-    for n in range(1, n_max + 1):
-        for shape in skew_shape_family(n):
-            chi = character(_row_filling_rep(shape))
-            if shape.is_straight:
-                straight[shape] = chi
-            for cls_rep, value in chi.values.items():
-                expected = mn_character(shape, cls_rep.cycle_type())
-                if value != expected:
-                    bad.append(
-                        f"{shape} at class {cls_rep.cycle_type()}: {value} != {expected}"
-                    )
-            checked += 1
-    details.append(f"{checked} skew shapes matched the strip oracle")
-    for n in range(1, n_max + 1):
-        shapes = straight_shapes(n)
-        for shape in shapes:
-            if char_inner(straight[shape], straight[shape]) != 1:
-                bad.append(f"straight {shape}: norm != 1")
-        if len({straight[shape] for shape in shapes}) != len(shapes):
-            bad.append(f"n={n}: straight-shape characters not pairwise distinct")
-        details.append(f"n={n}: all {len(shapes)} irreducibles realized")
-    for n in range(1, dim_sum_max + 1):
-        total = sum(hook_length_count(lam) ** 2 for lam in partitions(n))
-        if total != factorial(n):
-            bad.append(f"n={n}: sum of squared dimensions {total} != {factorial(n)}")
-    details.append(f"dimension identity checked up to n={dim_sum_max}")
-    return _result("specht", details, bad, checked)
+    return _family_sweep({"specht": n_max})["specht"]
 
 
 def _brute_minimal_family(n: int) -> set:
@@ -486,12 +492,8 @@ def convexity_suite(n_max: int = 5) -> SuiteResult:
     bad, details, checked = [], [], 0
     for n in range(2, n_max + 1):
         refl = reflections(n)
-        patterns = set()
-        for coords in product(range(-3, 4), repeat=n):
-            A = frozenset(
-                t for t in refl if abs(coords[t.j - 1] - coords[t.i - 1]) == 1
-            )
-            patterns.add(A)
+        patterns = {frozenset(t for t in refl if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
+                    for coords in product(range(-3, 4), repeat=n)}
         seen_cells = set()
         convex_count = 0
         for A in sorted(patterns, key=lambda a: (len(a), sorted(a))):
@@ -505,15 +507,18 @@ def convexity_suite(n_max: int = 5) -> SuiteResult:
                 else:
                     bad.append(f"n={n}: non-convex descent cell over A={sorted(A)}")
         checked += len(seen_cells)
-        details.append(
-            f"n={n}: {len(patterns)} +-1 patterns, {convex_count} distinct cells convex"
-        )
+        details.append(f"n={n}: {len(patterns)} +-1 patterns, {convex_count} distinct cells convex")
     agree = 0
     for n in range(2, min(4, n_max) + 1):
+        walked = {}  # the identity cell of f depends on f only through its +-1 pattern
         for coords in product(range(-2, 3), repeat=n):
             f = Functional(coords)
             direct = is_generic_integer(f)
-            via_cell = is_generic(f, descent_cell(f, identity(n)))
+            pattern = boundary_reflections(f)
+            if pattern not in walked:
+                walked[pattern] = descent_cell(f, identity(n))
+                is_generic(f, walked[pattern])  # the cell's preconditions, checked once
+            via_cell = genericity_violation(f, walked[pattern]) is None
             if direct != via_cell:
                 bad.append(f"f={coords}: integer test {direct} != cell test {via_cell}")
             agree += 1
@@ -555,10 +560,12 @@ def run_suites(names, n: int = None, seed: int = 0) -> list:
              if n is not None and name != "flat"}
     for size in sizes.values():
         _check_cap("A", size)
+    family = _family_sweep({name: sizes.get(name, default) for name, default in _FAMILY.items()
+                            if name in names})
     results = []
     for name in names:
         kwargs = {"n_max": sizes[name]} if name in sizes else {}
         if name == "minimal":
             kwargs["seed"] = seed
-        results.append(SUITES[name](**kwargs))
+        results.append(family[name] if name in family else SUITES[name](**kwargs))
     return results

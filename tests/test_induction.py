@@ -283,6 +283,13 @@ def test_signed_pair_basis_names_a_bad_second_shape():
         signed_pair_basis((1,), (1, 2))
 
 
+@pytest.mark.parametrize("build", [signed_pair_basis, bn_classical])
+def test_the_empty_pair_of_shapes_is_refused(build):
+    # the rule of extend_to_bn(None, None); bn_classical gave an n = 0 form
+    with pytest.raises(PreconditionError, match="the signed group needs at least one letter"):
+        build((), ())
+
+
 def test_bn_classical_trivial():
     rep = bn_classical((3,), ())
     assert rep.dim == 1

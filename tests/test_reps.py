@@ -58,6 +58,13 @@ def test_build_hand_checked_matrices():
     ]
 
 
+@pytest.mark.parametrize("walk", [descent_cell, build_from_functional])
+def test_the_walk_refuses_a_functional_of_another_size(walk):
+    # one rule, in the walk that both run
+    with pytest.raises(PreconditionError, match="functional and permutation sizes differ"):
+        walk(Functional((0, 1)), identity(3))
+
+
 def test_build_rejects_non_generic():
     with pytest.raises(GenericityError) as err:
         build_from_functional(Functional((0, 1, 0)), identity(3))
@@ -220,6 +227,14 @@ def test_mn_examples():
     for cycle_type in ((2, 0), (3, -1)):
         with pytest.raises(PreconditionError, match="positive parts"):
             mn_character(SkewShape((2,)), cycle_type)
+    assert mn_character(SkewShape((2,)), (2.0,)) == 1  # an integral float is an integer part
+
+
+@pytest.mark.parametrize("cycle_type", [(1.5, 1.5), ("1", "1"), (True, True)])
+def test_mn_refuses_non_integer_parts(cycle_type):
+    # each was read as (1, 1), the value 1 at the identity class
+    with pytest.raises(PreconditionError, match="positive parts"):
+        mn_character(SkewShape((2,)), cycle_type)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

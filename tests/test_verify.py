@@ -136,3 +136,45 @@ def test_convexity_suite_reports_a_non_convex_descent_class(monkeypatch):
     assert result.counterexamples == ("n=3: non-convex descent cell over A=[]",)
     # the gapped class stands in for the whole group: still 19 cells, 18 of them convex
     assert result.details[1] == "n=3: 7 +-1 patterns, 18 distinct cells convex"
+
+
+FAMILY = ["specht", "cells", "coxeter", "axiomB"]
+
+
+def test_one_sweep_walks_and_builds_each_family_shape_once(monkeypatch):
+    alone = {name: verify.SUITES[name](n_max=4) for name in [*FAMILY, "convexity"]}
+    walked = _count_calls(monkeypatch, "descent_cell")
+    built = _count_calls(monkeypatch, "_row_filling_rep")
+    results = verify.run_suites([*FAMILY, "convexity"], 4)
+    shapes = sum(len(skew_shape_family(n)) for n in range(1, 5))
+    assert shapes == 41
+    # one walk per family shape, then one per +-1 pattern of the genericity comparison
+    assert len(walked) == shapes + 2 + 7 + 41
+    assert len(built) == shapes
+    assert len({rep_args[0] for rep_args in built}) == shapes  # the row fillings' contents
+    assert [r.name for r in results] == [*FAMILY, "convexity"]
+    assert all(r == alone[r.name] for r in results)
+
+
+def test_one_sweep_serves_suites_of_different_size_bounds():
+    # with no size bound each suite takes its default: `cells` sweeps n = 6
+    # and `coxeter` n <= 5 plus its n = 6 sample, which both of them check
+    results = verify.run_suites(["coxeter", "cells"])
+    assert results == [verify.coxeter_suite(), verify.cells_suite()]
+    assert [r.details for r in results] == [("150 shapes checked (exact and tol 1e-09)",),
+                                            ("400 shapes checked up to n=6",)]
+
+
+def test_the_sweep_reports_a_filling_missing_from_the_rows(monkeypatch):
+    rows = verify.standard_rows
+
+    def without_the_last(shape):
+        found = rows(shape)
+        return found[:-1] if str(shape) == "(2,1)" else found
+
+    monkeypatch.setattr(verify, "standard_rows", without_the_last)
+    cells, axiom_b = verify.run_suites(["cells", "axiomB"], 3)
+    assert not cells.ok and axiom_b.ok
+    assert cells.counterexamples == (
+        "(2,1): relabel map failed to be a bijection onto standard fillings",)
+    assert cells.details == ("13 shapes checked up to n=3",)
