@@ -285,7 +285,7 @@ def test_signed_pair_basis_names_a_bad_second_shape():
 
 @pytest.mark.parametrize("build", [signed_pair_basis, bn_classical])
 def test_the_empty_pair_of_shapes_is_refused(build):
-    # the rule of extend_to_bn(None, None); bn_classical gave an n = 0 form
+    # the rule of extend_to_bn(None, None): no form on zero letters
     with pytest.raises(PreconditionError, match="the signed group needs at least one letter"):
         build((), ())
 

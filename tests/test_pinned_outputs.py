@@ -20,7 +20,7 @@ PINNED = Path(__file__).parent / "pinned"
 # pinned/verify_minimal_n5.json (`verify --n 5 --suite minimal --json`) and
 # pinned/verify_family_n6.json (`verify --n 6 --suite specht,cells,coxeter,axiomB
 # --json`) are not cases here: they are checked in CI only, by the golden job,
-# because they take about 9 s, 2.5 s and 10 s.
+# because they take about 9 s, 2.5 s and 7 s.
 
 CASES = {
     "rep_seminormal": ["rep", "--n", "5", "--f", "0,1,2,-1,0", "--json"],

@@ -232,7 +232,7 @@ def test_mn_examples():
 
 @pytest.mark.parametrize("cycle_type", [(1.5, 1.5), ("1", "1"), (True, True)])
 def test_mn_refuses_non_integer_parts(cycle_type):
-    # each was read as (1, 1), the value 1 at the identity class
+    # none of them is read as (1, 1)
     with pytest.raises(PreconditionError, match="positive parts"):
         mn_character(SkewShape((2,)), cycle_type)
 
