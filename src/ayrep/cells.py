@@ -106,9 +106,12 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
     not in A; t goes to the interior set if it does and to the boundary set
     otherwise.  Each member gets an id when found and a row of its neighbours'
-    ids (-1 across a wall); the one sort into (length, word) order maps ids to
-    positions.  The rows stay in one flat tuple: a tuple per row held ~0.3 MiB
-    more peak RSS on `verify --suite flat`, as CPython pools freed small tuples.
+    ids (-1 across a wall).  A step from j to k along s_i fills in k's step
+    back to j along s_i as well (w s_i s_i = w, by the same reflection t), so
+    each edge is walked once.  The one sort into (length, word) order maps
+    ids to positions.  The rows stay in one flat tuple: a tuple per row held
+    ~0.3 MiB more peak RSS on `verify --suite flat`, as CPython pools freed
+    small tuples.
     """
     _check_cap("A", start.size)
     if isinstance(A, Functional):
@@ -116,21 +119,26 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
             raise PreconditionError("functional and permutation sizes differ")
         A = boundary_reflections(A)
     gens = tuple(gens)
+    m = len(gens)
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
     # hashes and compares equal to its Reflection, so it is looked up in A.
     # Each member's length rides along: w s_i is one longer than w exactly
     # when w(i) < w(i+1).
     ids = {start.images: 0}
     order = [(start.length(), start.images)]
-    rows = []  # rows[k * m + p]: the step of id k along gens[p], m = len(gens)
+    unset = [None] * m
+    rows = unset[:]  # rows[k * m + p]: the step of id k along gens[p]
     interior, boundary = set(), set()
-    for length, img in order:
-        for i in gens:
+    for j, (length, img) in enumerate(order):
+        base = j * m
+        for p, i in enumerate(gens):
+            if rows[base + p] is not None:  # walked from the other end
+                continue
             x, y = img[i - 1], img[i]
             t = (x, y) if x < y else (y, x)
             if t in A:
                 boundary.add(t)
-                rows.append(-1)
+                rows[base + p] = -1
                 continue
             interior.add(t)
             nxt = img[:i - 1] + (y, x) + img[i + 1:]
@@ -138,11 +146,13 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
             if k is None:
                 k = ids[nxt] = len(order)
                 order.append((length + 1 if x < y else length - 1, nxt))
-            rows.append(k)
+                rows += unset
+            rows[base + p] = k
+            rows[k * m + p] = j
     ranked = sorted(range(len(order)), key=order.__getitem__)  # position -> id
-    # id -> position, the inverse permutation; position[-1] is None, across a wall
-    position = sorted(range(len(order)), key=ranked.__getitem__) + [None]
-    m = len(gens)
+    position = [None] * (len(order) + 1)  # id -> position; position[-1] is None, across a wall
+    for pos, k in enumerate(ranked):
+        position[k] = pos
     steps = tuple([position[rows[k * m + p]] for k in ranked for p in range(m)])
     # from a list, not a generator: tuple() over a generator guesses a size and
     # resizes, which held ~0.45 MiB more at the end of `verify --suite convexity`

@@ -95,16 +95,17 @@ def induce(psi: Representation) -> Representation:
     def step(m, r, s: int) -> tuple:
         rs = r.times_simple(s)
         if rs in rep_set:
-            return 0, index[m, rs], one
+            return (None, one), index[m, rs]
         # Deodhar's lemma: rs = s_j r, i.e. r(s), r(s+1) are the letters j, j+1
         j = min(r(s), r(s + 1))
         psi_j = psi.matrices[j]
         k = psi_index[m]
         mp = m.times_simple(j)
         b = psi_j.entry(psi_index[mp], k) if mp in psi_index else 0
-        return psi_j.entry(k, k), index.get((mp, r)), b
+        return (psi_j.entry(k, k) or None, b or None), index.get((mp, r))
 
-    mats = _two_term_matrices((s, [step(m, r, s) for m, r in pairs]) for s in range(1, n))
+    mats = _two_term_matrices(len(pairs), ((s, [step(m, r, s) for m, r in pairs])
+                                           for s in range(1, n)))
     basis = tuple(m * r for m, r in pairs)
     return Representation("A", n, tuple(range(1, n)), basis, mats, psi.normalization)
 

@@ -11,15 +11,25 @@ entries; seminormal entries are 1/h, 1 and 1 - 1/h^2, so s divides h^2.
 Then M1 * ... * Mk = (N1 * ... * Nk) / (s1 * ... * sk) exactly, and each
 basis vector is pushed through the word in Python ints with a single
 division at the end, so an exact trace is a Fraction whatever the word.
-A matrix computes its scaled form once, on first use, and keeps it.
+A matrix computes its scaled form once, on first use, and keeps it.  A
+word that the caller vouches comes back to each basis vector along the
+diagonal alone is traced from the scaled diagonals, with nothing pushed.
 
-A relation is checked as a word too: `word_is_identity` pushes each basis
+A relation is checked as a word too: `word_is_identity` pushes a basis
 vector through M1 * ... * Mk and compares the result with (s1 * ... * sk)
 times that vector, so an exact braid check (s_g s_h)^m never forms s_g s_h.
-Matrices with float entries (the orthogonal form) run the same loops with
-scale 1.  Float braid checks still form s_g s_h and raise it to the power
-(`power_is_identity`): pushing the word instead would round in another
-order and change the float results in their last bits.
+An exact check pushes one basis vector per orbit block.  S commutes with
+P = S^2, and once S^2 = T^2 = 1, S P S = T P T = P^-1 for P = (ST)^m;
+either way P S e = S e when P e = e, so the vectors P fixes are closed
+under S (and T).  A generator column has at most one off-diagonal entry,
+S e_j = a e_j + b e_k, so if P fixes e_j it fixes b e_k and so e_k: a
+pushed e_j that comes back fixed vouches for every e_k reached from it
+along such entries, and a moved vector shows at the first push of its
+block.  Matrices with float entries (the orthogonal form) run the same
+loops with scale 1 and push every vector.  Float braid checks still form
+s_g s_h and raise it to the power (`power_is_identity`): pushing the word
+instead would round in another order and change the float results in
+their last bits.
 """
 
 from __future__ import annotations
@@ -76,7 +86,7 @@ class SquareMatrix:
         return SquareMatrix(self.dim, cols)
 
     def scaled_form(self) -> tuple:
-        """The (s, columns, is_float) of `_scaled`, computed on first use and kept."""
+        """The (s, columns, is_float, diagonal) of `_scaled`, computed on first use and kept."""
         if self._form is None:
             self._form = _scaled(self)
         return self._form
@@ -89,17 +99,18 @@ class SquareMatrix:
 
 
 def _scaled(m: SquareMatrix) -> tuple:
-    """(s, columns, is_float): columns[j] lists the (i, s * m[i, j]); s = 1 if a float is in m."""
+    """(s, columns, is_float, diagonal): columns[j] lists the (i, s * m[i, j]) and
+    diagonal[j] is s * m[j, j], or diagonal is None; s = 1 if a float is in m."""
     entries = [v for col in m.cols.values() for v in col.values()]
     columns = [()] * m.dim
     if any(isinstance(v, float) for v in entries):
         for j, col in m.cols.items():
             columns[j] = tuple(col.items())
-        return 1, columns, True
+        return 1, columns, True, None
     s = lcm(*(v.denominator for v in entries))
     for j, col in m.cols.items():
         columns[j] = tuple((i, v.numerator * (s // v.denominator)) for i, v in col.items())
-    return s, columns, False
+    return s, columns, False, [dict(col).get(j, 0) for j, col in enumerate(columns)]
 
 
 def _push(chain: Sequence, j: int) -> dict:
@@ -120,37 +131,62 @@ def _push(chain: Sequence, j: int) -> dict:
     return vec
 
 
-def word_trace(matrices: Sequence[SquareMatrix], dim: int):
+def word_trace(matrices: Sequence[SquareMatrix], dim: int, along_diagonal: bool = False):
     """Trace of the product matrices[0] * matrices[1] * ... without forming it.
 
     An exact word, the empty one included, gives a Fraction.  A float word
-    gives a float, or int 0 when no diagonal term survives.
+    gives a float, or int 0 when no diagonal term survives.  With
+    `along_diagonal` the caller vouches that the product comes back to a
+    basis vector along the diagonal entries only; an exact word is then
+    traced as the sum over j of the products of the scaled diagonal entries,
+    and nothing is pushed.
     """
     forms = [m.scaled_form() for m in matrices]
-    chain = [columns for _, columns, _ in forms]
+    if along_diagonal and forms and not any(is_float for _, _, is_float, _ in forms):
+        total = sum(map(prod, zip(*[diagonal for _, _, _, diagonal in forms])))
+        return Fraction(total, prod(s for s, _, _, _ in forms))
+    chain = [columns for _, columns, _, _ in forms]
     total = 0
     for j in range(dim):  # not sum(): since Python 3.12 it rounds float sums differently
         total += _push(chain, j).get(j, 0)
-    if any(is_float for _, _, is_float in forms):
+    if any(is_float for _, _, is_float, _ in forms):
         return total
-    return Fraction(total, prod(s for s, _, _ in forms))
+    return Fraction(total, prod(s for s, _, _, _ in forms))
 
 
-def word_is_identity(matrices: Sequence[SquareMatrix], dim: int, tol=None) -> bool:
+def word_is_identity(matrices: Sequence[SquareMatrix], dim: int, tol=None,
+                     closed_under: Sequence[SquareMatrix] = ()) -> bool:
     """Whether matrices[0] * matrices[1] * ... is the identity, without forming it.
 
-    Exact, or (given tol) entrywise within tol.
+    Exact, or (given tol) entrywise within tol.  An exact check may name in
+    `closed_under` matrices S under which the vectors the product P fixes
+    are closed (S P = P S, or S P S = P^-1); each basis vector reached from
+    a fixed one along a column of S with one off-diagonal entry is then
+    fixed too, and is not pushed.
     """
     forms = [m.scaled_form() for m in matrices]
-    chain = [columns for _, columns, _ in forms]
-    one = prod(s for s, _, _ in forms)
+    chain = [columns for _, columns, _, _ in forms]
+    one = prod(s for s, _, _, _ in forms)
+    exact = tol is None and not any(form[2] for form in forms)
+    closed = [m.scaled_form()[1] for m in closed_under] if exact else []
+    fixed = bytearray(dim)
     for j in range(dim):
+        if fixed[j]:
+            continue
         vec = _push(chain, j)
         if tol is None:
             if vec != {j: one}:
                 return False
         elif abs(vec.pop(j, 0) / one - 1) > tol or any(abs(v / one) > tol for v in vec.values()):
             return False
+        fixed[j] = 1
+        block = [j]
+        for v in block:  # S e_v = a e_v + b e_k, b != 0: P fixes S e_v, so b e_k, so e_k
+            for columns in closed:
+                off = [i for i, _ in columns[v] if i != v]
+                if len(off) == 1 and not fixed[off[0]]:
+                    fixed[off[0]] = 1
+                    block.append(off[0])
     return True
 
 

@@ -8,10 +8,17 @@ for display and cross-checks; characters agree between the two.
 
 `_step_coefficients` is one memoised table shared by every builder, so each
 distinct coefficient is one Fraction (or float) that all matrices hold, and
-comparing two builds' columns mostly takes the identity shortcut.  Every
-builder writes its columns through `_two_term_matrices`; the cell and
+comparing two builds' columns mostly takes the identity shortcut.  It gives
+a zero coefficient as None, so it tests each coefficient for zero once.
+Every builder writes its columns in one pass through `_two_term_matrices`,
+which takes zeros as None and calls no number's truth test; the cell and
 parabolic builders share one body, `_cell_rep`, which reads each neighbour
-w s_g off the step graph of the walked cell.
+w s_g off the step graph of the walked cell and its coefficients off a
+table over the letter pairs.
+
+`character` traces a class word with distinct letters from the diagonals
+when `_two_term_generators` vouches for each of its matrices, and pushes
+every other word, type B and the float forms included, through `word_trace`.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import itemgetter
 from typing import Sequence
 
 from .cells import Cell, Functional, genericity_violation, _walk_cell
@@ -67,34 +75,42 @@ def _step_coefficients(h, up: bool, normalization: str) -> tuple:
     """Diagonal a = 1/h and neighbor coefficient b for a step with signed pairing h.
 
     Seminormal: b = 1 going up, 1 - a^2 coming down.  Orthogonal: b = sqrt(1 - a^2)
-    both ways.  Memoised: equal arguments return the same shared objects.
+    both ways.  A zero b (|h| = 1) is None, as `_two_term_matrices` takes it;
+    a is never zero.  Memoised: equal arguments return the same shared objects,
+    so each coefficient is tested for zero once.
     """
     if normalization == SEMINORMAL:
         a = Fraction(1, h)
-        return a, (Fraction(1) if up else 1 - a * a)
-    a = 1.0 / h
-    return a, math.sqrt(1.0 - a * a)
+        b = Fraction(1) if up else 1 - a * a
+    else:
+        a = 1.0 / h
+        b = math.sqrt(1.0 - a * a)
+    return a, (b if b else None)
 
 
-def _two_term_matrices(columns) -> dict:
+def _two_term_matrices(dim: int, columns) -> dict:
     """Generator matrices sending each basis vector v_j to a v_j + b v_k.
 
-    `columns` yields (g, steps), one list per generator, each written and
-    dropped before the next: steps[j] is (a, k, b), k the basis index of the
-    neighbour or None when the step leaves the basis (b is then dropped).
-    Zero coefficients are never stored.  Each column is a fresh dict, written
+    `columns` yields (g, steps), one per generator, each written in one pass
+    and dropped before the next: steps yields ((a, b), k) for j = 0, 1, ...,
+    k the basis index of the neighbour or None when the step leaves the basis
+    (b is then dropped).  A zero coefficient comes as None: the builders test
+    each coefficient once where they make it, so no column calls a number's
+    truth test, and no zero is stored.  Each column is a fresh dict, written
     diagonal first.
     """
     mats = {}
     for g, steps in columns:
         cols = {}
-        for j, (a, k, b) in enumerate(steps):
-            col = {j: a} if a else {}
-            if k is not None and b:
-                col[k] = b
-            if col:
-                cols[j] = col
-        mats[g] = SquareMatrix(len(steps), cols)
+        for j, ((a, b), k) in enumerate(steps):
+            if a is None:
+                if k is not None and b is not None:
+                    cols[j] = {k: b}
+            elif k is None or b is None:
+                cols[j] = {j: a}
+            else:
+                cols[j] = {j: a, k: b}
+        mats[g] = SquareMatrix(dim, cols)
     return mats
 
 
@@ -106,30 +122,29 @@ def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Repr
     table over the letters x, y that s_g swaps.  Once f is generic, a = 1/h
     != 0 for h = <f, t>, t = w s_g w^-1 (interior pairings avoid 0, boundary
     ones are +-1).  A step inside the cell has t interior: |h| >= 2, so
-    1 - a^2 >= 3/4 and b != 0.  A step out crosses a wall: |h| = 1, so b = 0,
-    but for the seminormal b = 1 going up, dropped with the missing neighbour.
+    1 - a^2 >= 3/4 and b != 0.  A step out crosses a wall: |h| = 1, so b = 0
+    (None), but for the seminormal b = 1 going up, dropped with the missing
+    neighbour.  The table holds each letter pair's (a, b) once, so a column
+    costs a lookup.
     """
     if normalization not in (SEMINORMAL, ORTHOGONAL):
         raise ValueError(f"unknown normalization {normalization!r}")
     bad = genericity_violation(f, cell)
     if bad is not None:
         raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
-    n, gens = f.size, cell.gens
+    n, gens, c = f.size, cell.gens, f.coords
     table = [[None] * (n + 1) for _ in range(n + 1)]  # (a, b) per letters x, y
     words = [v.images for v in cell.members]
 
-    def column(p: int, g: int) -> list:
-        col = []
-        for img, k in zip(words, islice(cell.steps, p, None, len(gens))):
-            x, y = img[g - 1], img[g]
-            ab = table[x][y]
-            if ab is None:
-                h = f.coords[y - 1] - f.coords[x - 1]
-                ab = table[x][y] = _step_coefficients(h, x < y, normalization)
-            col.append((ab[0], k, ab[1]))
-        return col
+    def coefficients(x: int, y: int) -> tuple:
+        ab = table[x][y] = _step_coefficients(c[y - 1] - c[x - 1], x < y, normalization)
+        return ab
 
-    mats = _two_term_matrices((g, column(p, g)) for p, g in enumerate(gens))
+    def column(p: int, g: int):
+        pairs = [table[x][y] or coefficients(x, y) for x, y in map(itemgetter(g - 1, g), words)]
+        return zip(pairs, islice(cell.steps, p, None, len(gens)))
+
+    mats = _two_term_matrices(len(words), ((g, column(p, g)) for p, g in enumerate(gens)))
     return Representation("A", n, gens, cell.members, mats, normalization)
 
 
@@ -175,10 +190,11 @@ def build_orthogonal_skew(shape: SkewShape) -> Representation:
 
     def step(word: tuple, g: int) -> tuple:
         (r1, c1), (r2, c2) = word[g - 1], word[g]
-        a, b = _step_coefficients((c2 - r2) - (c1 - r1), r1 < r2, ORTHOGONAL)
-        return a, index.get(word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:]), b
+        return (_step_coefficients((c2 - r2) - (c1 - r1), r1 < r2, ORTHOGONAL),
+                index.get(word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:]))
 
-    mats = _two_term_matrices((g, [step(word, g) for word in words]) for g in range(1, n))
+    mats = _two_term_matrices(len(words), ((g, [step(word, g) for word in words])
+                                           for g in range(1, n)))
     return Representation("A", n, tuple(range(1, n)), basis, mats, ORTHOGONAL)
 
 
@@ -199,15 +215,24 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
     tolerance = None if rep.is_exact else FLOAT_TOL
     failures = []
     gens = list(rep.gens)
+    squares = {}  # g -> whether s_g^2 = 1
     for g in gens:
-        if not power_is_identity(rep.matrices[g], 2, tolerance):
+        s = rep.matrices[g]
+        # exact: s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed
+        squares[g] = (word_is_identity([s, s], rep.dim, closed_under=(s,)) if rep.is_exact
+                      else power_is_identity(s, 2, tolerance))
+        if not squares[g]:
             failures.append(f"s{g}^2 != 1")
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
             g, h = gens[a], gens[b]
             m = braid_order(rep.group_type, g, h)
             if rep.is_exact:
-                holds = word_is_identity([rep.matrices[g], rep.matrices[h]] * m, rep.dim)
+                # with both squares 1, s_g and s_h conjugate P = (s_g s_h)^m to P^-1,
+                # so they keep its fixed vectors fixed; else every vector is pushed
+                pair = (rep.matrices[g], rep.matrices[h])
+                closed = pair if squares[g] and squares[h] else ()
+                holds = word_is_identity(list(pair) * m, rep.dim, closed_under=closed)
             else:
                 # floats form s_g s_h first; the word would round in another order
                 holds = power_is_identity(rep.matrices[g] * rep.matrices[h], m, tolerance)
@@ -277,15 +302,49 @@ class Character:
 
 
 def character(rep: Representation) -> Character:
-    """Trace of one reduced word per conjugacy class representative."""
+    """Trace of one reduced word per conjugacy class representative.
+
+    A word with distinct letters, each a generator that `_two_term_generators`
+    vouches for, is traced along the diagonal: M_g moves the basis vector
+    labelled w only to the one labelled w s_g, and no nonempty product of
+    distinct s_g is 1, so the word comes back to w along the diagonal alone
+    and its trace is the sum over w of the products of the M_g[w, w].
+    """
     data = (class_data_signed(rep.n) if rep.group_type == "B"
             else class_data_parabolic(rep.n, frozenset(rep.gens)))
+    two_term = _two_term_generators(rep)
     values = {}
     for cls_rep in data.reps:
-        mats = [rep.matrices[g] for g in reduced_word(cls_rep)]
-        values[cls_rep] = word_trace(mats, rep.dim)
+        word = reduced_word(cls_rep)
+        diagonal = len(set(word)) == len(word) and two_term.issuperset(word)
+        values[cls_rep] = word_trace([rep.matrices[g] for g in word], rep.dim, diagonal)
     kind = (rep.group_type, rep.n, rep.gens)
     return Character(kind, data.order, values, dict(data.sizes))
+
+
+def _two_term_generators(rep: Representation) -> frozenset:
+    """The generators g whose matrix is exact and whose every column j is
+    supported on basis vectors labelled basis[j] and basis[j] s_g.
+
+    Read off the matrices and the basis, whatever built them: empty unless
+    rep is of type A on permutations of its n letters.
+    """
+    basis, n = rep.basis, rep.n
+    if rep.group_type != "A" or not all(type(w) is Permutation and w.size == n for w in basis):
+        return frozenset()
+    out = set()
+    for g in rep.gens:
+        m = rep.matrices[g]
+        if not 1 <= g < n or m.scaled_form()[2]:  # a float entry
+            continue
+        for j, col in m.cols.items():
+            img = basis[j].images
+            moved = img[:g - 1] + (img[g], img[g - 1]) + img[g + 1:]
+            if any(i != j and basis[i].images != moved for i in col):
+                break
+        else:
+            out.add(g)
+    return frozenset(out)
 
 
 def _require_exact(chars: tuple, what: str) -> None:

@@ -109,7 +109,8 @@ def _family_sweep(sizes: dict) -> dict:
     """The family suites named in `sizes` (name -> n_max) in one pass over
     their shapes; name -> its SuiteResult.  Per shape the row filling's
     identity cell is walked once, for `cells`, and the exact form built on
-    it once, for `axiomB`, `coxeter` and `specht`, then dropped.
+    it once, for `axiomB`, `coxeter` and `specht`, then dropped before
+    `coxeter` builds the float form.
     """
     sample = set()  # coxeter's n = 6 sample: every straight shape, small skews of every 7th
     if sizes.get("coxeter") == 5:  # from n_max = 6 the sweep holds every size-6 shape
@@ -145,11 +146,9 @@ def _family_sweep(sizes: dict) -> dict:
                 if not report.ok:
                     bad["axiomB"].append(f"{shape}: {report.failures[0]}")
             if "coxeter" in names:
-                for form, built in (("seminormal", rep),
-                                    ("orthogonal", build_orthogonal_skew(shape))):
-                    report = verify_coxeter(built)
-                    if not report.ok:
-                        bad["coxeter"].append(f"{form} {shape}: {report.failures[0]}")
+                report = verify_coxeter(rep)
+                if not report.ok:
+                    bad["coxeter"].append(f"seminormal {shape}: {report.failures[0]}")
             if "specht" in names:
                 chi = character(rep)
                 if shape.is_straight:
@@ -159,6 +158,11 @@ def _family_sweep(sizes: dict) -> dict:
                     if value != expected:
                         bad["specht"].append(
                             f"{shape} at class {cls_rep.cycle_type()}: {value} != {expected}")
+            del rep, cell  # one form alive at a time: the exact one goes before the float one
+            if "coxeter" in names:
+                report = verify_coxeter(build_orthogonal_skew(shape))
+                if not report.ok:
+                    bad["coxeter"].append(f"orthogonal {shape}: {report.failures[0]}")
     details = {"coxeter": [f"{counts.get('coxeter')} shapes checked (exact and tol {FLOAT_TOL})"],
                "axiomB": [f"{counts.get('axiomB')} representations checked"],
                "cells": [f"{counts.get('cells')} shapes checked up to n={sizes.get('cells')}"],

@@ -610,3 +610,72 @@ def test_corner_test_matches_permutation_version_on_random_subsets(n):
         members = tuple(sorted(members, key=lambda w: w.sort_key()))
         cell = Cell(members, frozenset(), frozenset(), gens, _step_graph(members, gens))
         assert genericity_violation(f, cell) == expected
+
+
+# the walk against the walk that stepped along every edge from both ends
+
+
+def _reference_walk(A, start, gens):
+    """The cell walk as it ran before each edge was walked once: every member
+    steps along every generator, and a second sort inverts the ranking."""
+    if isinstance(A, Functional):
+        A = boundary_reflections(A)
+    gens = tuple(gens)
+    ids = {start.images: 0}
+    order = [(start.length(), start.images)]
+    rows = []
+    interior, boundary = set(), set()
+    for length, img in order:
+        for i in gens:
+            x, y = img[i - 1], img[i]
+            t = (x, y) if x < y else (y, x)
+            if t in A:
+                boundary.add(t)
+                rows.append(-1)
+                continue
+            interior.add(t)
+            nxt = img[:i - 1] + (y, x) + img[i + 1:]
+            k = ids.get(nxt)
+            if k is None:
+                k = ids[nxt] = len(order)
+                order.append((length + 1 if x < y else length - 1, nxt))
+            rows.append(k)
+    ranked = sorted(range(len(order)), key=order.__getitem__)
+    position = sorted(range(len(order)), key=ranked.__getitem__) + [None]
+    m = len(gens)
+    steps = tuple(position[rows[k * m + p]] for k in ranked for p in range(m))
+    members = tuple(Permutation(order[k][1]) for k in ranked)
+    return Cell(members, frozenset(reflection(*t) for t in interior),
+                frozenset(reflection(*t) for t in boundary), gens, steps)
+
+
+def _assert_same_walk(cell, reference):
+    for field in dataclasses.fields(Cell):
+        assert getattr(cell, field.name) == getattr(reference, field.name), field.name
+    assert [w.length() for w in cell.members] == [w.length() for w in reference.members]
+
+
+def test_the_walk_matches_the_reference_walk_on_every_flat_walk(monkeypatch):
+    import ayrep.reps
+    from ayrep import verify
+
+    walks = []
+    walk = _walk_cell
+
+    def recording_walk(A, start, gens):
+        walks.append((A, start, tuple(gens), walk(A, start, gens)))
+        return walks[-1][3]
+
+    monkeypatch.setattr(ayrep.cells, "_walk_cell", recording_walk)
+    monkeypatch.setattr(ayrep.reps, "_walk_cell", recording_walk)
+    assert verify.flat_suite().ok
+    assert len(walks) == 1474  # 1,440 builds and the 34 cells of the flats' partitions
+    for A, start, gens, cell in walks:
+        _assert_same_walk(cell, _reference_walk(A, start, gens))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_walk_matches_the_reference_walk_on_family_cells(n):
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        _assert_same_walk(descent_cell(f, identity(n)), _reference_walk(f, identity(n), range(1, n)))

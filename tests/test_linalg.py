@@ -34,12 +34,14 @@ from ayrep.reps import (
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
+    _two_term_generators,
     build_from_functional,
     build_orthogonal_skew,
     character,
     verify_coxeter,
 )
 from ayrep.tableaux import SkewShape, content_vector, row_tableau, skew_shape_family
+from value_digests import induction_cases
 
 
 def _dense(m: SquareMatrix) -> list:
@@ -250,21 +252,25 @@ def _signed_reps(n_max: int) -> list:
     return reps
 
 
+def _replaced(rep, g, j, i, value):
+    """A copy of rep with entry (i, j) of generator g's matrix set to value."""
+    m = rep.matrices[g]
+    cols = {k: dict(c) for k, c in m.cols.items()}
+    cols.setdefault(j, {})[i] = value
+    mats = {**rep.matrices, g: SquareMatrix(m.dim, cols)}
+    return Representation(rep.group_type, rep.n, rep.gens, rep.basis, mats, rep.normalization)
+
+
 def _perturbed(rep):
     """A copy with the first off-diagonal entry of the first generator that has one moved.
 
     None when no generator has an off-diagonal entry.
     """
     for g in rep.gens:
-        m = rep.matrices[g]
-        for j, col in m.cols.items():
+        for j, col in rep.matrices[g].cols.items():
             for i, v in col.items():
                 if i != j:
-                    cols = {k: dict(c) for k, c in m.cols.items()}
-                    cols[j][i] = v + (Fraction(1, 7) if rep.is_exact else 1e-3)
-                    mats = {**rep.matrices, g: SquareMatrix(m.dim, cols)}
-                    return Representation(rep.group_type, rep.n, rep.gens, rep.basis, mats,
-                                          rep.normalization)
+                    return _replaced(rep, g, j, i, v + (Fraction(1, 7) if rep.is_exact else 1e-3))
     return None
 
 
@@ -317,3 +323,155 @@ def test_exact_relations_form_no_products(monkeypatch):
     assert products == []
     assert verify_coxeter(build_from_functional(f, identity(5), ORTHOGONAL)).ok
     assert len(products) == 6  # one per pair of the four generators
+
+
+# the two-term shortcuts: class traces along the diagonal, one push per orbit block
+
+
+def _forms_at(n: int) -> list:
+    """The seminormal form of every skew shape at n and, for n <= 5, every
+    parabolic form of the induction sweep with its induced form."""
+    reps = [build_from_functional(Functional(content_vector(row_tableau(shape))), identity(n))
+            for shape in skew_shape_family(n)]
+    for J, shapes in (induction_cases(n) if n <= 5 else ()):
+        psi = build_parabolic_from_shapes(J, n, shapes)
+        reps += [psi, induce(psi)]
+    return reps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_diagonal_class_traces_equal_pushed_word_traces(n):
+    for rep in _forms_at(n):
+        assert _two_term_generators(rep) == frozenset(rep.gens)
+        for cls_rep, value in character(rep).values.items():
+            word = reduced_word(cls_rep)
+            assert len(set(word)) == len(word)  # so every class went along the diagonal
+            pushed = word_trace([rep.matrices[g] for g in word], rep.dim)
+            assert value == pushed and type(value) is type(pushed) is Fraction, (rep.basis, word)
+
+
+def test_a_stray_off_diagonal_entry_sends_the_character_to_the_pushed_trace():
+    rep = build_from_functional(Functional((0, 2, 5)), identity(3))  # the regular form
+    s1, s2 = rep.matrices[1], rep.matrices[2]
+    (k,) = set(s2.cols[0]) - {0}  # the basis vector labelled s2
+    assert rep.basis[k].images == (1, 3, 2)
+    cols = {j: dict(col) for j, col in s1.cols.items()}
+    cols[k][0] = Fraction(1, 7)  # labelled id, not s2 s1: off the two-term support
+    stray = Representation("A", 3, (1, 2), rep.basis, {1: SquareMatrix(6, cols), 2: s2},
+                           SEMINORMAL)
+    assert _two_term_generators(stray) == {2}
+    chi = character(stray)
+    detours = 0
+    for cls_rep, value in chi.values.items():
+        mats = [stray.matrices[g] for g in reduced_word(cls_rep)]
+        assert value == word_trace(mats, 6) == _dense_trace(mats, 6)
+        detours += value != word_trace(mats, 6, along_diagonal=True)
+    assert detours == 1  # the 3-cycle s1 s2 comes back to id through the stray entry
+
+
+def _blocks(mats: list, dim: int) -> list:
+    """The orbit blocks of the basis under single off-diagonal column entries of mats."""
+    parent = list(range(dim))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for m in mats:
+        for j, col in m.cols.items():
+            off = [i for i in col if i != j]
+            if len(off) == 1:
+                parent[root(off[0])] = root(j)
+    blocks = {}
+    for v in range(dim):
+        blocks.setdefault(root(v), []).append(v)
+    return list(blocks.values())
+
+
+def _full_word_failures(rep) -> list:
+    """verify_coxeter's failure texts with every basis vector pushed through every word."""
+    mats, dim = rep.matrices, rep.dim
+    failures = [f"s{g}^2 != 1" for g in rep.gens
+                if not linalg.word_is_identity([mats[g], mats[g]], dim)]
+    for a, g in enumerate(rep.gens):
+        for h in rep.gens[a + 1:]:
+            m = 3 if h - g == 1 else 2
+            if not linalg.word_is_identity([mats[g], mats[h]] * m, dim):
+                failures.append(f"(s{g} s{h})^{m} != 1")
+    return failures
+
+
+def test_a_relation_fails_on_an_entry_changed_past_the_first_column_of_its_block():
+    squares = braids = 0
+    for rep in _skew_reps(4, SEMINORMAL) + _induced_reps(3):
+        for g in rep.gens:
+            s = rep.matrices[g]
+            # every entry of a column that is not the first of its s_g block: s_g^2 fails
+            for block in _blocks([s], rep.dim):
+                for j in block[1:]:
+                    for i, v in s.cols[j].items():
+                        bad = _replaced(rep, g, j, i, v + Fraction(1, 7))
+                        failures = list(verify_coxeter(bad).failures)
+                        assert failures == _full_word_failures(bad)
+                        assert f"s{g}^2 != 1" in failures
+                        squares += 1
+            # a sign flipped on a vector that s_g alone fixes keeps s_g^2 = 1; past the
+            # first column of its <s_g, s_h> block, it still breaks (s_g s_h)^m
+            alone = {j for (j, *more) in _blocks([s], rep.dim) if not more and j in s.cols}
+            for h in rep.gens:
+                if h == g:
+                    continue
+                for block in _blocks([s, rep.matrices[h]], rep.dim):
+                    for j in block[1:]:
+                        if j in alone:
+                            bad = _replaced(rep, g, j, j, -s.cols[j][j])
+                            failures = list(verify_coxeter(bad).failures)
+                            assert failures == _full_word_failures(bad)
+                            pair = f"(s{min(g, h)} s{max(g, h)})"
+                            assert all(x.startswith("(") for x in failures)  # no square
+                            assert any(x.startswith(pair) for x in failures), (failures, g, h)
+                            braids += 1
+    assert squares > 400 and braids > 100
+
+
+def test_a_broken_square_sends_its_braids_to_the_full_word():
+    cases = unsound = 0
+    for rep in _skew_reps(4, SEMINORMAL) + _induced_reps(3):
+        for g in rep.gens:
+            for j, col in rep.matrices[g].cols.items():
+                bad = _replaced(rep, g, j, j, col.get(j, 0) + Fraction(1, 7))
+                failures = list(verify_coxeter(bad).failures)
+                assert failures == _full_word_failures(bad)
+                assert f"s{g}^2 != 1" in failures
+                cases += 1
+                # pushing one vector per block would miss some of these braid failures
+                for h in rep.gens:
+                    if h != g:
+                        pair = [bad.matrices[g], bad.matrices[h]]
+                        word = pair * (3 if abs(g - h) == 1 else 2)
+                        unsound += (linalg.word_is_identity(word, rep.dim, closed_under=pair)
+                                    and not linalg.word_is_identity(word, rep.dim))
+    assert cases > 600 and unsound > 50
+
+
+def test_a_word_with_a_repeated_letter_is_pushed(monkeypatch):
+    from ayrep import reps
+
+    rep = build_from_functional(Functional((0, 2, -1)), identity(3))  # dim 3
+    (swap,) = [w for w in class_data_symmetric(3).reps if w.cycle_type() == (2, 1)]
+    assert reduced_word(swap) == (1,)
+    detour = (2, 1, 2, 1, 2)  # s2 s1 s2 s1 s2 = s1 also, but it repeats letters
+    monkeypatch.setattr(reps, "reduced_word", lambda w: detour if w == swap else reduced_word(w))
+    mats = [rep.matrices[g] for g in detour]
+    assert character(rep).values[swap] == word_trace(mats, 3) == word_trace([rep.matrices[1]], 3)
+    assert word_trace(mats, 3, along_diagonal=True) != word_trace(mats, 3)
+
+
+def test_blocks_follow_only_columns_with_one_off_diagonal_entry():
+    # s^2 fixes e0, but not e1: the block rule must not step from e0 to e1 along
+    # column 0, which has two off-diagonal entries
+    s = SquareMatrix(3, {0: {1: 1, 2: 1}, 1: {1: 1, 2: 1}, 2: {0: 1, 1: -1, 2: -1}})
+    assert linalg._push([s.scaled_form()[1]] * 2, 0) == {0: 1}
+    assert not linalg.word_is_identity([s, s], 3, closed_under=[s])
+    assert not power_is_identity(s, 2)

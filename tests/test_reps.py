@@ -8,7 +8,7 @@ from ayrep import verify
 from ayrep.cells import Functional, _walk_cell, descent_cell
 from ayrep.errors import GenericityError, PreconditionError
 from ayrep.groups import Permutation, partitions, reflection, sym_group, identity, reduced_word
-from ayrep.induction import build_parabolic_from_shapes, j_intervals, parabolic_functional
+from ayrep.induction import build_parabolic_from_shapes, induce, j_intervals, parabolic_functional
 from ayrep.linalg import SquareMatrix, word_trace
 from ayrep.reps import (
     ORTHOGONAL,
@@ -527,12 +527,33 @@ def test_orthogonal_skew_builder_matches_reference(n):
 
 
 def test_two_term_builder_stores_no_zeros():
-    # basis u, v (indices 0, 1); the step of u along s2 leaves the basis
-    columns = [(1, [(0, 1, Fraction(1)), (Fraction(1, 2), 0, 0)]),
-               (2, [(0, None, Fraction(1)), (0.0, 0, 0.0)])]
-    mats = _two_term_matrices(columns)
+    # basis u, v (indices 0, 1); the step of u along s2 leaves the basis; a zero
+    # coefficient comes as None, as the builders hand it
+    columns = [(1, [((None, Fraction(1)), 1), ((Fraction(1, 2), None), 0)]),
+               (2, iter([((None, Fraction(1)), None), ((None, None), 0)]))]
+    mats = _two_term_matrices(2, columns)
     assert mats[1].cols == {0: {1: Fraction(1)}, 1: {1: Fraction(1, 2)}}
     assert mats[2].cols == {}
+    assert mats[1].dim == mats[2].dim == 2
+    for normalization in (SEMINORMAL, ORTHOGONAL):
+        for h, up in product((1, -1), (True, False)):
+            a, b = _step_coefficients(h, up, normalization)
+            assert a == 1 / h and (b is None) == (normalization == ORTHOGONAL or not up)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_builders_store_no_zero_entry(n):
+    reps = []
+    for shape in skew_shape_family(n):
+        f = Functional(content_vector(row_tableau(shape)))
+        reps += [build_from_functional(f, identity(n), form) for form in (SEMINORMAL, ORTHOGONAL)]
+        reps.append(build_orthogonal_skew(shape))
+    for J, shapes in induction_cases(n):
+        for form in (SEMINORMAL, ORTHOGONAL):
+            psi = build_parabolic_from_shapes(J, n, shapes, form)
+            reps += [psi, induce(psi)]
+    assert all(v for rep in reps for m in rep.matrices.values()
+               for col in m.cols.values() for v in col.values())
 
 
 def test_shared_coefficients_but_not_columns():
