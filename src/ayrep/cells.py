@@ -251,23 +251,11 @@ def is_generic_integer(f: Functional) -> bool:
 
 def cell_tableau_bijection(q: Tableau) -> dict:
     """The map pi -> relabel(q, pi) from the identity cell of q's contents onto fillings."""
-    from .tableaux import content_vector, enumerate_standard
+    from .tableaux import check_relabel_bijection, content_vector, relabel
 
     cell = descent_cell(Functional(content_vector(q)), identity(q.size))
-    fillings = enumerate_standard(q.shape)
-    by_rows = {t.rows: t for t in fillings}
-    rows = relabelled_rows(q, cell, [t.rows for t in fillings])
-    return {pi: by_rows[r] for pi, r in zip(cell.members, rows)}
-
-
-def relabelled_rows(q: Tableau, cell: Cell, fillings: list) -> list:
-    """The rows of relabel(q, pi) for each member pi of the cell, in order,
-    checked to be the row tuples of the standard `fillings`, each once."""
-    relabelled = [tuple([tuple([inv[v - 1] for v in row]) for row in q.rows])
-                  for inv in (pi.inverse().images for pi in cell.members)]
-    if sorted(relabelled) != sorted(fillings):  # distinct members give distinct images
-        raise AssertionError("relabel map failed to be a bijection onto standard fillings")
-    return relabelled
+    check_relabel_bijection(q, cell.members)
+    return {pi: relabel(q, pi) for pi in cell.members}
 
 
 def is_minimal_ay_cell(members: Iterable[Permutation]):

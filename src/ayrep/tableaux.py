@@ -147,11 +147,6 @@ def row_tableau(shape: SkewShape) -> Tableau:
 
 def enumerate_standard(shape: SkewShape) -> list:
     """All standard fillings, sorted by their row-major reading."""
-    return [Tableau(shape, filling) for filling in standard_rows(shape)]
-
-
-def standard_rows(shape: SkewShape) -> list:
-    """The rows of every standard filling, as tuples, in `enumerate_standard` order."""
     n = shape.size
     if n == 0:
         raise EmptyShapeError("cannot enumerate fillings of an empty shape")
@@ -174,7 +169,7 @@ def standard_rows(shape: SkewShape) -> list:
 
     rec(1)
     out.sort()
-    return out
+    return [Tableau(shape, filling) for filling in out]
 
 
 def hook_length_count(lam: Sequence[int]) -> int:
@@ -190,9 +185,21 @@ def hook_length_count(lam: Sequence[int]) -> int:
 
 
 def count_standard(shape: SkewShape) -> int:
-    if shape.is_straight and shape.size:
-        return hook_length_count(shape.lam)
-    return len(enumerate_standard(shape))
+    """Number of standard fillings of lambda/mu, by the corner recursion (Stanley, EC2,
+    ch. 7): the largest entry sits in the last box of a row r that is a corner of lambda
+    outside mu, so f^(lambda/mu) is the sum of f^((lambda - e_r)/mu) over those rows."""
+    if shape.size == 0:
+        raise EmptyShapeError("cannot count fillings of an empty shape")
+    mu = shape.mu
+    memo = {mu: 1}  # the shapes between mu and lambda, for this call only
+
+    def count(lam: tuple) -> int:
+        if lam not in memo:
+            memo[lam] = sum(count(lam[:r] + (l - 1,) + lam[r + 1:]) for r, l in enumerate(lam)
+                            if l > mu[r] and (r + 1 == len(lam) or lam[r + 1] < l))
+        return memo[lam]
+
+    return count(shape.lam)
 
 
 # content vectors -------------------------------------------------------------
@@ -326,19 +333,33 @@ def relabel(q: Tableau, pi: Permutation) -> Tableau:
 
 
 def relabel_cell(q: Tableau) -> frozenset:
-    """{pi : relabel(q, pi) is standard}, by brute force over the whole group.
+    """{pi : relabel(q, pi) is standard}, by the pair test of `_precedence_pairs` over the
+    whole group: the oracle for descent cells, which reads no functional or descent data."""
+    pairs = _precedence_pairs(q)
+    return frozenset(pi for pi in sym_group(q.size)
+                     if all(pi.images.index(a) < pi.images.index(b) for a, b in pairs))
 
-    The oracle for descent cells: it uses no functional and no descent data.
-    q must hold each of 1..n once.  Then relabel(q, pi) is standard exactly when
-    each pair (a, b) of q, b just right of or below a, has pi^{-1}(a) < pi^{-1}(b):
-    a left of b in pi's word.
-    """
+
+def check_relabel_bijection(q: Tableau, members: tuple) -> None:
+    """Raise AssertionError unless pi -> relabel(q, pi) maps the members one to one onto
+    the standard fillings of q's shape: each passes the test of `_precedence_pairs` (on
+    where[v - 1], v's position in pi's word, found once), distinct members have distinct
+    images, and `count_standard` counts them.  No filling is built."""
+    pairs, letters = [(a - 1, b - 1) for a, b in _precedence_pairs(q)], range(q.size)
+    wheres = (sorted(letters, key=pi.images.__getitem__) for pi in members)
+    if not (all(where[a] < where[b] for where in wheres for a, b in pairs)
+            and len({pi.images for pi in members}) == len(members) == count_standard(q.shape)):
+        raise AssertionError("relabel map failed to be a bijection onto standard fillings")
+
+
+def _precedence_pairs(q: Tableau) -> list:
+    """The entry pairs (a, b) of q, b just right of or below a.  For q holding
+    each of 1..n once, relabel(q, pi) is standard exactly when pi^{-1}(a) <
+    pi^{-1}(b) for each pair: a stands left of b in pi's one-line word."""
     n, at = q.size, {box: v for v, box in q.positions().items()}
     if sorted(at.values()) != list(range(1, n + 1)):
         raise PreconditionError(f"relabel_cell needs each of 1..{n} once")
-    pairs = [(a, at[b]) for (r, c), a in at.items() for b in ((r, c + 1), (r + 1, c)) if b in at]
-    return frozenset(pi for pi in sym_group(n)
-                     if all(pi.images.index(a) < pi.images.index(b) for a, b in pairs))
+    return [(a, at[b]) for (r, c), a in at.items() for b in ((r, c + 1), (r + 1, c)) if b in at]
 
 
 def map_entries(q: Tableau, mapping: dict) -> Tableau:

@@ -24,7 +24,6 @@ from .cells import (
     is_generic,
     is_generic_integer,
     is_minimal_ay_cell,
-    relabelled_rows,
 )
 from .groups import (
     _check_cap,
@@ -60,6 +59,7 @@ from .reps import (
     verify_coxeter,
 )
 from .tableaux import (
+    check_relabel_bijection,
     content_vector,
     count_standard,
     enumerate_standard,
@@ -67,7 +67,6 @@ from .tableaux import (
     relabel_cell,
     row_tableau,
     skew_shape_family,
-    standard_rows,
     straight_shapes,
 )
 from .tops import top_elements
@@ -133,11 +132,11 @@ def _family_sweep(sizes: dict) -> dict:
                 counts[name] += 1
             if "cells" in names:
                 try:
-                    size = len(relabelled_rows(q, cell, standard_rows(shape)))
+                    check_relabel_bijection(q, cell.members)
                     # straight shapes are also counted independently, by the hook formula
-                    if shape.is_straight and size != count_standard(shape):
-                        raise AssertionError(f"cell size {size} != {count_standard(shape)} "
-                                             "fillings")
+                    if shape.is_straight and cell.size != hook_length_count(shape.lam):
+                        raise AssertionError(f"cell size {cell.size} != "
+                                             f"{hook_length_count(shape.lam)} fillings")
                 except AssertionError as exc:
                     bad["cells"].append(f"{shape}: {exc}")
             rep = _row_filling_rep(f, cell) if names != ["cells"] else None
@@ -244,8 +243,8 @@ def sample_flats() -> list:
 
 
 def _same_matrices(a, b) -> bool:
-    """Same basis in the same order and the same generator matrix entries."""
-    if a.basis != b.basis or a.matrices.keys() != b.matrices.keys():
+    """The same generator matrix entries, on bases the caller found equal."""
+    if a.matrices.keys() != b.matrices.keys():
         return False
     return all(m.cols == b.matrices[g].cols for g, m in a.matrices.items())
 
@@ -275,12 +274,13 @@ def flat_suite() -> SuiteResult:
             if len(generics) < points_needed:
                 continue
             used_cells += 1
+            words = [w.images for w in cell.members]  # compared as words: no __eq__ per member
             tables = []
             for f in generics:
                 traced = None  # (rep, character) last traced for this f
                 for v in cell.members:
                     rep = build_from_functional(f, v, SEMINORMAL)
-                    if rep.basis != cell.members:  # both in (length, word) order
+                    if [w.images for w in rep.basis] != words:  # both in (length, word) order
                         bad.append(f"{flat}: cell drift for f={f!r}, v={v.one_line()}")
                         continue
                     if traced is None or not _same_matrices(rep, traced[0]):
@@ -496,8 +496,9 @@ def convexity_suite(n_max: int = 5) -> SuiteResult:
     bad, details, checked = [], [], 0
     for n in range(2, n_max + 1):
         refl = reflections(n)
+        # each vector of [-3, 3]^n shifts, pairings kept, to one with minimum -3
         patterns = {frozenset(t for t in refl if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
-                    for coords in product(range(-3, 4), repeat=n)}
+                    for coords in product(range(-3, 4), repeat=n) if -3 in coords}
         seen_cells = set()
         convex_count = 0
         for A in sorted(patterns, key=lambda a: (len(a), sorted(a))):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import ayrep.cells
+import ayrep.tableaux
 from ayrep.cells import (
     BasicFlat,
     Cell,
@@ -153,27 +154,33 @@ def test_cell_tableau_bijection_is_the_relabel_map(n):
 
 
 def test_cell_tableau_bijection_rejects_non_bijections(monkeypatch):
-    # a dropped or duplicated filling, or a foreign cell, goes in through the
-    # two enumerations that the map is built from
+    # a count one short or one over goes in through `count_standard`; a
+    # member listed twice in place of another, or a foreign cell, through
+    # the walk
     n = 4
-    cases = [(shape, row_tableau(shape)) for shape in skew_shape_family(n)]
-    cases = [(q, Functional(content_vector(q)), enumerate_standard(shape)) for shape, q in cases]
-    cells = [descent_cell(f, identity(n)) for _, f, _ in cases]
-    for (q, f, fillings), cell in zip(cases, cells):
+    qs = [row_tableau(shape) for shape in skew_shape_family(n)]
+    cells = [descent_cell(Functional(content_vector(q)), identity(n)) for q in qs]
+    message = "relabel map failed to be a bijection onto standard fillings"
+    foreign_of_the_same_size = 0  # caught by the pair test alone
+    for q, cell in zip(qs, cells):
         assert cell_tableau_bijection(q)
-        if len(fillings) > 1:
-            for broken in (fillings[1:], fillings[:-1] + fillings[:1], fillings + fillings[:1]):
-                monkeypatch.setattr("ayrep.tableaux.enumerate_standard", lambda _, b=broken: b)
-                with pytest.raises(AssertionError):
-                    cell_tableau_bijection(q)
-            monkeypatch.undo()
-        others = [c for c in cells if c.members != cell.members]
-        assert others
-        for other in others:
-            monkeypatch.setattr("ayrep.cells.descent_cell", lambda *_, c=other: c)
-            with pytest.raises(AssertionError):
+        count = len(enumerate_standard(q.shape))
+        for wrong in (count - 1, count + 1):
+            monkeypatch.setattr(ayrep.tableaux, "count_standard", lambda _, c=wrong: c)
+            with pytest.raises(AssertionError, match=message):
                 cell_tableau_bijection(q)
         monkeypatch.undo()
+        members = cell.members
+        broken = [dataclasses.replace(cell, members=members[:-1] + members[:1])] * (count > 1)
+        others = [c for c in cells if c.members != members]
+        assert others
+        foreign_of_the_same_size += sum(c.size == cell.size for c in others)
+        for other in broken + others:
+            monkeypatch.setattr(ayrep.cells, "descent_cell", lambda *_, c=other: c)
+            with pytest.raises(AssertionError, match=message):
+                cell_tableau_bijection(q)
+        monkeypatch.undo()
+    assert foreign_of_the_same_size
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

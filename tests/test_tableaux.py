@@ -79,7 +79,7 @@ def test_enumerate_standard_empty_shape():
 @pytest.mark.parametrize(
     "shape", [SkewShape(()), SkewShape((1,), (1,)), SkewShape((2, 1), (2, 1))], ids=str)
 def test_count_standard_of_an_empty_shape_is_an_error(shape):
-    # the empty straight shape has an empty hook product, which counted 1
+    # an empty shape has one filling, the empty one, which would count 1
     with pytest.raises(EmptyShapeError):
         count_standard(shape)
 
@@ -383,5 +383,12 @@ def test_family_contains_every_straight_shape(n):
 
 
 def test_count_standard_matches_enumeration_on_skew():
-    for shape in skew_shape_family(4):
-        assert count_standard(shape) == len(enumerate_standard(shape))
+    for n in range(1, 7):
+        for shape in skew_shape_family(n):
+            assert count_standard(shape) == len(enumerate_standard(shape)), shape
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_count_standard_matches_the_hook_formula(n):
+    for shape in straight_shapes(n):
+        assert count_standard(shape) == hook_length_count(shape.lam), shape
