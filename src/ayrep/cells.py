@@ -161,16 +161,21 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
                 frozenset(map(Reflection._make, boundary)), gens, steps)
 
 
+def parabolic_generators(J: Iterable[int], n: int) -> tuple:
+    """J sorted, after checking that it names generators of S_n."""
+    J = set(J)
+    if not J <= set(range(1, n)):
+        raise PreconditionError(f"J must be generator indices within 1..{n - 1}")
+    return tuple(sorted(J))
+
+
 def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
     """Minimal-length representatives of the right cosets of <s_j : j in J>.
 
     Returns {w : no left descent of w lies in J}: the descent cell of the
     identity over the simple reflections (j, j+1), j in J, found by the walk.
     """
-    J = set(J)
-    if not J <= set(range(1, n)):
-        raise ValueError(f"J must be a set of generator indices 1..{n - 1}")
-    A = frozenset(reflection(j, j + 1) for j in J)
+    A = frozenset(reflection(j, j + 1) for j in parabolic_generators(J, n))
     return set(_walk_cell(A, identity(n), range(1, n)).members)
 
 

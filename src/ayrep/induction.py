@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .cells import Functional, descent_cell, minimal_coset_reps
+from .cells import Functional, descent_cell, minimal_coset_reps, parabolic_generators
 from .errors import PreconditionError
 from .groups import _letter_blocks, class_data_parabolic, class_data_symmetric, identity
 from .linalg import SquareMatrix
@@ -25,7 +25,6 @@ from .reps import (
     _two_term_matrices,
     build_parabolic,
     character,
-    parabolic_generators,
     verify_axiom_B,
 )
 from .tableaux import (
@@ -77,15 +76,11 @@ def induce(psi: Representation) -> Representation:
     representatives or folds back into the parabolic where psi's coefficients
     apply.
     """
-    if psi.group_type != "A":
-        raise PreconditionError("induction needs a type A representation")
-    n, J = psi.n, set(psi.gens)
-    if not J <= set(range(1, n)):
-        raise PreconditionError("generators outside the ambient group")
-    axiom = verify_axiom_B(psi)
+    axiom = verify_axiom_B(psi)  # refuses any form outside its domain too
     if not axiom.ok:
         raise PreconditionError(f"input violates the two-term local action: {axiom.failures[0]}")
-    reps_sorted = sorted(minimal_coset_reps(n, J), key=lambda r: r.sort_key())
+    n = psi.n
+    reps_sorted = sorted(minimal_coset_reps(n, psi.gens), key=lambda r: r.sort_key())
     psi_index = {m: k for k, m in enumerate(psi.basis)}
     pairs = [(m, r) for m in psi.basis for r in reps_sorted]
     index = {pair: k for k, pair in enumerate(pairs)}

@@ -12,8 +12,9 @@ Then M1 * ... * Mk = (N1 * ... * Nk) / (s1 * ... * sk) exactly, and each
 basis vector is pushed through the word in Python ints with a single
 division at the end, so an exact trace is a Fraction whatever the word.
 A matrix computes its scaled form once, on first use, and keeps it.  A
-word that the caller vouches comes back to each basis vector along the
-diagonal alone is traced from the scaled diagonals, with nothing pushed.
+word with distinct letters on an exact form that passes
+`reps.verify_axiom_B` comes back to each basis vector along the diagonal
+alone; `reps.character` has it traced from the scaled diagonals, unpushed.
 
 A relation is checked as a word too: `word_is_identity` pushes a basis
 vector through M1 * ... * Mk and compares the result with (s1 * ... * sk)

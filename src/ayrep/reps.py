@@ -17,8 +17,8 @@ w s_g off the step graph of the walked cell and its coefficients off a
 table over the letter pairs.
 
 `character` traces a class word with distinct letters from the diagonals
-when `_two_term_generators` vouches for each of its matrices, and pushes
-every other word, type B and the float forms included, through `word_trace`.
+when the form is exact and passes `verify_axiom_B`, and pushes every other
+word, type B and the float forms included, through `word_trace`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from .cells import Cell, Functional, genericity_violation, _walk_cell
+from .cells import Cell, Functional, genericity_violation, parabolic_generators, _walk_cell
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
@@ -158,14 +158,6 @@ def build_from_functional(f: Functional, w: Permutation,
     return _cell_rep(f, _walk_cell(f, w, range(1, w.size)), normalization, "the cell")
 
 
-def parabolic_generators(J: Sequence[int], n: int) -> tuple:
-    """J sorted, after checking that it names generators of S_n."""
-    J = tuple(sorted(set(J)))
-    if not set(J) <= set(range(1, n)):
-        raise PreconditionError(f"J must be generator indices within 1..{n - 1}")
-    return J
-
-
 def build_parabolic(f: Functional, J: Sequence[int],
                     normalization: str = SEMINORMAL) -> Representation:
     """Identity descent cell and matrices inside the parabolic <s_j : j in J> on f's letters."""
@@ -241,15 +233,26 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
     return VerificationReport(not failures, tuple(failures))
 
 
+def _on_permutations(rep: Representation) -> bool:
+    """Whether rep is of type A, with generators within 1..n-1, on a basis of
+    permutations of its n letters: the forms whose labels `verify_axiom_B` reads."""
+    return rep.group_type == "A" and all(1 <= g < rep.n for g in rep.gens) and all(
+        type(w) is Permutation and w.size == rep.n for w in rep.basis)
+
+
 def verify_axiom_B(rep: Representation) -> VerificationReport:
     """Check the two-term local action over a permutation-indexed basis.
 
     Every generator column is supported on the vector itself and its single
     neighbor; coefficients depend only on the conjugated reflection and the
     direction of the step; steps leaving the basis carry no neighbor term.
+    It alone reads a column's support against the labels, whatever built the
+    matrices, so it guards `character`'s diagonal traces and `induce`'s input
+    too.  Any form `_on_permutations` refuses raises PreconditionError.
     """
-    if rep.group_type != "A":
-        raise PreconditionError("local-action verification is defined for type A bases")
+    if not _on_permutations(rep):
+        raise PreconditionError("the two-term local action is read on type A forms with "
+                                "generators within 1..n-1 over permutations of the n letters")
     # Columns are read in place; neighbors are found on the one-line words.
     index = {w.images: k for k, w in enumerate(rep.basis)}
     failures = []
@@ -304,47 +307,22 @@ class Character:
 def character(rep: Representation) -> Character:
     """Trace of one reduced word per conjugacy class representative.
 
-    A word with distinct letters, each a generator that `_two_term_generators`
-    vouches for, is traced along the diagonal: M_g moves the basis vector
-    labelled w only to the one labelled w s_g, and no nonempty product of
-    distinct s_g is 1, so the word comes back to w along the diagonal alone
-    and its trace is the sum over w of the products of the M_g[w, w].
+    When the form is exact and passes `verify_axiom_B`, a word with distinct
+    letters is traced along the diagonal: M_g moves the basis vector labelled
+    w only to the one labelled w s_g, and no nonempty product of distinct s_g
+    is 1, so the word comes back to w along the diagonal alone and its trace
+    is the sum over w of the products of the M_g[w, w].  Others are pushed.
     """
     data = (class_data_signed(rep.n) if rep.group_type == "B"
             else class_data_parabolic(rep.n, frozenset(rep.gens)))
-    two_term = _two_term_generators(rep)
+    two_term = rep.is_exact and _on_permutations(rep) and verify_axiom_B(rep).ok
     values = {}
     for cls_rep in data.reps:
         word = reduced_word(cls_rep)
-        diagonal = len(set(word)) == len(word) and two_term.issuperset(word)
+        diagonal = two_term and len(set(word)) == len(word)
         values[cls_rep] = word_trace([rep.matrices[g] for g in word], rep.dim, diagonal)
     kind = (rep.group_type, rep.n, rep.gens)
     return Character(kind, data.order, values, dict(data.sizes))
-
-
-def _two_term_generators(rep: Representation) -> frozenset:
-    """The generators g whose matrix is exact and whose every column j is
-    supported on basis vectors labelled basis[j] and basis[j] s_g.
-
-    Read off the matrices and the basis, whatever built them: empty unless
-    rep is of type A on permutations of its n letters.
-    """
-    basis, n = rep.basis, rep.n
-    if rep.group_type != "A" or not all(type(w) is Permutation and w.size == n for w in basis):
-        return frozenset()
-    out = set()
-    for g in rep.gens:
-        m = rep.matrices[g]
-        if not 1 <= g < n or m.scaled_form()[2]:  # a float entry
-            continue
-        for j, col in m.cols.items():
-            img = basis[j].images
-            moved = img[:g - 1] + (img[g], img[g - 1]) + img[g + 1:]
-            if any(i != j and basis[i].images != moved for i in col):
-                break
-        else:
-            out.add(g)
-    return frozenset(out)
 
 
 def _require_exact(chars: tuple, what: str) -> None:

@@ -503,7 +503,7 @@ def convexity_suite(n_max: int = 5) -> SuiteResult:
         convex_count = 0
         for A in sorted(patterns, key=lambda a: (len(a), sorted(a))):
             for members in descent_classes(n, A):
-                key = frozenset(members)
+                key = tuple([w.images for w in members])  # members come in group order
                 if key in seen_cells:
                     continue
                 seen_cells.add(key)

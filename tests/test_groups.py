@@ -386,7 +386,7 @@ def test_coset_reps_walk_matches_group_scan(n):
 
 
 def test_minimal_coset_reps_rejects_bad_generators():
-    with pytest.raises(ValueError, match="generator indices"):
+    with pytest.raises(PreconditionError, match=r"J must be generator indices within 1\.\.2"):
         minimal_coset_reps(3, {3})
 
 

@@ -8,7 +8,14 @@ from ayrep import verify
 from ayrep.cells import Functional, _walk_cell, descent_cell
 from ayrep.errors import GenericityError, PreconditionError
 from ayrep.groups import Permutation, partitions, reflection, sym_group, identity, reduced_word
-from ayrep.induction import build_parabolic_from_shapes, induce, j_intervals, parabolic_functional
+from ayrep.induction import (
+    build_parabolic_from_shapes,
+    extend_to_bn,
+    induce,
+    j_intervals,
+    parabolic_functional,
+    row_filling_pair,
+)
 from ayrep.linalg import SquareMatrix, word_trace
 from ayrep.reps import (
     ORTHOGONAL,
@@ -146,6 +153,37 @@ def test_axiom_b_on_sign_singleton():
     assert rep.matrices[1].entry(0, 0) == -1
     assert rep.matrices[2].entry(0, 0) == -1
     assert verify_axiom_B(rep).ok
+
+
+def _out_of_domain_form(kind: str) -> Representation:
+    if kind == "tableau basis":
+        return build_orthogonal_skew(SkewShape((2, 1)))
+    if kind == "type B":
+        return extend_to_bn(*row_filling_pair((1,), (1,)))
+    sign = build_from_functional(Functional((0, -1)), identity(2))  # s1 = -1 on S_2
+    return Representation("A", 2, (1, 2), sign.basis, {1: sign.matrices[1], 2: sign.matrices[1]},
+                          SEMINORMAL)
+
+
+@pytest.mark.parametrize("kind", ["tableau basis", "type B", "generator past n-1"])
+def test_axiom_b_and_induce_refuse_forms_outside_their_domain(kind):
+    rep = _out_of_domain_form(kind)
+    with pytest.raises(PreconditionError, match="two-term local action"):
+        verify_axiom_B(rep)
+    with pytest.raises(PreconditionError, match="two-term local action"):
+        induce(rep)
+
+
+def test_character_of_a_tableau_basis_form_is_the_pushed_trace():
+    shape = SkewShape((3, 2))
+    exact = build_from_functional(Functional(content_vector(row_tableau(shape))), identity(5))
+    fillings = tuple(enumerate_standard(shape))
+    assert len(fillings) == exact.dim
+    relabelled = Representation("A", 5, exact.gens, fillings, exact.matrices, SEMINORMAL)
+    for rep in (_out_of_domain_form("tableau basis"), relabelled):
+        for cls_rep, value in character(rep).values.items():
+            pushed = word_trace([rep.matrices[g] for g in reduced_word(cls_rep)], rep.dim)
+            assert value == pushed and type(value) is type(pushed)
 
 
 # characters ---------------------------------------------------------------------
