@@ -34,7 +34,6 @@ from .groups import (
     SignedPermutation,
     identity,
     is_convex,
-    left_descents_in,
     pair,
     reflection,
     weak_interval,

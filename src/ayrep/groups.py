@@ -171,15 +171,6 @@ def pair(coords: Sequence[int], t: Reflection):
     return coords[t.j - 1] - coords[t.i - 1]
 
 
-def left_descents_in(candidates: Iterable[Reflection], w: Permutation) -> set:
-    """{t in candidates : l(t w) < l(w)}; for t=(i,j) that is w^{-1}(i) > w^{-1}(j)."""
-    where = {v: pos for pos, v in enumerate(w.images)}  # w^{-1}, without a Permutation
-    candidates = tuple(candidates)
-    if not all(t.i in where and t.j in where for t in candidates):
-        raise PreconditionError(f"reflections must move letters within 1..{w.size}")
-    return {t for t in candidates if where[t.i] > where[t.j]}
-
-
 def sym_group(n: int) -> tuple:
     """Cap-checked access to the cached enumeration of S_n, in `sort_key` order."""
     _check_cap("A", n)

@@ -52,7 +52,8 @@ FLOAT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Generator matrices over an ordered basis of labels."""
+    """Generator matrices over an ordered basis of labels, one of the basis's
+    size per generator (checked on construction)."""
 
     group_type: str  # "A" or "B"
     n: int  # number of letters
@@ -60,6 +61,12 @@ class Representation:
     basis: tuple
     matrices: dict  # generator index -> SquareMatrix
     normalization: str
+
+    def __post_init__(self):
+        if self.matrices.keys() != set(self.gens) or any(
+                getattr(m, "dim", None) != self.dim for m in self.matrices.values()):
+            raise PreconditionError(
+                f"a form needs one dim {self.dim} matrix per generator {self.gens}")
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,12 @@
-"""Subgroup enumeration for the brute-force oracles of the tests.
+"""Subgroup enumeration and descent sets for the brute-force oracles of the tests.
 
 `ayrep` itself never enumerates a parabolic subgroup S_J: it reads S_J's
 classes from cycle types.  These scans are the tests' independent check.
+`left_descents_in` reads descents off w^{-1} one reflection at a time, where
+`ayrep` buckets cells on cached inversion masks.
 """
 
+from ayrep.errors import PreconditionError
 from ayrep.groups import Permutation, identity
 
 
@@ -53,3 +56,12 @@ def block_sizes(n, J):
         else:
             sizes.append(1)
     return tuple(sizes)
+
+
+def left_descents_in(candidates, w):
+    """{t in candidates : l(t w) < l(w)}; for t=(i,j) that is w^{-1}(i) > w^{-1}(j)."""
+    where = {v: pos for pos, v in enumerate(w.images)}  # w^{-1}, without a Permutation
+    candidates = tuple(candidates)
+    if not all(t.i in where and t.j in where for t in candidates):
+        raise PreconditionError(f"reflections must move letters within 1..{w.size}")
+    return {t for t in candidates if where[t.i] > where[t.j]}

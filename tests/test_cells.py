@@ -32,7 +32,6 @@ from ayrep.groups import (
     _inversion_masks,
     identity,
     is_convex,
-    left_descents_in,
     partitions,
     reflection,
     reflections,
@@ -52,7 +51,7 @@ from ayrep.tableaux import (
     skew_shape_family,
 )
 from ayrep.verify import sample_flats
-from group_oracles import parabolic_elements
+from group_oracles import left_descents_in, parabolic_elements
 
 
 def P(*images):

@@ -28,7 +28,6 @@ from ayrep.groups import (
     class_data_symmetric,
     identity,
     is_convex,
-    left_descents_in,
     pair,
     partitions,
     reduced_word,
@@ -41,7 +40,13 @@ from ayrep.groups import (
 from ayrep.induction import j_intervals, row_filling_pair, shuffle_cell
 from ayrep.reps import build_from_functional, build_parabolic
 from ayrep.tops import straight_cell_sets
-from group_oracles import block_cycle_type, block_sizes, parabolic_elements, run_intervals
+from group_oracles import (
+    block_cycle_type,
+    block_sizes,
+    left_descents_in,
+    parabolic_elements,
+    run_intervals,
+)
 
 
 def perms(n):

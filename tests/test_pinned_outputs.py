@@ -1,52 +1,33 @@
-"""Byte-for-byte CLI outputs of the matrix builders.
-
-Each file under tests/pinned/ is the stdout of one `ayrep` invocation.  They
-fix every generator matrix entry of the cell, parabolic, induced and signed
-builders, exact and float, which the character and relation checks elsewhere
-do not, the member order, reflection sets and edge list of a descent
-cell, every row of the top-element classification at n = 5, and the
-detail lines of the shape-family suites at n = 5.
-"""
-
-from pathlib import Path
+"""The "tier1" pins of pins.py, each run in a fresh process, and `check` itself."""
 
 import pytest
 
-from ayrep.cli import main
-
-PINNED = Path(__file__).parent / "pinned"
-
-# pinned/verify_coxeter_n6.json (`verify --n 6 --suite coxeter --json`),
-# pinned/verify_minimal_n5.json (`verify --n 5 --suite minimal --json`) and
-# pinned/verify_family_n6.json (`verify --n 6 --suite specht,cells,coxeter,axiomB
-# --json`) are not cases here: they are checked in CI only, by the golden job,
-# because they take about 9 s, 2.5 s and 7 s.
-
-CASES = {
-    "rep_seminormal": ["rep", "--n", "5", "--f", "0,1,2,-1,0", "--json"],
-    "rep_orthogonal_float": ["rep", "--n", "5", "--f", "0,1,2,-1,0",
-                             "--form", "orthogonal-float", "--json"],
-    "induce_seminormal": ["induce", "--n", "4", "--j", "1,3", "--shapes", "2;1,1", "--json"],
-    "induce_orthogonal_float": ["induce", "--n", "5", "--j", "1,2,4", "--shapes", "2,1;2",
-                                "--form", "orthogonal-float", "--json"],
-    "bn_orthogonal_float": ["bn", "--lam", "2", "--mu", "1", "--form", "orthogonal-float",
-                            "--json"],
-    "bn_seminormal": ["bn", "--lam", "2", "--mu", "1,1", "--json"],
-    "bn_seminormal_first_block_only": ["bn", "--lam", "3", "--json"],  # k = n
-    "bn_seminormal_second_block_only": ["bn", "--mu", "2,1", "--json"],  # k = 0
-    "cell_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--json"],
-    "cell_base_json": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--w", "2,1,3,5,4", "--json"],
-    "cell_dot": ["cell", "--n", "5", "--f", "0,1,2,-1,0", "--format", "dot"],
-    "tops_json": ["tops", "--n", "5", "--json"],
-    "tops_text": ["tops", "--n", "5"],
-    # the four suites of the shape family, out of `SUITES` order, so that the
-    # order of the results is pinned too
-    "verify_family_n5": ["verify", "--n", "5", "--suite", "specht,cells,coxeter,axiomB", "--json"],
-}
+from pins import PINS, Pin, check
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_pinned_bytes(name, capsys):
-    assert main(CASES[name]) == 0
-    out = capsys.readouterr().out
-    assert out.encode() == (PINNED / f"{name}.json").read_bytes()
+@pytest.mark.parametrize("pin", [p for p in PINS if p.tier == "tier1"], ids=lambda p: p.name)
+def test_output_matches_pinned_bytes(pin):
+    assert check(pin) is None
+
+
+@pytest.mark.parametrize("code, expect, limit, reason", [
+    ("print('y')", "x", None, "no line 'x'"),
+    ("print('x'); raise SystemExit(3)", "x", None, "exit status 3, not 0"),
+    ("import sys; print('x'); sys.stderr.write('stray')", "x", None, "wrote to stderr\nstray"),
+    # PYTHONWARNINGS=default shows what Python hides by default
+    ("import warnings; print('x'); warnings.warn('w', PendingDeprecationWarning)", "x", None,
+     "wrote to stderr"),
+    ("import time; time.sleep(5)", "x", 0.2, "ran over its limit of 0.2 s"),
+], ids=["missing line", "exit status", "stderr", "warning", "overrun"])
+def test_check_reports_each_way_a_pin_fails(code, expect, limit, reason):
+    got = check(Pin("self-test", ("-c", code), expect, limit=limit))
+    assert got is not None and got.startswith(reason), got
+
+
+def test_check_compares_every_byte_and_sets_the_environment(tmp_path):
+    pinned = tmp_path / "out.json"
+    pinned.write_bytes(b"ayrep 1\n")
+    code = "import os; print('ayrep', os.environ['X'])"
+    assert check(Pin("self-test", ("-c", code), pinned, env={"X": "1"})) is None
+    reason = check(Pin("self-test", ("-c", code), pinned, env={"X": "2"}))
+    assert reason == f"stdout is not {pinned}"

@@ -174,6 +174,14 @@ def test_axiom_b_and_induce_refuse_forms_outside_their_domain(kind):
         induce(rep)
 
 
+@pytest.mark.parametrize("matrices", [{}, {1: SquareMatrix(2)}], ids=["missing", "wrong size"])
+def test_a_form_needs_one_matrix_of_its_dimension_per_generator(matrices):
+    # before, verify_axiom_B, character, induce and verify_coxeter raised
+    # KeyError on the missing matrix and answered on the wrong size
+    with pytest.raises(PreconditionError, match=r"one dim 1 matrix per generator \(1,\)"):
+        Representation("A", 2, (1,), (identity(2),), matrices, SEMINORMAL)
+
+
 def test_character_of_a_tableau_basis_form_is_the_pushed_trace():
     shape = SkewShape((3, 2))
     exact = build_from_functional(Functional(content_vector(row_tableau(shape))), identity(5))

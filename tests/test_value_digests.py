@@ -2,8 +2,8 @@
 n <= 4), and the `flat` suite's character tables and generator matrices,
 against pinned digests.
 
-See value_digests.py for what is dumped and how to re-pin; the golden CI job
-checks level 6 by running that module as a script.
+See value_digests.py for what is dumped and how to re-pin; pins.py checks
+level 6 by running that module as a script.
 """
 
 import math

@@ -34,8 +34,8 @@ order it traces them, and the generator matrices of every representation it
 builds (one per generic functional and base element of each cell), in the
 order it builds them.
 
-Tier-1 (`test_value_digests.py`) checks the levels n <= 5.  The golden CI
-job runs this file as a script for level 6 and for `flat`:
+Tier-1 (`test_value_digests.py`) checks the levels n <= 5.  `pins.py` runs
+this file as a script for level 6 and for `flat`:
 
     PYTHONPATH=src python tests/value_digests.py 6 flat
 
