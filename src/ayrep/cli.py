@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tops.add_argument("--n", type=int, required=True)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run verification sweeps")
-    p_ver.add_argument("--n", type=int, default=None)
+    p_ver.add_argument("--n", type=int, default=None, help="size bound n_max (default: each "
+                       "suite's own), clamped to the suite's largest; flat ignores it")
     p_ver.add_argument("--suite", type=_names, default="coxeter",
                        help=f"comma list from {sorted(SUITES)}")
     p_ver.add_argument("--seed", type=int, default=0)

@@ -7,9 +7,10 @@ maps failures to a nonzero exit status.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from .cells import (
     BasicFlat,
@@ -95,8 +96,21 @@ def _result(name, details, bad, checked: int):
     return SuiteResult(name, not bad, tuple(details), tuple(bad))
 
 
-# The suites of the shape family, which share one `_family_sweep`, and their default n_max.
-_FAMILY = {"coxeter": 5, "axiomB": 5, "cells": 6, "specht": 5}
+# Per suite but `flat`, which takes no size: its default n_max, its largest n_max (a
+# larger --n is clamped to it), and whether it runs in the shared `_family_sweep`.
+_Size = namedtuple("_Size", "default largest family")
+SIZES = {
+    "coxeter": _Size(5, inf, True),
+    "axiomB": _Size(5, inf, True),
+    "cells": _Size(6, inf, True),
+    "specht": _Size(5, inf, True),
+    "regular": _Size(5, inf, False),
+    "minimal": _Size(4, 5, False),
+    "induction": _Size(5, 5, False),
+    "bn": _Size(4, 4, False),
+    "tops": _Size(5, 5, False),
+    "convexity": _Size(5, 5, False),
+}
 
 
 def _row_filling_rep(f: Functional, cell: Cell) -> Representation:
@@ -113,7 +127,6 @@ def _family_sweep(sizes: dict) -> dict:
     """
     sample = set()  # coxeter's n = 6 sample: every straight shape, small skews of every 7th
     if sizes.get("coxeter") == 5:  # from n_max = 6 the sweep holds every size-6 shape
-        _check_cap("A", 6)  # before the sweep builds anything
         sample = set(straight_shapes(6)) | {shape for shape in skew_shape_family(6)[::7]
                                             if count_standard(shape) <= 40}
     bad = {name: [] for name in sizes}
@@ -184,22 +197,22 @@ def _family_sweep(sizes: dict) -> dict:
     return {name: _result(name, details[name], bad[name], counts[name]) for name in sizes}
 
 
-def coxeter_suite(n_max: int = _FAMILY["coxeter"]) -> SuiteResult:
+def coxeter_suite(n_max: int = SIZES["coxeter"].default) -> SuiteResult:
     """Involutions and braid relations, exact seminormal and float orthogonal."""
     return _family_sweep({"coxeter": n_max})["coxeter"]
 
 
-def axiom_b_suite(n_max: int = _FAMILY["axiomB"]) -> SuiteResult:
+def axiom_b_suite(n_max: int = SIZES["axiomB"].default) -> SuiteResult:
     """Two-term local action on every cell representation of the sweep."""
     return _family_sweep({"axiomB": n_max})["axiomB"]
 
 
-def cells_suite(n_max: int = _FAMILY["cells"]) -> SuiteResult:
+def cells_suite(n_max: int = SIZES["cells"].default) -> SuiteResult:
     """Cell sizes equal standard-filling counts; relabel map is a bijection."""
     return _family_sweep({"cells": n_max})["cells"]
 
 
-def regular_suite(n_max: int = 5) -> SuiteResult:
+def regular_suite(n_max: int = SIZES["regular"].default) -> SuiteResult:
     """Fully generic functionals give the regular character exactly."""
     bad, details = [], []
     for n in range(2, n_max + 1):
@@ -309,7 +322,7 @@ def flat_suite() -> SuiteResult:
     return _result("flat", details, bad, len(flats))
 
 
-def specht_suite(n_max: int = _FAMILY["specht"]) -> SuiteResult:
+def specht_suite(n_max: int = SIZES["specht"].default) -> SuiteResult:
     """Built characters equal the border-strip oracle; irreducibles realized."""
     return _family_sweep({"specht": n_max})["specht"]
 
@@ -330,7 +343,7 @@ def _brute_minimal_family(n: int) -> set:
     return family
 
 
-def minimal_suite(n_max: int = 4, seed: int = 0) -> SuiteResult:
+def minimal_suite(n_max: int = SIZES["minimal"].default, seed: int = 0) -> SuiteResult:
     """Recognizer agrees with the brute-force family of translated cells."""
     bad, details = [], []
     rng = random.Random(seed)
@@ -369,7 +382,7 @@ def minimal_suite(n_max: int = 4, seed: int = 0) -> SuiteResult:
     return _result("minimal", details, bad, len(details))
 
 
-def induction_suite(n_max: int = 5) -> SuiteResult:
+def induction_suite(n_max: int = SIZES["induction"].default) -> SuiteResult:
     """Induced matrices vs the Frobenius class-sum character; shuffle sizes."""
     from .induction import j_intervals
 
@@ -437,7 +450,7 @@ def _check_signed_pair(p, q, form: str) -> tuple:
     return ext, checks, failures
 
 
-def bn_suite(n_max: int = 4) -> SuiteResult:
+def bn_suite(n_max: int = SIZES["bn"].default) -> SuiteResult:
     """Signed-group forms: relations, entrywise match, dimensions, norms."""
     bad, details = [], []
     for n in range(1, n_max + 1):
@@ -477,7 +490,7 @@ def _tops_failures(report) -> list:
     return bad
 
 
-def tops_suite(n_max: int = 5) -> SuiteResult:
+def tops_suite(n_max: int = SIZES["tops"].default) -> SuiteResult:
     """Oracle top set equals the column-reading candidates; report discrepancies."""
     bad, details = [], []
     for n in range(1, n_max + 1):
@@ -491,7 +504,7 @@ def tops_suite(n_max: int = 5) -> SuiteResult:
     return _result("tops", details, bad, len(details))
 
 
-def convexity_suite(n_max: int = 5) -> SuiteResult:
+def convexity_suite(n_max: int = SIZES["convexity"].default) -> SuiteResult:
     """Descent cells are convex; the two genericity tests coincide."""
     bad, details, checked = [], [], 0
     for n in range(2, n_max + 1):
@@ -546,27 +559,18 @@ SUITES = {
 }
 
 
-# The largest n_max of the suites that stop below the size bound; `flat` takes none.
-_N_MAX_LIMITS = {
-    "minimal": 5,
-    "induction": 5,
-    "tops": 5,
-    "bn": 4,
-    "convexity": 5,
-}
-
-
 def run_suites(names, n: int = None, seed: int = 0) -> list:
     """Run the named suites scaled down to the size bound, each size capped before any runs."""
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from {sorted(SUITES)}")
-    sizes = {name: min(n, _N_MAX_LIMITS.get(name, n)) for name in names
-             if n is not None and name != "flat"}
-    for size in sizes.values():
-        _check_cap("A", size)
-    family = _family_sweep({name: sizes.get(name, default) for name, default in _FAMILY.items()
-                            if name in names})
+    sizes = {name: SIZES[name].default if n is None else min(n, SIZES[name].largest)
+             for name in names if name in SIZES}
+    # the largest n each suite touches: every flat's, and coxeter's n = 6 sample at n_max = 5
+    touched = {**sizes, "flat": max(flat.n for flat in sample_flats())}
+    for name in names:
+        _check_cap("A", 6 if name == "coxeter" and sizes[name] == 5 else touched[name])
+    family = _family_sweep({name: size for name, size in sizes.items() if SIZES[name].family})
     results = []
     for name in names:
         kwargs = {"n_max": sizes[name]} if name in sizes else {}

@@ -87,11 +87,13 @@ PINS = [
     # every (cell, f) pair the genericity rule accepts at n = 5 (about 8 s)
     Pin("genericity_sweep 5", ("tests/genericity_sweep.py", "--check", "5"),
         "n=5: 3744 accepted (cell, f) pairs built and checked", env=SEED1, limit=60),
-    # caps are checked before any suite runs; coxeter's n = 6 sample too
+    # caps are checked before any suite runs; coxeter's n = 6 sample and default sizes too
     Pin("over cap: verify --n 8", cli("verify --n 8 --suite specht,coxeter"), CAP.format(7, 8),
         status=1, limit=20),
     Pin("over cap: coxeter sample", cli("verify --n 5 --suite coxeter"), CAP.format(5, 6),
         status=1, env={"AYREP_MAX_N": "5"}, limit=5),
+    Pin("over cap: default size", cli("verify --suite minimal"), CAP.format(3, 4),
+        status=1, env={"AYREP_MAX_N": "3"}, limit=5),
     *(Pin(f"corner rule: {cmd}", cli(f"{cmd} --n 3 --f 0,-1,-1 --w 2,1,3"), CORNER, status=1,
           limit=5) for cmd in ("rep", "cell --format dot")),
 ]

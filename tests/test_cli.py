@@ -1,9 +1,12 @@
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +18,7 @@ from ayrep.cli import main, parse_args, run
 from ayrep.linalg import SquareMatrix
 from ayrep.reps import ORTHOGONAL, SEMINORMAL
 from ayrep.verify import SUITES
+from pins import CAP
 
 
 def _run(argv):
@@ -209,19 +213,38 @@ def test_verify_above_the_cap_fails_before_any_suite_runs(monkeypatch):
     ]
 
 
-def test_coxeter_checks_its_n6_sample_against_the_cap_before_any_build(monkeypatch):
-    # a lowered cap must fail at once, not after the n <= 5 sweep
-    def build(*args):
-        raise AssertionError("a representation was built")
+# suite -> {its --n (None: no --n): the largest n that run touches}, at the suite's
+# default size and at an --n at or below its largest; `flat` ignores --n
+TOUCHED = {
+    "coxeter": {None: 6, 3: 3, 5: 6, 6: 6},  # at n_max = 5 an n = 6 sample rides along
+    "axiomB": {None: 5, 3: 3, 6: 6},
+    "cells": {None: 6, 3: 3, 6: 6},
+    "specht": {None: 5, 3: 3, 6: 6},
+    "regular": {None: 5, 3: 3, 6: 6},
+    "flat": {None: 5, 3: 5, 6: 5},
+    "minimal": {None: 4, 3: 3, 5: 5},
+    "induction": {None: 5, 3: 3, 5: 5},
+    "bn": {None: 4, 3: 3, 4: 4},
+    "tops": {None: 5, 3: 3, 5: 5},
+    "convexity": {None: 5, 3: 3, 5: 5},
+}
 
-    monkeypatch.setenv("AYREP_MAX_N", "5")
-    monkeypatch.setattr(verify, "_row_filling_rep", build)
-    monkeypatch.setattr(verify, "build_orthogonal_skew", build)
-    status, lines = _run(["verify", "--n", "5", "--suite", "coxeter"])
-    assert status == 1
-    assert lines == [
-        "error: type A enumeration capped at n=5 (requested 6); raise AYREP_MAX_N to override"
-    ]
+
+@pytest.mark.parametrize("suite, n, touched", [
+    (suite, n, touched) for suite, sizes in TOUCHED.items() for n, touched in sizes.items()])
+def test_every_suite_over_the_cap_fails_before_any_work(monkeypatch, suite, n, touched):
+    # with the cap one below the largest n a run touches, with or without --n, it
+    # fails at once: no cell is walked, no form built and no suite called
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    for name in ("descent_cell", "_row_filling_rep", "build_orthogonal_skew"):
+        monkeypatch.setattr(verify, name, work)
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, work)
+    monkeypatch.setenv("AYREP_MAX_N", str(touched - 1))
+    size = [] if n is None else ["--n", str(n)]
+    assert _run(["verify", *size, "--suite", suite]) == (1, [CAP.format(touched - 1, touched)])
 
 
 def test_bn_with_both_shapes_empty_is_an_error():
@@ -336,21 +359,27 @@ def _argv(draw):
         argv = ["bn", f"--lam={_csv(map(str, lam))}", f"--mu={_csv(map(str, mu))}", *form]
     elif command == "tops":
         argv = ["tops", f"--n={n}"]
-    else:  # `flat` ignores --n, so it is left out
-        suites = draw(st.lists(st.sampled_from(sorted(set(SUITES) - {"flat"})),
+    else:  # the suites that take a size: `flat` ignores --n, so it is left out
+        suites = draw(st.lists(st.sampled_from(sorted(verify.SIZES)),
                                min_size=1, max_size=2, unique=True))
         seed = draw(st.integers(0, 3))
-        argv = ["verify", f"--n={n}", f"--suite={_csv(suites)}", f"--seed={seed}"]
+        size = [f"--n={n}"] if draw(st.booleans()) else []  # or each suite's default
+        argv = ["verify", *size, f"--suite={_csv(suites)}", f"--seed={seed}"]
     if draw(st.booleans()):
         argv.append("--json")
     return argv
 
 
-@settings(max_examples=150, deadline=None)
-@given(_argv())
-@example(["cell", "--n=2", "--f=0,0", "--format", "dot"])
-@example(["cell", "--n=3", "--f=2,2,-1", "--format", "dot"])
-def test_cli_contract_holds_for_generated_argv(argv):
+# The slowest example measured, `verify --suite=convexity,coxeter` at default size,
+# took 1.4 s for its two runs (Python 3.11, shared 2-core VM): the deadline is 7 times that.
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(_argv(), st.none() | st.integers(0, 6))
+@example(["cell", "--n=2", "--f=0,0", "--format", "dot"], None)
+@example(["cell", "--n=3", "--f=2,2,-1", "--format", "dot"], None)
+def test_cli_contract_holds_for_generated_argv(argv, max_n):
+    # max_n, when drawn, lowers the size cap for this example alone
+    cap = {} if max_n is None else {"AYREP_MAX_N": str(max_n)}
+
     def run():
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -360,12 +389,13 @@ def test_cli_contract_holds_for_generated_argv(argv):
                 status = exc.code
         return status, out.getvalue(), err.getvalue()
 
-    status, text, err = run()
+    with patch.dict(os.environ, cap):
+        (status, text, err), again = run(), run()
     assert status in (0, 1, 2)
     assert "Traceback" not in err
     # a second run in the same process answers the same: no cache or other
     # state left by the first changes the status or a byte of stdout
-    assert run()[:2] == (status, text)
+    assert again[:2] == (status, text)
     if status != 2 and ("--json" in argv or "json" in argv):  # or `cell --format json`
         if text.startswith("error:"):
             assert status == 1 and text.count("\n") == 1

@@ -138,6 +138,11 @@ def test_convexity_suite_reports_a_non_convex_descent_class(monkeypatch):
     assert result.details[1] == "n=3: 7 +-1 patterns, 18 distinct cells convex"
 
 
+def test_every_suite_but_flat_declares_its_sizes():
+    assert set(verify.SIZES) == set(verify.SUITES) - {"flat"}
+    assert all(size.default <= size.largest for size in verify.SIZES.values())
+
+
 FAMILY = ["specht", "cells", "coxeter", "axiomB"]
 
 

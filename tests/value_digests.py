@@ -81,7 +81,7 @@ from ayrep.tableaux import (
 from ayrep.tops import is_top_brute
 
 PINNED = Path(__file__).resolve().parent / "pinned" / "value_digests.json"
-ORACLE_MAX_N = 5  # the limit of the `minimal` and `tops` suites
+ORACLE_MAX_N = max(verify.SIZES[name].largest for name in ("minimal", "tops"))
 
 
 def value_text(v) -> str:
