@@ -61,10 +61,7 @@ from .tableaux import (
     SkewShape,
     Tableau,
     content_vector,
-    derived,
     enumerate_standard,
-    hook_distance,
-    inversions,
     reading_words,
     relabel,
     row_tableau,

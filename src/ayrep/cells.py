@@ -17,6 +17,7 @@ from .groups import (
     Permutation,
     Reflection,
     _check_cap,
+    _integers,
     _inversion_masks,
     _walls,
     identity,
@@ -36,11 +37,8 @@ class Functional:
 
     def __init__(self, coords: Iterable[int]):
         given = tuple(coords)
-        try:  # a bool is dropped, so it is refused like any other non-integer
-            self.coords = tuple(int(c) for c in given if not isinstance(c, bool))
-        except (TypeError, ValueError, OverflowError):
-            self.coords = ()
-        if self.coords != given:
+        self.coords = _integers(given)
+        if self.coords is None:
             raise PreconditionError(f"functional coordinates must be integers, got {given}")
         if not self.coords:
             raise ValueError("a functional needs at least one coordinate")

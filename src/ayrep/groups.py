@@ -22,7 +22,7 @@ import os
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, SizeCapError
 
@@ -42,6 +42,17 @@ def _check_cap(group_type: str, n: int) -> None:
             f"type {group_type} enumeration capped at n={cap} (requested {n}); "
             f"raise {_CAP_ENV} to override"
         )
+
+
+def _integers(values: Iterable) -> Optional[tuple]:
+    """The values as ints, or None unless each equals its int() and none is a bool: the one
+    rule for integer input, so 2.0 passes and 1.5, "1" and True do not."""
+    given = tuple(values)
+    try:  # a bool is dropped, so the lengths differ
+        ints = tuple(int(v) for v in given if not isinstance(v, bool))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == given else None
 
 
 class _OneLine:
@@ -72,9 +83,10 @@ class Permutation(_OneLine):
     __slots__ = ("_length",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not one-line notation on 1..{len(images)}: {images}")
+        given = tuple(images)
+        images = _integers(given)
+        if images is None or sorted(images) != list(range(1, len(given) + 1)):
+            raise ValueError(f"not one-line notation on 1..{len(given)}: {given}")
         self.images = images
         self._length = None
 
@@ -287,9 +299,10 @@ class SignedPermutation(_OneLine):
     __slots__ = ()
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        if sorted(abs(v) for v in images) != list(range(1, len(images) + 1)) or 0 in images:
-            raise ValueError(f"not a signed one-line word on 1..{len(images)}: {images}")
+        given = tuple(images)
+        images = _integers(given)
+        if images is None or sorted(map(abs, images)) != list(range(1, len(given) + 1)):
+            raise ValueError(f"not a signed one-line word on 1..{len(given)}: {given}")
         self.images = images
 
     @classmethod

@@ -35,6 +35,7 @@ from .cells import Cell, Functional, genericity_violation, parabolic_generators,
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
+    _integers,
     braid_order,
     class_data_parabolic,
     class_data_signed,
@@ -217,9 +218,8 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
     squares = {}  # g -> whether s_g^2 = 1
     for g in gens:
         s = rep.matrices[g]
-        # exact: s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed
-        squares[g] = (word_is_identity([s, s], rep.dim, closed_under=(s,)) if rep.is_exact
-                      else power_is_identity(s, 2, tolerance))
+        # s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed (used if exact)
+        squares[g] = word_is_identity([s, s], rep.dim, tolerance, closed_under=(s,))
         if not squares[g]:
             failures.append(f"s{g}^2 != 1")
     for a in range(len(gens)):
@@ -364,12 +364,8 @@ def mn_character(shape: SkewShape, cycle_type: Sequence[int]) -> int:
     Independent of any matrix construction; for straight shapes this is the
     classical irreducible character.
     """
-    given = tuple(cycle_type)
-    try:  # Functional's rule: int(p) == p and p no bool, so 2.0 passes and 1.5, "1", True do not
-        parts = [int(p) for p in given if not isinstance(p, bool) and int(p) == p]
-    except (TypeError, ValueError, OverflowError):
-        parts = []
-    if len(parts) != len(given) or sum(parts) != shape.size or min(parts, default=1) < 1:
+    parts = _integers(cycle_type)
+    if parts is None or sum(parts) != shape.size or min(parts, default=1) < 1:
         raise PreconditionError("cycle type must have positive parts summing to the shape size")
     return _mn(shape.lam, shape.mu, tuple(sorted(parts, reverse=True)))
 

@@ -24,7 +24,7 @@ from .errors import (
     NotStandardError,
     PreconditionError,
 )
-from .groups import Permutation, partitions, sym_group
+from .groups import Permutation, _integers, partitions, sym_group
 
 
 class SkewShape:
@@ -33,8 +33,10 @@ class SkewShape:
     __slots__ = ("lam", "mu")
 
     def __init__(self, lam: Sequence[int], mu: Sequence[int] = ()):
-        lam = tuple(lam)
-        mu = tuple(mu) + (0,) * (len(lam) - len(mu))
+        lam, mu = _integers(lam), _integers(mu)
+        if lam is None or mu is None:
+            raise ValueError("lambda and mu must have integer parts")
+        mu += (0,) * (len(lam) - len(mu))
         if len(mu) != len(lam):
             raise ValueError("mu longer than lambda")
         if any(l <= 0 for l in lam) or list(lam) != sorted(lam, reverse=True):
@@ -213,13 +215,6 @@ def content_vector(q: Tableau) -> tuple:
     return tuple(pos[k][1] - pos[k][0] for k in range(1, q.size + 1))
 
 
-def derived(values: Sequence[int]) -> tuple:
-    """Consecutive differences (v_2 - v_1, ..., v_n - v_{n-1})."""
-    if len(values) < 2:
-        raise PreconditionError("derived vector needs at least two coordinates")
-    return tuple(b - a for a, b in zip(values, values[1:]))
-
-
 def content_violation(values: Sequence[int]):
     """First pair (i, j) breaking the content-vector condition, or None.
 
@@ -394,41 +389,6 @@ def reading_words(q: Tableau) -> ReadingWords:
         down.extend(col)
         up.extend(reversed(col))
     return ReadingWords(Permutation(row_word), Permutation(down), Permutation(up))
-
-
-class HookDistance(NamedTuple):
-    value: int
-    case: str  # "row", "column" or "apart"
-
-
-def hook_distance(q: Tableau, k: int) -> HookDistance:
-    """c(k+1) - c(k) with the adjacency trichotomy; never 0 on standard input."""
-    pos = q.positions()
-    if not (1 <= k < q.size and k in pos and k + 1 in pos):
-        raise PreconditionError(f"k must be in 1..{q.size - 1}, with k and k + 1 entries of q")
-    (r1, c1), (r2, c2) = pos[k], pos[k + 1]
-    value = (c2 - r2) - (c1 - r1)
-    if r1 == r2:
-        case = "row"
-    elif c1 == c2:
-        case = "column"
-    else:
-        case = "apart"
-    if value == 0:
-        raise AyrepError("adjacent entries on one diagonal: tableau is not standard")
-    return HookDistance(value, case)
-
-
-def inversions(q: Tableau) -> int:
-    """Pairs i < j with i strictly south of j."""
-    pos = q.positions()
-    vals = sorted(pos)
-    count = 0
-    for a in range(len(vals)):
-        for b in range(a + 1, len(vals)):
-            if pos[vals[a]][0] > pos[vals[b]][0]:
-                count += 1
-    return count
 
 
 # shape enumeration -----------------------------------------------------------

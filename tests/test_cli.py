@@ -359,7 +359,7 @@ def _argv(draw):
         argv = ["bn", f"--lam={_csv(map(str, lam))}", f"--mu={_csv(map(str, mu))}", *form]
     elif command == "tops":
         argv = ["tops", f"--n={n}"]
-    else:  # the suites that take a size: `flat` ignores --n, so it is left out
+    else:  # the suites that take a size; `flat` has its own examples below
         suites = draw(st.lists(st.sampled_from(sorted(verify.SIZES)),
                                min_size=1, max_size=2, unique=True))
         seed = draw(st.integers(0, 3))
@@ -376,6 +376,10 @@ def _argv(draw):
 @given(_argv(), st.none() | st.integers(0, 6))
 @example(["cell", "--n=2", "--f=0,0", "--format", "dot"], None)
 @example(["cell", "--n=3", "--f=2,2,-1", "--format", "dot"], None)
+# `flat` is not drawn, since a run takes about 0.6 s: it ignores --n, and it
+# refuses to start under a cap below its n = 5
+@example(["verify", "--suite=flat", "--n=9", "--json"], None)
+@example(["verify", "--suite=flat"], 4)
 def test_cli_contract_holds_for_generated_argv(argv, max_n):
     # max_n, when drawn, lowers the size cap for this example alone
     cap = {} if max_n is None else {"AYREP_MAX_N": str(max_n)}
@@ -396,11 +400,10 @@ def test_cli_contract_holds_for_generated_argv(argv, max_n):
     # a second run in the same process answers the same: no cache or other
     # state left by the first changes the status or a byte of stdout
     assert again[:2] == (status, text)
-    if status != 2 and ("--json" in argv or "json" in argv):  # or `cell --format json`
-        if text.startswith("error:"):
-            assert status == 1 and text.count("\n") == 1
-        else:
-            assert "schema_version" in json.loads(text)
+    if text.startswith("error:"):
+        assert status == 1 and text.count("\n") == 1
+    elif status != 2 and ("--json" in argv or "json" in argv):  # or `cell --format json`
+        assert "schema_version" in json.loads(text)
 
 
 def test_a_perturbed_classical_entry_fails_both_bn_and_the_bn_suite(monkeypatch):

@@ -102,6 +102,23 @@ def _signed_bfs_distances(n):
     return dist
 
 
+# one-line words --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls, images", [
+    (Permutation, (True, 2)), (Permutation, (1.5, 2)),
+    (SignedPermutation, (True, -2)), (SignedPermutation, ("1", -2)),
+])
+def test_one_line_words_refuse_non_integer_images(cls, images):
+    with pytest.raises(ValueError, match=r"on 1\.\.2"):
+        cls(images)
+
+
+def test_one_line_words_read_integral_floats_as_ints():
+    assert Permutation((2.0, 1.0)).one_line() == "2,1"
+    assert SignedPermutation((2.0, -1.0)).one_line() == "2,-1"
+
+
 # length ----------------------------------------------------------------------
 
 

@@ -72,6 +72,11 @@ def test_the_walk_refuses_a_functional_of_another_size(walk):
         walk(Functional((0, 1)), identity(3))
 
 
+def test_build_reads_an_integral_float_start_as_a_permutation():
+    rep = build_from_functional(Functional((0, 1, 2)), Permutation((1.0, 2.0, 3.0)))
+    assert rep.basis == build_from_functional(Functional((0, 1, 2)), identity(3)).basis
+
+
 def test_build_rejects_non_generic():
     with pytest.raises(GenericityError) as err:
         build_from_functional(Functional((0, 1, 0)), identity(3))

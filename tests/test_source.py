@@ -126,6 +126,31 @@ def test_private_definition_check_sees_an_unreferenced_name():
     assert unreferenced_private_definitions(sources) == ["a._Box", "a._method", "a._recursive_only"]
 
 
+def unread_imports(init_source: str, sources: list) -> list:
+    """Names the package's `__init__` imports that no module in `sources` reads,
+    as a name or as an attribute."""
+    imported = {alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_export_but_the_named_entry_point_is_read_by_the_library():
+    # an export that no module reads serves only its own tests; the README
+    # names cell_tableau_bijection as an entry point for users
+    unread = unread_imports((SRC / "__init__.py").read_text(), [p.read_text() for p in MODULES])
+    assert unread == ["cell_tableau_bijection"]
+
+
+def test_unread_import_check_sees_names_and_attributes():
+    init = "from .a import f, g, h, k\n"
+    sources = ["from . import a\nx = f(1) + a.g\nh = 2\n", "def k():\n    return x\n"]
+    # h and k are only bound, never read
+    assert unread_imports(init, sources) == ["h", "k"]
+
+
 def test_oracle_modules_are_found():
     assert {p.name for p in ORACLES} >= {"group_oracles.py", "tableau_oracles.py"}
 

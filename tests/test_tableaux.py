@@ -18,12 +18,8 @@ from ayrep.tableaux import (
     content_vector,
     content_violation,
     count_standard,
-    derived,
     enumerate_standard,
-    hook_distance,
     hook_length_count,
-    inversions,
-    map_entries,
     reading_words,
     relabel,
     row_tableau,
@@ -57,6 +53,13 @@ def test_shape_validation():
     assert s.size == 4
     assert not s.is_straight
     assert SkewShape((2, 1)).is_straight
+    assert str(SkewShape((3.0, 2.0), (1.0,))) == "(3,2)/(1)"
+
+
+@pytest.mark.parametrize("lam, mu", [(("a",), ()), ((True,), ()), ((2, 1), (1.5,))])
+def test_shape_refuses_non_integer_parts(lam, mu):
+    with pytest.raises(ValueError, match="integer parts"):
+        SkewShape(lam, mu)
 
 
 # enumeration ---------------------------------------------------------------------
@@ -123,20 +126,6 @@ def test_content_vector_examples():
     assert content_vector(T((1, 1), (), ((1,), (2,)))) == (0, -1)
     with pytest.raises(NotStandardError):
         content_vector(T((2,), (), ((2, 1),)))
-
-
-def test_derived_examples():
-    assert derived((0, 1, 2, -1, 0)) == (1, 1, -3, 1)
-    assert derived((5, 5, 5)) == (0, 0)
-    assert derived((0, 2, -1)) == (2, -3)
-    with pytest.raises(PreconditionError):
-        derived((1,))
-
-
-@given(st.lists(st.integers(-9, 9), min_size=2, max_size=8), st.integers(-9, 9))
-@settings(max_examples=60, deadline=None)
-def test_derived_shift_invariance(values, c):
-    assert derived(values) == derived([v + c for v in values])
 
 
 def test_is_content_vector_examples():
@@ -272,59 +261,6 @@ def test_row_and_column_constructors():
     assert column_tableau(shape).is_standard()
     assert row_tableau(SkewShape((2, 1))).rows == ((1, 2), (3,))
     assert column_tableau(SkewShape((2, 1))).rows == ((1, 3), (2,))
-
-
-# hook distances and inversions ------------------------------------------------------
-
-
-def test_hook_distance_examples():
-    q = T((2, 1), (), ((1, 2), (3,)))
-    assert hook_distance(q, 1) == (1, "row")
-    assert hook_distance(q, 2) == (-2, "apart")
-    col = T((1, 1), (), ((1,), (2,)))
-    assert hook_distance(col, 1) == (-1, "column")
-    with pytest.raises(PreconditionError):
-        hook_distance(q, 3)
-    # the filling (1, 5) has no letter 2
-    with pytest.raises(PreconditionError, match="entries of q"):
-        hook_distance(Tableau(SkewShape((2,)), ((1, 5),)), 1)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_hook_distance_never_zero_and_tagged(n):
-    for shape in skew_shape_family(n):
-        for q in enumerate_standard(shape):
-            for k in range(1, n):
-                h = hook_distance(q, k)
-                assert h.value != 0
-                if h.case == "row":
-                    assert h.value == 1
-                elif h.case == "column":
-                    assert h.value == -1
-                else:
-                    assert abs(h.value) >= 2
-
-
-def test_inversions_examples():
-    assert inversions(T((2, 1), (), ((1, 3), (2,)))) == 1
-    assert inversions(T((2, 1), (), ((1, 2), (3,)))) == 0
-    for n in range(1, 6):
-        for lam in partitions(n):
-            assert inversions(row_tableau(SkewShape(lam))) == 0
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_swapping_southern_neighbor_drops_inversions_by_one(n):
-    for shape in skew_shape_family(n):
-        for q in enumerate_standard(shape):
-            pos = q.positions()
-            for i in range(1, n):
-                if pos[i][0] > pos[i + 1][0]:  # i strictly south of i+1
-                    swap = {v: v for v in pos}
-                    swap[i], swap[i + 1] = i + 1, i
-                    swapped = map_entries(q, swap)
-                    assert swapped.is_standard()
-                    assert inversions(swapped) == inversions(q) - 1
 
 
 # formats ---------------------------------------------------------------------------
