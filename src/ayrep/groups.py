@@ -151,7 +151,9 @@ class Permutation(_OneLine):
 
 
 def identity(n: int) -> Permutation:
-    return Permutation._unsafe(tuple(range(1, n + 1)))
+    if _integers((n,)) is None or n < 0:
+        raise ValueError(f"the identity needs an integer n >= 0, got {n!r}")
+    return Permutation._unsafe(tuple(range(1, int(n) + 1)))
 
 
 class Reflection(NamedTuple):
@@ -165,9 +167,10 @@ class Reflection(NamedTuple):
 
 
 def reflection(i: int, j: int) -> Reflection:
-    if i == j:
-        raise ValueError("a reflection needs two distinct values")
-    return Reflection(i, j) if i < j else Reflection(j, i)
+    letters = _integers((i, j))
+    if letters is None or i == j or min(letters) < 1:
+        raise ValueError(f"a reflection needs two distinct letters >= 1, got {i!r} and {j!r}")
+    return Reflection(*sorted(letters))
 
 
 @lru_cache(maxsize=None)

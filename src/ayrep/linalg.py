@@ -27,10 +27,10 @@ S e_j = a e_j + b e_k, so if P fixes e_j it fixes b e_k and so e_k: a
 pushed e_j that comes back fixed vouches for every e_k reached from it
 along such entries, and a moved vector shows at the first push of its
 block.  Matrices with float entries (the orthogonal form) run the same
-loops with scale 1 and push every vector.  Float braid checks still form
-s_g s_h and raise it to the power (`power_is_identity`): pushing the word
-instead would round in another order and change the float results in
-their last bits.
+loops with scale 1, push every vector and compare within FLOAT_TOL, so
+the entries alone decide how matrices compare.  Float braid checks still
+form s_g s_h and raise it to the power (`power_is_identity`): pushing the
+word instead would round in another order and change the float results.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
+
+FLOAT_TOL = 1e-9  # entrywise slack of every comparison of matrices that hold a float
 
 
 class SquareMatrix:
@@ -66,10 +68,11 @@ class SquareMatrix:
                 cols[j] = out
         return SquareMatrix(self.dim, cols)
 
-    def equals(self, other: "SquareMatrix", tol=None) -> bool:
-        """Entrywise equality, exact or (given tol) within tol, column by column in place."""
+    def equals(self, other: "SquareMatrix") -> bool:
+        """Entrywise equality, exact or (given a float) within FLOAT_TOL, column by column."""
         if self.dim != other.dim:
             return False
+        tol = FLOAT_TOL if self.scaled_form()[2] or other.scaled_form()[2] else None
         for j in self.cols.keys() | other.cols.keys():
             a, b = self.cols.get(j, {}), other.cols.get(j, {})
             if tol is None:
@@ -155,30 +158,32 @@ def word_trace(matrices: Sequence[SquareMatrix], dim: int, along_diagonal: bool 
     return Fraction(total, prod(s for s, _, _, _ in forms))
 
 
-def word_is_identity(matrices: Sequence[SquareMatrix], dim: int, tol=None,
+def word_is_identity(matrices: Sequence[SquareMatrix],
                      closed_under: Sequence[SquareMatrix] = ()) -> bool:
     """Whether matrices[0] * matrices[1] * ... is the identity, without forming it.
 
-    Exact, or (given tol) entrywise within tol.  An exact check may name in
-    `closed_under` matrices S under which the vectors the product P fixes
-    are closed (S P = P S, or S P S = P^-1); each basis vector reached from
-    a fixed one along a column of S with one off-diagonal entry is then
-    fixed too, and is not pushed.
+    Exact, or entrywise within FLOAT_TOL when a matrix holds a float.  An
+    exact check may name in `closed_under` matrices S under which the
+    vectors the product P fixes are closed (S P = P S, or S P S = P^-1);
+    each basis vector reached from a fixed one along a column of S with one
+    off-diagonal entry is then fixed too, and is not pushed.
     """
     forms = [m.scaled_form() for m in matrices]
     chain = [columns for _, columns, _, _ in forms]
     one = prod(s for s, _, _, _ in forms)
-    exact = tol is None and not any(form[2] for form in forms)
+    exact = not any(form[2] for form in forms)
     closed = [m.scaled_form()[1] for m in closed_under] if exact else []
+    dim = matrices[0].dim if matrices else 0  # the empty word is the identity at any size
     fixed = bytearray(dim)
     for j in range(dim):
         if fixed[j]:
             continue
         vec = _push(chain, j)
-        if tol is None:
+        if exact:
             if vec != {j: one}:
                 return False
-        elif abs(vec.pop(j, 0) / one - 1) > tol or any(abs(v / one) > tol for v in vec.values()):
+        elif abs(vec.pop(j, 0) / one - 1) > FLOAT_TOL or any(
+                abs(v / one) > FLOAT_TOL for v in vec.values()):
             return False
         fixed[j] = 1
         block = [j]
@@ -191,6 +196,6 @@ def word_is_identity(matrices: Sequence[SquareMatrix], dim: int, tol=None,
     return True
 
 
-def power_is_identity(m: SquareMatrix, k: int, tol=None) -> bool:
-    """Whether m^k is the identity, exactly or (given tol) entrywise within tol."""
-    return word_is_identity([m] * k, m.dim, tol)
+def power_is_identity(m: SquareMatrix, k: int) -> bool:
+    """Whether m^k is the identity, exactly or (m holding a float) within FLOAT_TOL."""
+    return word_is_identity([m] * k)

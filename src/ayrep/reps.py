@@ -31,7 +31,8 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from .cells import Cell, Functional, genericity_violation, parabolic_generators, _walk_cell
+from .cells import (Cell, Functional, descent_cell, genericity_violation, parabolic_generators,
+                    _walk_cell)
 from .errors import GenericityError, PreconditionError
 from .groups import (
     Permutation,
@@ -48,13 +49,12 @@ from .tableaux import SkewShape, enumerate_standard
 
 SEMINORMAL = "seminormal"
 ORTHOGONAL = "orthogonal-float"
-FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
     """Generator matrices over an ordered basis of labels, one of the basis's
-    size per generator (checked on construction)."""
+    size per generator and a known normalization (checked on construction)."""
 
     group_type: str  # "A" or "B"
     n: int  # number of letters
@@ -64,6 +64,8 @@ class Representation:
     normalization: str
 
     def __post_init__(self):
+        if self.normalization not in (SEMINORMAL, ORTHOGONAL):
+            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.matrices.keys() != set(self.gens) or any(
                 getattr(m, "dim", None) != self.dim for m in self.matrices.values()):
             raise PreconditionError(
@@ -135,8 +137,6 @@ def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Repr
     neighbour.  The table holds each letter pair's (a, b) once, so a column
     costs a lookup.
     """
-    if normalization not in (SEMINORMAL, ORTHOGONAL):
-        raise ValueError(f"unknown normalization {normalization!r}")
     bad = genericity_violation(f, cell)
     if bad is not None:
         raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
@@ -163,7 +163,7 @@ def build_from_functional(f: Functional, w: Permutation,
     Basis vectors are the cell members in (length, word) order; the matrices
     realize each generator as a two-term action per basis vector.
     """
-    return _cell_rep(f, _walk_cell(f, w, range(1, w.size)), normalization, "the cell")
+    return _cell_rep(f, descent_cell(f, w), normalization, "the cell")
 
 
 def build_parabolic(f: Functional, J: Sequence[int],
@@ -211,15 +211,14 @@ class VerificationReport:
 
 
 def verify_coxeter(rep: Representation) -> VerificationReport:
-    """Check involutivity and all braid relations, float matrices within FLOAT_TOL."""
-    tolerance = None if rep.is_exact else FLOAT_TOL
+    """Check involutivity and all braid relations, float matrices within linalg.FLOAT_TOL."""
     failures = []
     gens = list(rep.gens)
     squares = {}  # g -> whether s_g^2 = 1
     for g in gens:
         s = rep.matrices[g]
         # s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed (used if exact)
-        squares[g] = word_is_identity([s, s], rep.dim, tolerance, closed_under=(s,))
+        squares[g] = word_is_identity([s, s], closed_under=(s,))
         if not squares[g]:
             failures.append(f"s{g}^2 != 1")
     for a in range(len(gens)):
@@ -231,10 +230,10 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
                 # so they keep its fixed vectors fixed; else every vector is pushed
                 pair = (rep.matrices[g], rep.matrices[h])
                 closed = pair if squares[g] and squares[h] else ()
-                holds = word_is_identity(list(pair) * m, rep.dim, closed_under=closed)
+                holds = word_is_identity(list(pair) * m, closed_under=closed)
             else:
                 # floats form s_g s_h first; the word would round in another order
-                holds = power_is_identity(rep.matrices[g] * rep.matrices[h], m, tolerance)
+                holds = power_is_identity(rep.matrices[g] * rep.matrices[h], m)
             if not holds:
                 failures.append(f"(s{g} s{h})^{m} != 1")
     return VerificationReport(not failures, tuple(failures))

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 from .cells import Functional
 from .errors import PreconditionError
-from .groups import Permutation, _check_cap, identity, partitions, sym_group, weak_interval
+from .groups import (Permutation, _check_cap, _integers, identity, partitions, sym_group,
+                     weak_interval)
 from .reps import build_from_functional, is_irreducible
 from .tableaux import (
     SkewShape,
@@ -105,8 +106,9 @@ def top_elements(n: int) -> TopReport:
     member (the last of the basis) is the candidate, and the two column
     readings of the row filling are recorded beside it.
     """
-    if n < 1:
+    if _integers((n,)) is None or n < 1:
         raise PreconditionError(f"top elements need n >= 1, got n={n}")
+    n = int(n)
     rows = []
     oracle = frozenset(pi for pi in sym_group(n) if is_top_brute(pi))
     for lam in partitions(n):

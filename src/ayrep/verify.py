@@ -14,7 +14,6 @@ from math import comb, factorial, inf
 
 from .cells import (
     BasicFlat,
-    Cell,
     Functional,
     boundary_reflections,
     descent_cell,
@@ -44,12 +43,10 @@ from .induction import (
     row_filling_pair,
     shuffle_cell,
 )
+from .linalg import FLOAT_TOL
 from .reps import (
-    FLOAT_TOL,
     ORTHOGONAL,
     SEMINORMAL,
-    Representation,
-    _cell_rep,
     build_from_functional,
     build_orthogonal_skew,
     char_inner,
@@ -113,17 +110,12 @@ SIZES = {
 }
 
 
-def _row_filling_rep(f: Functional, cell: Cell) -> Representation:
-    """The seminormal representation on the walked identity cell of a row filling's contents."""
-    return _cell_rep(f, cell, SEMINORMAL, "the cell")
-
-
 def _family_sweep(sizes: dict) -> dict:
     """The family suites named in `sizes` (name -> n_max) in one pass over
-    their shapes; name -> its SuiteResult.  Per shape the row filling's
-    identity cell is walked once, for `cells`, and the exact form built on
-    it once, for `axiomB`, `coxeter` and `specht`, then dropped before
-    `coxeter` builds the float form.
+    their shapes; name -> its SuiteResult.  Per shape the exact form on the
+    row filling's identity cell is built once, and its basis is the walked
+    cell that `cells` reads (a shape that only `cells` needs is walked, not
+    built); the form is dropped before `coxeter` builds the float form.
     """
     sample = set()  # coxeter's n = 6 sample: every straight shape, small skews of every 7th
     if sizes.get("coxeter") == 5:  # from n_max = 6 the sweep holds every size-6 shape
@@ -140,19 +132,19 @@ def _family_sweep(sizes: dict) -> dict:
                 continue
             q = row_tableau(shape)
             f = Functional(content_vector(q))
-            cell = descent_cell(f, identity(n))
+            rep = build_from_functional(f, identity(n)) if names != ["cells"] else None
+            members = descent_cell(f, identity(n)).members if rep is None else rep.basis
             for name in names:
                 counts[name] += 1
             if "cells" in names:
                 try:
-                    check_relabel_bijection(q, cell.members)
+                    check_relabel_bijection(q, members)
                     # straight shapes are also counted independently, by the hook formula
-                    if shape.is_straight and cell.size != hook_length_count(shape.lam):
-                        raise AssertionError(f"cell size {cell.size} != "
+                    if shape.is_straight and len(members) != hook_length_count(shape.lam):
+                        raise AssertionError(f"cell size {len(members)} != "
                                              f"{hook_length_count(shape.lam)} fillings")
                 except AssertionError as exc:
                     bad["cells"].append(f"{shape}: {exc}")
-            rep = _row_filling_rep(f, cell) if names != ["cells"] else None
             if "axiomB" in names:
                 report = verify_axiom_B(rep)
                 if not report.ok:
@@ -170,7 +162,7 @@ def _family_sweep(sizes: dict) -> dict:
                     if value != expected:
                         bad["specht"].append(
                             f"{shape} at class {cls_rep.cycle_type()}: {value} != {expected}")
-            del rep, cell  # one form alive at a time: the exact one goes before the float one
+            del rep, members  # one form alive at a time: the exact one goes before the float one
             if "coxeter" in names:
                 report = verify_coxeter(build_orthogonal_skew(shape))
                 if not report.ok:
@@ -436,9 +428,8 @@ def _check_signed_pair(p, q, form: str) -> tuple:
     form, and norm 1 when exact.  The pair passes when no line is returned."""
     ext, classical, index_map = match_signed_forms(p, q, form)
     rel = verify_coxeter(ext)
-    match_tol = None if ext.is_exact else FLOAT_TOL
     mismatch = next((g for g in ext.gens if not ext.matrices[g].reindexed(index_map)
-                     .equals(classical.matrices[g], match_tol)), None)
+                     .equals(classical.matrices[g])), None)
     irreducible = is_irreducible(ext) if ext.is_exact else None
     failures = [rel.failures[0]] if not rel.ok else []
     if mismatch is not None:

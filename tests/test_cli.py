@@ -238,7 +238,7 @@ def test_every_suite_over_the_cap_fails_before_any_work(monkeypatch, suite, n, t
     def work(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
-    for name in ("descent_cell", "_row_filling_rep", "build_orthogonal_skew"):
+    for name in ("descent_cell", "build_from_functional", "build_orthogonal_skew"):
         monkeypatch.setattr(verify, name, work)
     for name in SUITES:
         monkeypatch.setitem(SUITES, name, work)

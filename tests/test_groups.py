@@ -119,6 +119,29 @@ def test_one_line_words_read_integral_floats_as_ints():
     assert SignedPermutation((2.0, -1.0)).one_line() == "2,-1"
 
 
+@pytest.mark.parametrize("n", [True, -1, 1.5, "2"])
+def test_identity_takes_an_integer_letter_count(n):
+    # before, True gave Permutation(1), -1 the empty word and "2" a TypeError
+    with pytest.raises(ValueError, match="the identity needs an integer n >= 0"):
+        identity(n)
+
+
+def test_identity_reads_an_integral_float_as_an_int():
+    # before, identity(2.0) raised TypeError
+    assert identity(2.0).images == (1, 2) and identity(0).images == ()
+
+
+@pytest.mark.parametrize("letters", [(1.5, 2), (0, 3), (True, 2), (2, 2), ("1", 2)])
+def test_reflection_takes_two_distinct_integer_letters(letters):
+    # before, (1.5, 2) and (0, 3) each gave a Reflection
+    with pytest.raises(ValueError, match="a reflection needs two distinct letters >= 1"):
+        reflection(*letters)
+
+
+def test_reflection_reads_integral_floats_as_ints():
+    assert reflection(3, 2.0) == (2, 3) and type(reflection(3, 2.0).i) is int
+
+
 # length ----------------------------------------------------------------------
 
 

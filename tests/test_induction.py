@@ -257,6 +257,12 @@ def test_extend_to_bn_sign_block():
     assert verify_coxeter(rep).ok
 
 
+def test_bn_classical_rejects_an_unknown_normalization():
+    # before, it built a float form labelled "bogus"
+    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+        bn_classical((1,), (), "bogus")
+
+
 def test_extend_to_bn_rejects_an_unknown_normalization():
     with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
         extend_to_bn(*row_filling_pair((1,), (1,)), "bogus")
@@ -308,7 +314,7 @@ def test_bn_forms_match_entrywise():
             assert ext.matrices[g].reindexed(index_map).equals(classical.matrices[g])
         ext_f, classical_f, imap_f = match_signed_forms(p, q, ORTHOGONAL)
         for g in ext_f.gens:
-            assert ext_f.matrices[g].reindexed(imap_f).equals(classical_f.matrices[g], 1e-9)
+            assert ext_f.matrices[g].reindexed(imap_f).equals(classical_f.matrices[g])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -28,9 +28,8 @@ from ayrep.induction import (
     j_intervals,
     row_filling_pair,
 )
-from ayrep.linalg import SquareMatrix, power_is_identity, word_trace
+from ayrep.linalg import FLOAT_TOL, SquareMatrix, power_is_identity, word_trace
 from ayrep.reps import (
-    FLOAT_TOL,
     ORTHOGONAL,
     SEMINORMAL,
     Representation,
@@ -175,16 +174,27 @@ def test_power_is_identity_exact():
 def test_power_is_identity_float():
     rep = build_orthogonal_skew(SkewShape((2, 1)))
     for g, m in rep.matrices.items():
-        assert power_is_identity(m, 2, 1e-9), g
+        assert power_is_identity(m, 2), g
     rep = build_from_functional(Functional((0, 2, -1)), identity(3), ORTHOGONAL)
     braid = rep.matrices[1] * rep.matrices[2]
-    assert power_is_identity(braid, 3, 1e-9)
-    assert not power_is_identity(braid, 2, 1e-9)
+    assert power_is_identity(braid, 3)
+    assert not power_is_identity(braid, 2)
     cols = {j: dict(c) for j, c in braid.cols.items()}
     cols[0][0] = braid.entry(0, 0) + 1e-6
-    assert not power_is_identity(SquareMatrix(braid.dim, cols), 3, 1e-9)
+    assert not power_is_identity(SquareMatrix(braid.dim, cols), 3)
     shear = SquareMatrix(2, {0: {0: 1.0}, 1: {0: 1e-6, 1: 1.0}})
-    assert not power_is_identity(shear, 2, 1e-9)
+    assert not power_is_identity(shear, 2)
+
+
+def test_a_word_is_compared_at_the_size_and_in_the_arithmetic_of_its_matrices():
+    # before, a size argument of 1 passed diag(1, 2)^2, and a tolerance passed
+    # an exact matrix 10^-12 off the identity
+    d = SquareMatrix(2, {0: {0: Fraction(1)}, 1: {1: Fraction(2)}})
+    assert not linalg.word_is_identity([d, d]) and not power_is_identity(d, 2)
+    assert not linalg.word_is_identity([SquareMatrix(1, {0: {0: 1 + Fraction(1, 10**12)}})])
+    assert linalg.word_is_identity([SquareMatrix(1, {0: {0: 1 + 1e-12}})])
+    assert not linalg.word_is_identity([SquareMatrix(1, {0: {0: 1 + 1e-6}})])
+    assert linalg.word_is_identity([]) and power_is_identity(d, 0)  # the empty word
 
 
 def test_products_match_dense_products():
@@ -206,12 +216,18 @@ def test_equals_exact_and_within_tol():
     assert not m.equals(SquareMatrix(3, m.cols))
     fewer = SquareMatrix(2, {0: m.cols[0]})  # a missing column is zero
     assert not m.equals(fewer) and not fewer.equals(m)
+    # a float on either side: equal within FLOAT_TOL, unequal at 10^-6
     near = SquareMatrix(2, {0: {0: 1 / 3}, 1: {0: 1.0, 1: -1 / 3 + 1e-12}})
-    assert not m.equals(near)
-    assert m.equals(near, 1e-9) and near.equals(m, 1e-9)
+    assert m.equals(near) and near.equals(m)
+    far = SquareMatrix(2, {0: {0: 1 / 3}, 1: {0: 1.0, 1: -1 / 3 + 1e-6}})
+    assert not m.equals(far) and not far.equals(m)
     short = SquareMatrix(2, {0: {0: 1 / 3}, 1: {0: 1.0}})
-    assert not m.equals(short, 1e-9) and not short.equals(m, 1e-9)
-    assert not m.equals(SquareMatrix(2, {0: {0: 1 / 3, 1: 1e-6}, 1: m.cols[1]}), 1e-9)
+    assert not m.equals(short) and not short.equals(m)
+    assert not m.equals(SquareMatrix(2, {0: {0: 1 / 3, 1: 1e-6}, 1: m.cols[1]}))
+    # no float: exact, so 10^-12 off is unequal
+    exact_near = SquareMatrix(2, {0: m.cols[0],
+                                  1: {0: Fraction(1), 1: Fraction(-1, 3) + Fraction(1, 10**12)}})
+    assert not m.equals(exact_near) and not exact_near.equals(m)
 
 
 # relation checks ------------------------------------------------------------------
@@ -391,13 +407,13 @@ def _blocks(mats: list, dim: int) -> list:
 
 def _full_word_failures(rep) -> list:
     """verify_coxeter's failure texts with every basis vector pushed through every word."""
-    mats, dim = rep.matrices, rep.dim
+    mats = rep.matrices
     failures = [f"s{g}^2 != 1" for g in rep.gens
-                if not linalg.word_is_identity([mats[g], mats[g]], dim)]
+                if not linalg.word_is_identity([mats[g], mats[g]])]
     for a, g in enumerate(rep.gens):
         for h in rep.gens[a + 1:]:
             m = 3 if h - g == 1 else 2
-            if not linalg.word_is_identity([mats[g], mats[h]] * m, dim):
+            if not linalg.word_is_identity([mats[g], mats[h]] * m):
                 failures.append(f"(s{g} s{h})^{m} != 1")
     return failures
 
@@ -450,8 +466,8 @@ def test_a_broken_square_sends_its_braids_to_the_full_word():
                     if h != g:
                         pair = [bad.matrices[g], bad.matrices[h]]
                         word = pair * (3 if abs(g - h) == 1 else 2)
-                        unsound += (linalg.word_is_identity(word, rep.dim, closed_under=pair)
-                                    and not linalg.word_is_identity(word, rep.dim))
+                        unsound += (linalg.word_is_identity(word, closed_under=pair)
+                                    and not linalg.word_is_identity(word))
     assert cases > 600 and unsound > 50
 
 
@@ -473,5 +489,5 @@ def test_blocks_follow_only_columns_with_one_off_diagonal_entry():
     # column 0, which has two off-diagonal entries
     s = SquareMatrix(3, {0: {1: 1, 2: 1}, 1: {1: 1, 2: 1}, 2: {0: 1, 1: -1, 2: -1}})
     assert linalg._push([s.scaled_form()[1]] * 2, 0) == {0: 1}
-    assert not linalg.word_is_identity([s, s], 3, closed_under=[s])
+    assert not linalg.word_is_identity([s, s], closed_under=[s])
     assert not power_is_identity(s, 2)

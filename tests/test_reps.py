@@ -144,6 +144,18 @@ def test_axiom_b_on_regular_representation():
     assert not verify_axiom_B(bad).ok
 
 
+def test_axiom_b_reads_one_coefficient_pair_per_reflection_and_direction():
+    # the regular form of S_3 with s1 sending 123 to 2 * 213: the support holds,
+    # but (1,2) going up has coefficient 2 there and 1 where s2 steps from 312
+    group = list(sym_group(3))
+    index = {w: k for k, w in enumerate(group)}
+    mats = {g: SquareMatrix(6, {j: {index[w.times_simple(g)]: Fraction(1)}
+                                for j, w in enumerate(group)}) for g in (1, 2)}
+    mats[1].cols[index[identity(3)]][index[Permutation((2, 1, 3))]] = Fraction(2)
+    rep = Representation("A", 3, (1, 2), tuple(group), mats, SEMINORMAL)
+    assert verify_axiom_B(rep).failures == ("s2 at 3,1,2: coefficients differ for (1,2) going up",)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_axiom_b_step_direction_is_the_descent_test(n):
     """verify_axiom_B reads "w s_g is longer than w" off the one-line word."""
@@ -374,6 +386,19 @@ def test_char_inner_rejects_float_characters():
     assert char_inner(exact, exact) == 1
 
 
+def test_char_inner_rejects_characters_of_different_groups():
+    s3 = character(build_from_functional(Functional((0, 1, 2)), identity(3)))
+    s2 = character(build_from_functional(Functional((0, 1)), identity(2)))
+    with pytest.raises(PreconditionError, match="characters live on different groups"):
+        char_inner(s3, s2)
+
+
+def test_irreducibility_is_refused_on_a_float_form():
+    rep = build_from_functional(Functional((0, 1, 2)), identity(3), ORTHOGONAL)
+    with pytest.raises(PreconditionError, match="irreducibility is decided in exact arithmetic"):
+        is_irreducible(rep)
+
+
 def test_character_equality_rejects_float_characters():
     rep = build_from_functional(Functional((0, 1, 2)), identity(3), ORTHOGONAL)
     chi = character(rep)
@@ -548,6 +573,13 @@ def test_builder_matches_index_builder_on_every_flat_build(monkeypatch):
     assert len(built) == 1440
     for rep, f, v in built:
         _assert_same_build(rep, f, v)
+
+
+def test_a_form_needs_a_known_normalization():
+    # before, only the cell and parabolic builders checked it
+    exact = build_from_functional(Functional((0, 1)), identity(2))
+    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+        Representation("A", 2, (1,), exact.basis, exact.matrices, "bogus")
 
 
 def test_parabolic_builder_rejects_an_unknown_normalization():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ayrep import cells, induction, reps, verify
+from ayrep import cells, induction, linalg, reps, verify
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ayrep"
@@ -195,9 +195,30 @@ SIGNATURES = {
     induction.classical_induced_character: ["psi"],
     induction.signed_pair_basis: ["lam", "mu"],
     reps.build_parabolic: ["f", "J", "normalization"],
+    linalg.word_is_identity: ["matrices", "closed_under"],
+    linalg.power_is_identity: ["m", "k"],
+    linalg.SquareMatrix.equals: ["self", "other"],
 }
 
 
 def test_no_parameter_repeats_what_another_argument_fixes():
     found = {fn.__name__: list(inspect.signature(fn).parameters) for fn in SIGNATURES}
     assert found == {fn.__name__: params for fn, params in SIGNATURES.items()}
+
+
+def assigned_names(source: str) -> set:
+    """Names the module binds by assignment anywhere; an import binds none."""
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def test_one_module_sets_the_float_tolerance():
+    # every float comparison of matrices reads linalg.FLOAT_TOL; no caller picks one
+    setters = [p.stem for p in SRC.glob("*.py") if "FLOAT_TOL" in assigned_names(p.read_text())]
+    assert setters == ["linalg"]
+
+
+def test_assignment_check_sees_every_binding_but_an_import():
+    source = ("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\nfrom x import F\n"
+              "def g():\n    H = 6\n    for K in A:\n        pass\n")
+    assert assigned_names(source) == {"A", "B", "C", "D", "E", "H", "K"}

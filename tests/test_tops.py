@@ -1,6 +1,7 @@
 import pytest
 
 from ayrep.cells import Functional
+from ayrep.errors import PreconditionError
 from ayrep.groups import Permutation, identity, partitions, weak_interval
 from ayrep.reps import build_from_functional
 from ayrep.tableaux import (
@@ -46,6 +47,17 @@ def test_is_top_brute_examples():
     assert is_top_brute(Permutation((1, 3, 2)))
     assert not is_top_brute(Permutation((2, 1, 3)))
     assert not is_top_brute(Permutation((2, 3, 1)))
+
+
+@pytest.mark.parametrize("n", [True, 1.5, "3"])
+def test_top_elements_refuses_a_non_integer_n(n):
+    # before, True gave a report with n=True
+    with pytest.raises(PreconditionError, match=f"top elements need n >= 1, got n={n}"):
+        top_elements(n)
+
+
+def test_top_elements_reads_an_integral_float_as_an_int():
+    assert top_elements(3.0).n == 3 and top_elements(3.0).rows == top_elements(3).rows
 
 
 def test_top_elements_small():

@@ -149,7 +149,8 @@ FAMILY = ["specht", "cells", "coxeter", "axiomB"]
 def test_one_sweep_walks_and_builds_each_family_shape_once(monkeypatch):
     alone = {name: verify.SUITES[name](n_max=4) for name in [*FAMILY, "convexity"]}
     walked = _count_calls(monkeypatch, "descent_cell")
-    built = _count_calls(monkeypatch, "_row_filling_rep")
+    monkeypatch.setattr(reps, "descent_cell", verify.descent_cell)  # the builder's walks count too
+    built = _count_calls(monkeypatch, "build_from_functional")
     results = verify.run_suites([*FAMILY, "convexity"], 4)
     shapes = sum(len(skew_shape_family(n)) for n in range(1, 5))
     assert shapes == 41
