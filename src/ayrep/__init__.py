@@ -34,7 +34,6 @@ from .groups import (
     SignedPermutation,
     identity,
     is_convex,
-    pair,
     reflection,
     weak_interval,
 )

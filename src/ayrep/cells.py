@@ -22,7 +22,6 @@ from .groups import (
     _walls,
     identity,
     is_convex,
-    pair,
     reflection,
     reflections,
     sym_group,
@@ -48,7 +47,8 @@ class Functional:
         return len(self.coords)
 
     def pair(self, t: Reflection) -> int:
-        return pair(self.coords, t)
+        """Pairing with the root of t = (i, j): f_j - f_i, unchanged by a shift of f."""
+        return self.coords[t.j - 1] - self.coords[t.i - 1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Functional) and self.coords == other.coords

@@ -22,7 +22,7 @@ import os
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import PreconditionError, SizeCapError
 
@@ -176,14 +176,6 @@ def reflection(i: int, j: int) -> Reflection:
 @lru_cache(maxsize=None)
 def reflections(n: int) -> tuple:
     return tuple(Reflection(i, j) for i, j in combinations(range(1, n + 1), 2))
-
-
-def pair(coords: Sequence[int], t: Reflection):
-    """Pairing of a coordinate vector with the root of t = (i, j): f_j - f_i.
-
-    Invariant under adding a constant to all coordinates.
-    """
-    return coords[t.j - 1] - coords[t.i - 1]
 
 
 def sym_group(n: int) -> tuple:
@@ -340,14 +332,12 @@ def signed_reduced_word(w: SignedPermutation) -> tuple:
     return reduced_word(w)
 
 
-def braid_order(group_type: str, g: int, h: int) -> int:
-    """Order of s_g s_h: 4 for the signed pair (0,1), 3 for adjacent, else 2."""
+def braid_order(g: int, h: int) -> int:
+    """Order of s_g s_h: 4 for (0,1), as only the signed group has s_0; 3 if adjacent, else 2."""
     if g == h:
         raise ValueError("generators must differ")
     a, b = min(g, h), max(g, h)
-    if group_type == "B" and (a, b) == (0, 1):
-        return 4
-    return 3 if b - a == 1 else 2
+    return 4 if (a, b) == (0, 1) else 3 if b - a == 1 else 2
 
 
 # conjugacy-class bookkeeping ------------------------------------------------

@@ -102,7 +102,7 @@ def induce(psi: Representation) -> Representation:
     mats = _two_term_matrices(len(pairs), ((s, [step(m, r, s) for m, r in pairs])
                                            for s in range(1, n)))
     basis = tuple(m * r for m, r in pairs)
-    return Representation("A", n, tuple(range(1, n)), basis, mats, psi.normalization)
+    return Representation(n, basis, mats, psi.normalization)
 
 
 def _one(normalization: str):
@@ -209,7 +209,7 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
                                          for j, w in enumerate(basis)})}
     for g, m in induced.matrices.items():
         mats[g] = m.reindexed(index_map)
-    return Representation("B", n, tuple(range(0, n)), basis, mats, normalization)
+    return Representation(n, basis, mats, normalization)
 
 
 def signed_pair_basis(lam: Sequence[int], mu: Sequence[int]) -> tuple:
@@ -273,7 +273,7 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
             if target in index and b:
                 cols[j][index[target]] = b
         mats[g] = SquareMatrix(len(basis), cols)
-    return Representation("B", n, tuple(range(0, n)), basis, mats, normalization)
+    return Representation(n, basis, mats, normalization)
 
 
 def match_signed_forms(p: Tableau, q: Optional[Tableau],

@@ -72,7 +72,7 @@ class SquareMatrix:
         """Entrywise equality, exact or (given a float) within FLOAT_TOL, column by column."""
         if self.dim != other.dim:
             return False
-        tol = FLOAT_TOL if self.scaled_form()[2] or other.scaled_form()[2] else None
+        tol = FLOAT_TOL if _holds_float(self) or _holds_float(other) else None
         for j in self.cols.keys() | other.cols.keys():
             a, b = self.cols.get(j, {}), other.cols.get(j, {})
             if tol is None:
@@ -102,16 +102,19 @@ class SquareMatrix:
         return f"SquareMatrix(dim={self.dim}, nnz={sum(len(c) for c in self.cols.values())})"
 
 
+def _holds_float(m: SquareMatrix) -> bool:
+    return any(isinstance(v, float) for col in m.cols.values() for v in col.values())
+
+
 def _scaled(m: SquareMatrix) -> tuple:
     """(s, columns, is_float, diagonal): columns[j] lists the (i, s * m[i, j]) and
     diagonal[j] is s * m[j, j], or diagonal is None; s = 1 if a float is in m."""
-    entries = [v for col in m.cols.values() for v in col.values()]
     columns = [()] * m.dim
-    if any(isinstance(v, float) for v in entries):
+    if _holds_float(m):
         for j, col in m.cols.items():
             columns[j] = tuple(col.items())
         return 1, columns, True, None
-    s = lcm(*(v.denominator for v in entries))
+    s = lcm(*(v.denominator for col in m.cols.values() for v in col.values()))
     for j, col in m.cols.items():
         columns[j] = tuple((i, v.numerator * (s // v.denominator)) for i, v in col.items())
     return s, columns, False, [dict(col).get(j, 0) for j, col in enumerate(columns)]

@@ -24,7 +24,7 @@ word, type B and the float forms included, through `word_trace`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -53,23 +53,31 @@ ORTHOGONAL = "orthogonal-float"
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Generator matrices over an ordered basis of labels, one of the basis's
-    size per generator and a known normalization (checked on construction)."""
+    """Matrices of the basis's size over an ordered basis of labels: all of s_0..s_(n-1) for
+    the signed group, else any of s_1..s_(n-1); checked with the normalization on construction."""
 
-    group_type: str  # "A" or "B"
     n: int  # number of letters
-    gens: tuple  # generator indices; "A": within 1..n-1, "B": 0..n-1
     basis: tuple
     matrices: dict  # generator index -> SquareMatrix
     normalization: str
+    gens: tuple = field(init=False)  # the matrices' generator indices, in order
 
     def __post_init__(self):
         if self.normalization not in (SEMINORMAL, ORTHOGONAL):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.matrices.keys() != set(self.gens) or any(
+        ints = _integers((self.n, *self.matrices))
+        n, gens = (ints[0], sorted(ints[1:])) if ints else (0, [])
+        if n < 1 or (gens != list(range(n)) and gens and (gens[0] < 1 or gens[-1] >= n)) or any(
                 getattr(m, "dim", None) != self.dim for m in self.matrices.values()):
             raise PreconditionError(
-                f"a form needs one dim {self.dim} matrix per generator {self.gens}")
+                f"a form on n >= 1 letters needs one dim {self.dim} matrix per generator, "
+                f"all within 1..n-1 or all of 0..n-1: got n={self.n!r}, {tuple(self.matrices)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", tuple(gens))
+
+    @property
+    def group_type(self) -> str:
+        return "B" if 0 in self.gens else "A"  # only the signed group has s_0
 
     @property
     def dim(self) -> int:
@@ -153,7 +161,7 @@ def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Repr
         return zip(pairs, islice(cell.steps, p, None, len(gens)))
 
     mats = _two_term_matrices(len(words), ((g, column(p, g)) for p, g in enumerate(gens)))
-    return Representation("A", n, gens, cell.members, mats, normalization)
+    return Representation(n, cell.members, mats, normalization)
 
 
 def build_from_functional(f: Functional, w: Permutation,
@@ -195,7 +203,7 @@ def build_orthogonal_skew(shape: SkewShape) -> Representation:
 
     mats = _two_term_matrices(len(words), ((g, [step(word, g) for word in words])
                                            for g in range(1, n)))
-    return Representation("A", n, tuple(range(1, n)), basis, mats, ORTHOGONAL)
+    return Representation(n, basis, mats, ORTHOGONAL)
 
 
 # verification ----------------------------------------------------------------
@@ -224,7 +232,7 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
             g, h = gens[a], gens[b]
-            m = braid_order(rep.group_type, g, h)
+            m = braid_order(g, h)
             if rep.is_exact:
                 # with both squares 1, s_g and s_h conjugate P = (s_g s_h)^m to P^-1,
                 # so they keep its fixed vectors fixed; else every vector is pushed
@@ -240,9 +248,9 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
 
 
 def _on_permutations(rep: Representation) -> bool:
-    """Whether rep is of type A, with generators within 1..n-1, on a basis of
-    permutations of its n letters: the forms whose labels `verify_axiom_B` reads."""
-    return rep.group_type == "A" and all(1 <= g < rep.n for g in rep.gens) and all(
+    """Whether rep is of type A on a basis of permutations of its n letters:
+    the forms whose labels `verify_axiom_B` reads."""
+    return rep.group_type == "A" and all(
         type(w) is Permutation and w.size == rep.n for w in rep.basis)
 
 
@@ -257,8 +265,8 @@ def verify_axiom_B(rep: Representation) -> VerificationReport:
     too.  Any form `_on_permutations` refuses raises PreconditionError.
     """
     if not _on_permutations(rep):
-        raise PreconditionError("the two-term local action is read on type A forms with "
-                                "generators within 1..n-1 over permutations of the n letters")
+        raise PreconditionError("the two-term local action is read on type A forms "
+                                "over permutations of the n letters")
     # Columns are read in place; neighbors are found on the one-line words.
     index = {w.images: k for k, w in enumerate(rep.basis)}
     failures = []

@@ -105,17 +105,9 @@ class Tableau:
         return self._pos
 
     def is_standard(self) -> bool:
-        """Entries are 1..n, rows increase left to right, columns downwards."""
-        if sorted(v for row in self.rows for v in row) != list(range(1, self.size + 1)):
-            return False
-        for row in self.rows:
-            if any(a >= b for a, b in zip(row, row[1:])):
-                return False
-        lam, mu = self.shape.lam, self.shape.mu
-        for v, (r, c) in self.positions().items():  # row r + 1 is self.rows[r]
-            if r < len(lam) and mu[r] < c <= lam[r] and self.rows[r][c - mu[r] - 1] <= v:
-                return False
-        return True
+        """Entries are 1..n, each less than the entries just right of and below it."""
+        return (sorted(v for row in self.rows for v in row) == list(range(1, self.size + 1))
+                and all(a < b for a, b in _precedence_pairs(self)))
 
     def to_text(self) -> str:
         lines = []
@@ -253,11 +245,12 @@ def tableau_from_content(values: Sequence[int]) -> Tableau:
     >>> tableau_from_content((0, 1, -1, 0)).rows
     ((1, 2), (3, 4))
     """
-    vals = tuple(values)
-    if not vals:
+    given = tuple(values)
+    if not given:
         raise EmptyShapeError("an empty content vector has no tableau")
-    if not all(type(v) is int for v in vals):
-        raise PreconditionError(f"contents must be integers, got {vals}")
+    vals = _integers(given)
+    if vals is None:
+        raise PreconditionError(f"contents must be integers, got {given}")
     bad = content_violation(vals)
     if bad is not None:
         raise ContentVectorError(

@@ -110,6 +110,13 @@ SIZES = {
 }
 
 
+def _reach(name: str, n_max) -> int:
+    """The largest n a suite touches: every flat's, and coxeter's n = 6 sample at n_max = 5."""
+    if name == "flat":
+        return max(flat.n for flat in sample_flats())
+    return 6 if name == "coxeter" and n_max == 5 else n_max
+
+
 def _family_sweep(sizes: dict) -> dict:
     """The family suites named in `sizes` (name -> n_max) in one pass over
     their shapes; name -> its SuiteResult.  Per shape the exact form on the
@@ -117,14 +124,15 @@ def _family_sweep(sizes: dict) -> dict:
     cell that `cells` reads (a shape that only `cells` needs is walked, not
     built); the form is dropped before `coxeter` builds the float form.
     """
-    sample = set()  # coxeter's n = 6 sample: every straight shape, small skews of every 7th
-    if sizes.get("coxeter") == 5:  # from n_max = 6 the sweep holds every size-6 shape
-        sample = set(straight_shapes(6)) | {shape for shape in skew_shape_family(6)[::7]
-                                            if count_standard(shape) <= 40}
+    reach = {name: _reach(name, n_max) for name, n_max in sizes.items()}
+    top, sample = reach.get("coxeter", 0), set()  # coxeter's sample past n_max, if it has one:
+    if top > sizes.get("coxeter", 0):  # every straight shape, small skews of every 7th
+        sample = {*straight_shapes(top), *(shape for shape in skew_shape_family(top)[::7]
+                                           if count_standard(shape) <= 40)}
     bad = {name: [] for name in sizes}
     counts = dict.fromkeys(sizes, 0)
     straight = {}  # straight shape -> its traced character, for `specht`
-    for n in range(1, max([*sizes.values(), 6 if sample else 0]) + 1):
+    for n in range(1, max(reach.values(), default=0) + 1):
         for shape in skew_shape_family(n):
             names = [name for name, n_max in sizes.items()
                      if n <= n_max or name == "coxeter" and shape in sample]
@@ -291,9 +299,8 @@ def flat_suite() -> SuiteResult:
                     if traced is None or not _same_matrices(rep, traced[0]):
                         traced = (rep, character(rep))
                     tables.append((f, v, traced[1]))
-            first = tables[0][2]
-            for f, v, chi in tables[1:]:
-                if chi != first:
+            for f, v, chi in tables[1:]:  # none when every build drifted
+                if chi != tables[0][2]:
                     bad.append(
                         f"{flat}: character differs for f={f!r}, v={v.one_line()}"
                     )
@@ -557,10 +564,8 @@ def run_suites(names, n: int = None, seed: int = 0) -> list:
         raise ValueError(f"unknown suite {unknown[0]!r}; choose from {sorted(SUITES)}")
     sizes = {name: SIZES[name].default if n is None else min(n, SIZES[name].largest)
              for name in names if name in SIZES}
-    # the largest n each suite touches: every flat's, and coxeter's n = 6 sample at n_max = 5
-    touched = {**sizes, "flat": max(flat.n for flat in sample_flats())}
     for name in names:
-        _check_cap("A", 6 if name == "coxeter" and sizes[name] == 5 else touched[name])
+        _check_cap("A", _reach(name, sizes.get(name)))
     family = _family_sweep({name: size for name, size in sizes.items() if SIZES[name].family})
     results = []
     for name in names:

@@ -23,12 +23,12 @@ from ayrep.groups import (
     Permutation,
     SignedPermutation,
     _letter_blocks,
+    braid_order,
     class_data_parabolic,
     class_data_signed,
     class_data_symmetric,
     identity,
     is_convex,
-    pair,
     partitions,
     reduced_word,
     reflection,
@@ -227,8 +227,8 @@ def test_full_descent_count_is_length(n):
 
 
 def test_pair_examples():
-    assert pair((0, 2, -1), reflection(1, 3)) == -1
-    assert pair((0, 2, -1), reflection(1, 2)) == 2
+    assert Functional((0, 2, -1)).pair(reflection(1, 3)) == -1
+    assert Functional((0, 2, -1)).pair(reflection(1, 2)) == 2
 
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=7), st.integers(-50, 50))
@@ -237,7 +237,7 @@ def test_pair_shift_invariance(coords, shift):
     n = len(coords)
     shifted = [c + shift for c in coords]
     for t in reflections(n):
-        assert pair(coords, t) == pair(shifted, t)
+        assert Functional(coords).pair(t) == Functional(shifted).pair(t)
 
 
 def test_pair_of_conjugated_reflection_matches_position_difference():
@@ -247,7 +247,15 @@ def test_pair_of_conjugated_reflection_matches_position_difference():
         for i in range(1, 4):
             t = reflection(w(i), w(i + 1))
             sign = 1 if w(i) < w(i + 1) else -1
-            assert pair(f, t) == sign * (f[w(i + 1) - 1] - f[w(i) - 1])
+            assert Functional(f).pair(t) == sign * (f[w(i + 1) - 1] - f[w(i) - 1])
+
+
+def test_braid_order_reads_the_signed_pair_off_s0():
+    # only the signed group has s_0, so (s_0 s_1) has order 4 wherever it is asked
+    assert [braid_order(g, h) for g, h in [(0, 1), (1, 0), (1, 2), (3, 2), (0, 2), (1, 3)]] == [
+        4, 4, 3, 3, 2, 2]
+    with pytest.raises(ValueError, match="generators must differ"):
+        braid_order(1, 1)
 
 
 # weak order ---------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_induce_rejects_broken_input():
     cols = {j: dict(c) for j, c in psi.matrices[1].cols.items()}
     cols[0][1] = Fraction(1, 3)
     mats = {**psi.matrices, 1: SquareMatrix(psi.dim, cols)}
-    bad = Representation("A", 4, psi.gens, psi.basis, mats, SEMINORMAL)
+    bad = Representation(4, psi.basis, mats, SEMINORMAL)
     with pytest.raises(PreconditionError):
         induce(bad)
 

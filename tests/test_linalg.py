@@ -274,7 +274,7 @@ def _replaced(rep, g, j, i, value):
     cols = {k: dict(c) for k, c in m.cols.items()}
     cols.setdefault(j, {})[i] = value
     mats = {**rep.matrices, g: SquareMatrix(m.dim, cols)}
-    return Representation(rep.group_type, rep.n, rep.gens, rep.basis, mats, rep.normalization)
+    return Representation(rep.n, rep.basis, mats, rep.normalization)
 
 
 def _perturbed(rep):
@@ -373,8 +373,7 @@ def test_a_stray_off_diagonal_entry_sends_the_character_to_the_pushed_trace():
     assert rep.basis[k].images == (1, 3, 2)
     cols = {j: dict(col) for j, col in s1.cols.items()}
     cols[k][0] = Fraction(1, 7)  # labelled id, not s2 s1: off the two-term support
-    stray = Representation("A", 3, (1, 2), rep.basis, {1: SquareMatrix(6, cols), 2: s2},
-                           SEMINORMAL)
+    stray = Representation(3, rep.basis, {1: SquareMatrix(6, cols), 2: s2}, SEMINORMAL)
     assert not verify_axiom_B(stray).ok
     chi = character(stray)
     detours = 0

@@ -120,7 +120,7 @@ def test_verify_coxeter_detects_perturbation():
     cols = {j: dict(c) for j, c in rep.matrices[1].cols.items()}
     cols[0][0] += 1
     broken = {**rep.matrices, 1: SquareMatrix(rep.dim, cols)}
-    bad = Representation("A", 3, (1, 2), rep.basis, broken, SEMINORMAL)
+    bad = Representation(3, rep.basis, broken, SEMINORMAL)
     report = verify_coxeter(bad)
     assert not report.ok
     assert any("s1^2" in f for f in report.failures)
@@ -133,14 +133,14 @@ def test_axiom_b_on_regular_representation():
     for g in (1, 2):
         mats[g] = SquareMatrix(6, {j: {index[w.times_simple(g)]: Fraction(1)}
                                    for j, w in enumerate(group)})
-    reg = Representation("A", 3, (1, 2), tuple(group), mats, SEMINORMAL)
+    reg = Representation(3, tuple(group), mats, SEMINORMAL)
     assert verify_axiom_B(reg).ok
 
     # mix three basis vectors: the support condition breaks
     cols = {j: dict(c) for j, c in mats[1].cols.items()}
     cols[0][5] = Fraction(1, 3)
     scrambled = {**mats, 1: SquareMatrix(6, cols)}
-    bad = Representation("A", 3, (1, 2), tuple(group), scrambled, SEMINORMAL)
+    bad = Representation(3, tuple(group), scrambled, SEMINORMAL)
     assert not verify_axiom_B(bad).ok
 
 
@@ -152,7 +152,7 @@ def test_axiom_b_reads_one_coefficient_pair_per_reflection_and_direction():
     mats = {g: SquareMatrix(6, {j: {index[w.times_simple(g)]: Fraction(1)}
                                 for j, w in enumerate(group)}) for g in (1, 2)}
     mats[1].cols[index[identity(3)]][index[Permutation((2, 1, 3))]] = Fraction(2)
-    rep = Representation("A", 3, (1, 2), tuple(group), mats, SEMINORMAL)
+    rep = Representation(3, tuple(group), mats, SEMINORMAL)
     assert verify_axiom_B(rep).failures == ("s2 at 3,1,2: coefficients differ for (1,2) going up",)
 
 
@@ -175,14 +175,10 @@ def test_axiom_b_on_sign_singleton():
 def _out_of_domain_form(kind: str) -> Representation:
     if kind == "tableau basis":
         return build_orthogonal_skew(SkewShape((2, 1)))
-    if kind == "type B":
-        return extend_to_bn(*row_filling_pair((1,), (1,)))
-    sign = build_from_functional(Functional((0, -1)), identity(2))  # s1 = -1 on S_2
-    return Representation("A", 2, (1, 2), sign.basis, {1: sign.matrices[1], 2: sign.matrices[1]},
-                          SEMINORMAL)
+    return extend_to_bn(*row_filling_pair((1,), (1,)))
 
 
-@pytest.mark.parametrize("kind", ["tableau basis", "type B", "generator past n-1"])
+@pytest.mark.parametrize("kind", ["tableau basis", "type B"])
 def test_axiom_b_and_induce_refuse_forms_outside_their_domain(kind):
     rep = _out_of_domain_form(kind)
     with pytest.raises(PreconditionError, match="two-term local action"):
@@ -191,12 +187,38 @@ def test_axiom_b_and_induce_refuse_forms_outside_their_domain(kind):
         induce(rep)
 
 
-@pytest.mark.parametrize("matrices", [{}, {1: SquareMatrix(2)}], ids=["missing", "wrong size"])
+@pytest.mark.parametrize("matrices", [{0: SquareMatrix(1, {0: {0: Fraction(1)}})},
+                                      {1: SquareMatrix(2)}], ids=["missing", "wrong size"])
 def test_a_form_needs_one_matrix_of_its_dimension_per_generator(matrices):
-    # before, verify_axiom_B, character, induce and verify_coxeter raised
-    # KeyError on the missing matrix and answered on the wrong size
-    with pytest.raises(PreconditionError, match=r"one dim 1 matrix per generator \(1,\)"):
-        Representation("A", 2, (1,), (identity(2),), matrices, SEMINORMAL)
+    # before, a signed form without s1 made character raise KeyError, and
+    # verify_axiom_B, character, induce and verify_coxeter answered on the wrong size
+    with pytest.raises(PreconditionError, match="needs one dim 1 matrix per generator"):
+        Representation(2, (identity(2),), matrices, SEMINORMAL)
+
+
+@pytest.mark.parametrize("n, gens", [
+    pytest.param(2, (1, 2), id="generator past n-1"), (3, (0, 2)), (2, (0, 1, 2)), (1, (1,)),
+    (2, (-1,)), (2, (1.5,)), (2, ("1",)), (2, (True,)), (0, ()), (1.5, ()), ("2", (1,)),
+    (True, ()), (None, ()),
+])
+def test_a_form_has_the_generators_of_one_coxeter_group_on_n_letters(n, gens):
+    # before, each was accepted given a type and generators that matched its keys
+    one = SquareMatrix(1, {0: {0: Fraction(1)}})
+    with pytest.raises(PreconditionError, match=r"all within 1..n-1 or all of 0..n-1"):
+        Representation(n, (identity(2),), dict.fromkeys(gens, one), SEMINORMAL)
+
+
+def test_a_form_reads_its_generators_and_group_off_its_matrices():
+    one = SquareMatrix(1, {0: {0: Fraction(1)}})
+    signed = Representation(2.0, (identity(2),), {1: one, 0: one}, SEMINORMAL)
+    assert (signed.n, type(signed.n), signed.gens, signed.group_type) == (2, int, (0, 1), "B")
+    parabolic = Representation(3, (identity(3),), {2: one}, SEMINORMAL)
+    assert (parabolic.gens, parabolic.group_type) == ((2,), "A")
+    assert Representation(2, (identity(2),), {}, SEMINORMAL).gens == ()
+    with pytest.raises(AttributeError):
+        signed.gens = (0,)
+    with pytest.raises(AttributeError):
+        signed.group_type = "A"
 
 
 def test_character_of_a_tableau_basis_form_is_the_pushed_trace():
@@ -204,7 +226,7 @@ def test_character_of_a_tableau_basis_form_is_the_pushed_trace():
     exact = build_from_functional(Functional(content_vector(row_tableau(shape))), identity(5))
     fillings = tuple(enumerate_standard(shape))
     assert len(fillings) == exact.dim
-    relabelled = Representation("A", 5, exact.gens, fillings, exact.matrices, SEMINORMAL)
+    relabelled = Representation(5, fillings, exact.matrices, SEMINORMAL)
     for rep in (_out_of_domain_form("tableau basis"), relabelled):
         for cls_rep, value in character(rep).values.items():
             pushed = word_trace([rep.matrices[g] for g in reduced_word(cls_rep)], rep.dim)
@@ -579,7 +601,7 @@ def test_a_form_needs_a_known_normalization():
     # before, only the cell and parabolic builders checked it
     exact = build_from_functional(Functional((0, 1)), identity(2))
     with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
-        Representation("A", 2, (1,), exact.basis, exact.matrices, "bogus")
+        Representation(2, exact.basis, exact.matrices, "bogus")
 
 
 def test_parabolic_builder_rejects_an_unknown_normalization():

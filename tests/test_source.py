@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ayrep import cells, induction, linalg, reps, verify
+from ayrep import cells, groups, induction, linalg, reps, verify
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ayrep"
@@ -198,6 +198,8 @@ SIGNATURES = {
     linalg.word_is_identity: ["matrices", "closed_under"],
     linalg.power_is_identity: ["m", "k"],
     linalg.SquareMatrix.equals: ["self", "other"],
+    reps.Representation: ["n", "basis", "matrices", "normalization"],
+    groups.braid_order: ["g", "h"],
 }
 
 

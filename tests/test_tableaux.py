@@ -198,6 +198,11 @@ def test_tableau_from_content_refuses_non_integer_contents(values):
         tableau_from_content(values)
 
 
+def test_tableau_from_content_reads_integral_floats_as_ints():
+    # before, it refused them, though Functional((0, 1.0)) reads them as (0, 1)
+    assert tableau_from_content((0, 1.0)) == tableau_from_content((0, 1))
+
+
 # relabeling -----------------------------------------------------------------------
 
 

@@ -69,6 +69,19 @@ def test_flat_suite_traces_a_rep_that_differs(monkeypatch):
     assert len(traced) == 79  # the altered rep is traced on top of the 78 pairs
 
 
+def test_flat_suite_fails_when_every_build_of_a_cell_drifts(monkeypatch):
+    # before, it raised IndexError, and `ayrep verify --suite flat` printed a traceback
+    def reversed_basis(f, v, normalization):
+        rep = reps.build_from_functional(f, v, normalization)
+        return dataclasses.replace(rep, basis=rep.basis[::-1])
+
+    monkeypatch.setattr(verify, "build_from_functional", reversed_basis)
+    result = verify.flat_suite()
+    assert not result.ok
+    drifted = [bad for bad in result.counterexamples if "cell drift" in bad]
+    assert drifted and len(drifted) == len(result.counterexamples)
+
+
 def test_specht_suite_traces_each_shape_once_and_reports_a_bad_norm(monkeypatch):
     def doubled(rep):
         chi = reps.character(rep)
