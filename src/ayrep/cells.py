@@ -160,11 +160,13 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
 
 
 def parabolic_generators(J: Iterable[int], n: int) -> tuple:
-    """J sorted, after checking that it names generators of S_n."""
-    J = set(J)
-    if not J <= set(range(1, n)):
-        raise PreconditionError(f"J must be generator indices within 1..{n - 1}")
-    return tuple(sorted(J))
+    """(J sorted, n), once n is an integer by `groups._integers` and J names generators of S_n."""
+    J, ints = set(J), _integers((n,))
+    if ints is None:
+        raise PreconditionError(f"the number of letters must be an integer, got {n!r}")
+    if not J <= set(range(1, ints[0])):
+        raise PreconditionError(f"J must be generator indices within 1..{ints[0] - 1}")
+    return tuple(sorted(J)), ints[0]
 
 
 def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
@@ -173,7 +175,8 @@ def minimal_coset_reps(n: int, J: Iterable[int]) -> set:
     Returns {w : no left descent of w lies in J}: the descent cell of the
     identity over the simple reflections (j, j+1), j in J, found by the walk.
     """
-    A = frozenset(reflection(j, j + 1) for j in parabolic_generators(J, n))
+    J, n = parabolic_generators(J, n)
+    A = frozenset(reflection(j, j + 1) for j in J)
     return set(_walk_cell(A, identity(n), range(1, n)).members)
 
 

@@ -10,7 +10,6 @@ classical description on pairs of tableaux over all letter splittings; the
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -22,7 +21,9 @@ from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
     Representation,
+    _letter_places,
     _two_term_matrices,
+    _young_matrices,
     build_parabolic,
     character,
     verify_axiom_B,
@@ -50,16 +51,16 @@ def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Function
     row-major filling provides the contents.  Letters outside every run get 0
     (they pair with nothing inside the parabolic).
     """
-    intervals = j_intervals(parabolic_generators(J, n))
+    J, n = parabolic_generators(J, n)
+    intervals = j_intervals(J)
     if len(shapes) != len(intervals):
         raise PreconditionError(f"need one shape per generator run ({len(intervals)})")
     coords = [0] * n
     for (a, b), lam in zip(intervals, shapes):
-        size = b - a + 1
-        if sum(lam) != size:
+        shape = SkewShape(tuple(lam))
+        if shape.size != b - a + 1:
             raise PreconditionError(f"shape {lam} does not fill letters {a}..{b}")
-        cont = content_vector(row_tableau(SkewShape(tuple(lam))))
-        coords[a - 1 : b] = list(cont)
+        coords[a - 1 : b] = content_vector(row_tableau(shape))
     return Functional(coords)
 
 
@@ -139,25 +140,17 @@ def _letters(t: Optional[Tableau]) -> set:
     return set(t.positions()) if t is not None else set()
 
 
-def _second_shape(mu: Sequence[int]) -> SkewShape:
-    """The straight shape mu of the second letter block; its error names mu."""
-    try:
-        return SkewShape(tuple(mu))
-    except ValueError as exc:  # a straight shape's only error is about its parts
-        raise ValueError(str(exc).replace("lambda", "mu", 1)) from None
-
-
 def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
-    """Row fillings of lam on letters 1..k and of mu on letters k+1..n.
-
-    An empty shape gives None in its slot.
-    """
-    k = sum(lam)
-    p = row_tableau(SkewShape(tuple(lam))) if lam else None
-    q = None
-    if mu:
-        q0 = row_tableau(_second_shape(mu))
-        q = map_entries(q0, {e: e + k for e in q0.positions()})
+    """Row fillings of lam on letters 1..k and of mu on letters k+1..n, both
+    shapes checked first.  An empty shape gives None in its slot."""
+    first = SkewShape(tuple(lam))
+    try:
+        second = SkewShape(tuple(mu))
+    except ValueError as exc:  # a straight shape's errors name lambda's parts; these are mu's
+        raise ValueError(str(exc).replace("lambda and mu", "mu").replace("lambda", "mu")) from None
+    p, q = (row_tableau(shape) if shape.size else None for shape in (first, second))
+    if q is not None:
+        q = map_entries(q, {e: e + first.size for e in q.positions()})
     return p, q
 
 
@@ -214,9 +207,10 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
 
 def signed_pair_basis(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     """All pairs of standard tableaux of the two shapes over letter splittings."""
-    k, n, _ = _pair_functional(*row_filling_pair(lam, mu))  # refuses the empty pair
-    fill_a = enumerate_standard(SkewShape(tuple(lam))) if k else [None]
-    fill_b = enumerate_standard(_second_shape(mu)) if n - k else [None]
+    p, q = row_filling_pair(lam, mu)
+    k, n, _ = _pair_functional(p, q)  # refuses the empty pair
+    fill_a = enumerate_standard(p.shape) if k else [None]
+    fill_b = enumerate_standard(q.shape) if n - k else [None]
     basis = []
     for subset in combinations(range(1, n + 1), k):
         complement = tuple(v for v in range(1, n + 1) if v not in subset)
@@ -228,52 +222,21 @@ def signed_pair_basis(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     return tuple(basis)
 
 
-def _pair_word(pair: tuple) -> tuple:
-    """Where letters 1..n sit in a pair of tableaux: (0 or 1 for the tableau,
-    row, col) of each letter in turn."""
-    places = {v: (side, *box) for side, t in enumerate(pair) if t is not None
-              for v, box in t.positions().items()}
-    return tuple(places[v] for v in range(1, len(places) + 1))
-
-
 def bn_classical(lam: Sequence[int], mu: Sequence[int],
                  normalization: str = SEMINORMAL) -> Representation:
     """The classical orthogonal form of the signed group on tableau pairs.
 
-    Letters in the same tableau interact through their content difference;
-    letters in different tableaux swap places with coefficient one; the extra
-    generator is diagonal with sign +1 exactly when letter 1 sits in the
-    first tableau.  The steps run on `_pair_word`s: s_g swaps entries g and
-    g+1 of the word, and the swapped pair is standard exactly when its word
-    is in the basis.
+    Generators 1..n-1 are Young's classical form on the pairs' letter places,
+    by `reps._young_matrices`; the extra generator is diagonal with sign +1
+    exactly when letter 1 sits in the first tableau.
     """
-    n = sum(lam) + sum(mu)
-    basis = signed_pair_basis(tuple(lam), tuple(mu))
-    words = [_pair_word(pair) for pair in basis]
-    index = {word: j for j, word in enumerate(words)}
+    basis = signed_pair_basis(lam, mu)
+    words = [_letter_places(pair) for pair in basis]
     one = _one(normalization)
-    mats = {0: SquareMatrix(len(basis), {j: {j: one if word and word[0][0] == 0 else -one}
-                                         for j, word in enumerate(words)})}
-    for g in range(1, n):
-        cols = {}
-        for j, word in enumerate(words):
-            (t1, r1, c1), (t2, r2, c2) = word[g - 1], word[g]
-            target = word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:]
-            if t1 != t2:
-                cols[j] = {index[target]: one}
-                continue
-            h = (c2 - r2) - (c1 - r1)
-            if normalization == SEMINORMAL:
-                a = Fraction(1, h)
-                b = Fraction(1) if r1 < r2 else 1 - a * a
-            else:
-                a = 1.0 / h
-                b = math.sqrt(1.0 - a * a)
-            cols[j] = {j: a}
-            if target in index and b:
-                cols[j][index[target]] = b
-        mats[g] = SquareMatrix(len(basis), cols)
-    return Representation(n, basis, mats, normalization)
+    mats = {0: SquareMatrix(len(basis), {j: {j: one if word[0][0] == 0 else -one}
+                                         for j, word in enumerate(words)}),
+            **_young_matrices(words, normalization)}
+    return Representation(len(words[0]), basis, mats, normalization)
 
 
 def match_signed_forms(p: Tableau, q: Optional[Tableau],
@@ -290,8 +253,8 @@ def match_signed_forms(p: Tableau, q: Optional[Tableau],
     lam = p.shape.lam if p is not None else ()
     mu = q.shape.lam if q is not None else ()
     classical = bn_classical(lam, mu, normalization)
-    cl_index = {_pair_word(pair): j for j, pair in enumerate(classical.basis)}
+    cl_index = {_letter_places(pair): j for j, pair in enumerate(classical.basis)}
     # the pair of sigma puts letter k where (p, q) has the letter sigma(k)
-    home = _pair_word((p, q))
+    home = _letter_places((p, q))
     index_map = [cl_index[tuple(home[x - 1] for x in sigma.images)] for sigma in ext.basis]
     return ext, classical, index_map

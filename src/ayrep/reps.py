@@ -6,15 +6,16 @@ a is the reciprocal pairing of the conjugated reflection.  The orthogonal
 variant puts sqrt(1 - a^2) on both sides and is kept in floating point purely
 for display and cross-checks; characters agree between the two.
 
-`_step_coefficients` is one memoised table shared by every builder, so each
-distinct coefficient is one Fraction (or float) that all matrices hold, and
-comparing two builds' columns mostly takes the identity shortcut.  It gives
-a zero coefficient as None, so it tests each coefficient for zero once.
-Every builder writes its columns in one pass through `_two_term_matrices`,
+`_step_coefficients` is one memoised table shared by every cell builder, so
+each distinct coefficient is one Fraction (or float) that all matrices hold,
+and comparing two builds' columns mostly takes the identity shortcut.  It
+gives a zero coefficient as None, so it tests each coefficient for zero once.
+Every cell builder writes its columns in one pass through `_two_term_matrices`,
 which takes zeros as None and calls no number's truth test; the cell and
 parabolic builders share one body, `_cell_rep`, which reads each neighbour
 w s_g off the step graph of the walked cell and its coefficients off a
-table over the letter pairs.
+table over the letter pairs.  The classical forms on tableaux, which check
+them, state Young's rule apart, in `_young_matrices`.
 
 `character` traces a class word with distinct letters from the diagonals
 when the form is exact and passes `verify_axiom_B`, and pushes every other
@@ -177,33 +178,60 @@ def build_from_functional(f: Functional, w: Permutation,
 def build_parabolic(f: Functional, J: Sequence[int],
                     normalization: str = SEMINORMAL) -> Representation:
     """Identity descent cell and matrices inside the parabolic <s_j : j in J> on f's letters."""
-    cell = _walk_cell(f, identity(f.size), parabolic_generators(J, f.size))
+    cell = _walk_cell(f, identity(f.size), parabolic_generators(J, f.size)[0])
     return _cell_rep(f, cell, normalization, "the parabolic cell")
 
 
 def build_orthogonal_skew(shape: SkewShape) -> Representation:
-    """Floating-point orthogonal form on the standard fillings of a skew shape.
-
-    Each generator sends v_Q to (1/h) v_Q + sqrt(1 - 1/h^2) v_{Q'} where h is
-    the content difference of i+1 and i in Q and Q' swaps them; the second
-    term drops when the swap is not standard (|h| = 1).  The steps run on
-    words listing the (row, col) of letters 1..n, so Q' is the word with
-    entries i and i+1 swapped, and it is standard exactly when it is a word
-    of the basis.
-    """
+    """Floating-point orthogonal form on a skew shape's standard fillings, by `_young_matrices`."""
     basis = tuple(enumerate_standard(shape))
-    n = shape.size
-    words = [tuple(q.positions()[k] for k in range(1, n + 1)) for q in basis]
-    index = {word: k for k, word in enumerate(words)}
+    words = [_letter_places((q,)) for q in basis]
+    return Representation(shape.size, basis, _young_matrices(words, ORTHOGONAL), ORTHOGONAL)
 
-    def step(word: tuple, g: int) -> tuple:
-        (r1, c1), (r2, c2) = word[g - 1], word[g]
-        return (_step_coefficients((c2 - r2) - (c1 - r1), r1 < r2, ORTHOGONAL),
-                index.get(word[:g - 1] + (word[g], word[g - 1]) + word[g + 1:]))
 
-    mats = _two_term_matrices(len(words), ((g, [step(word, g) for word in words])
-                                           for g in range(1, n)))
-    return Representation(n, basis, mats, ORTHOGONAL)
+def _letter_places(tableaux: Sequence) -> tuple:
+    """Where letters 1..n sit in a sequence of tableaux (None for an empty one):
+    the (tableau, row, col) of each letter in turn."""
+    places = {v: (side, r, c) for side, t in enumerate(tableaux) if t is not None
+              for v, (r, c) in t.positions().items()}
+    return tuple(map(places.__getitem__, range(1, len(places) + 1)))
+
+
+def _young_matrices(words: list, normalization: str) -> dict:
+    """s_1..s_(n-1) of Young's classical form on a basis of `_letter_places` words:
+    v_w goes to a v_w + b v_w', w' the basis word with entries g and g+1 swapped.
+
+    Letters in two tableaux swap with b = 1 and no a.  In one tableau a = 1/h, h the
+    content of g+1 minus that of g, and b = 1 going down a row, else 1 - a^2
+    (seminormal), or sqrt(1 - a^2) both ways (orthogonal); |h| = 1 puts g and g+1 side
+    by side, so w' is not standard and no zero b is stored.  Words are hashed as tuples
+    of place numbers, and each pair of places gets its (a, b) once.
+    """
+    places = sorted(words[0])  # every word puts its letters on the same places
+    number = {place: i for i, place in enumerate(places)}
+    words = [tuple(map(number.__getitem__, word)) for word in words]
+    index = {word: j for j, word in enumerate(words)}
+    exact = normalization == SEMINORMAL
+    one = Fraction(1) if exact else 1.0
+    table = [[None] * len(places) for _ in places]  # (a, b) per places x, y
+    mats = {}
+    for g in range(1, len(places)):
+        cols = {}
+        for j, word in enumerate(words):
+            x, y = word[g - 1], word[g]
+            if table[x][y] is None:
+                (t1, r1, c1), (t2, r2, c2) = places[x], places[y]
+                if t1 != t2:
+                    table[x][y] = None, one
+                else:
+                    a = one / ((c2 - r2) - (c1 - r1))
+                    b = (one if r1 < r2 else one - a * a) if exact else math.sqrt(one - a * a)
+                    table[x][y] = a, b
+            a, b = table[x][y]
+            k = index.get(word[:g - 1] + (y, x) + word[g + 1:])
+            cols[j] = {k: b} if a is None else {j: a} if k is None else {j: a, k: b}
+        mats[g] = SquareMatrix(len(words), cols)
+    return mats
 
 
 # verification ----------------------------------------------------------------

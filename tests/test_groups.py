@@ -443,6 +443,17 @@ def test_minimal_coset_reps_rejects_bad_generators():
         minimal_coset_reps(3, {3})
 
 
+@pytest.mark.parametrize("n", [1.5, "3", None, (3,)])
+def test_minimal_coset_reps_takes_n_by_the_integer_rule(n):
+    # before, range() raised TypeError
+    with pytest.raises(PreconditionError, match="the number of letters must be an integer"):
+        minimal_coset_reps(n, [1])
+
+
+def test_minimal_coset_reps_reads_an_integral_float_as_an_int():
+    assert minimal_coset_reps(3.0, [1]) == minimal_coset_reps(3, [1])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_coset_rep_counts(n):
     import math

@@ -163,6 +163,13 @@ def test_parabolic_functional_checks_generators(J, n, shapes):
         parabolic_functional(J, n, shapes)
 
 
+def test_parabolic_builders_take_n_by_the_integer_rule():
+    # before, "3" raised TypeError from range() and 3.0 from [0] * n
+    with pytest.raises(PreconditionError, match="the number of letters must be an integer"):
+        build_parabolic_from_shapes([1], "3", [(2,)])
+    assert parabolic_functional([1], 3.0, [(2,)]) == parabolic_functional([1], 3, [(2,)])
+
+
 def test_shuffle_cell_examples():
     p = row_tableau(SkewShape((1,)))
     q = _letters_shifted((1,), 1)
@@ -287,6 +294,19 @@ def test_match_signed_forms_rejects_a_skew_tableau():
 def test_signed_pair_basis_names_a_bad_second_shape():
     with pytest.raises(ValueError, match=r"^mu must be a positive weakly decreasing sequence: \(1, 2\)"):
         signed_pair_basis((1,), (1, 2))
+
+
+@pytest.mark.parametrize("lam, mu, message", [
+    (("2",), (1,), "^lambda and mu must have integer parts$"),
+    ((None,), (1,), "^lambda and mu must have integer parts$"),
+    ((2,), ("x",), "^mu must have integer parts$"),
+    ((2,), (1.5,), "^mu must have integer parts$"),  # before, "mu and mu must ..."
+])
+@pytest.mark.parametrize("build", [signed_pair_basis, bn_classical])
+def test_the_pair_forms_check_both_shapes_first(build, lam, mu, message):
+    # before, sum(lam) raised TypeError for the first three
+    with pytest.raises(ValueError, match=message):
+        build(lam, mu)
 
 
 @pytest.mark.parametrize("build", [signed_pair_basis, bn_classical])

@@ -631,6 +631,21 @@ def test_orthogonal_skew_builder_matches_reference(n):
         _assert_same_entries(rep, reference)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cell_and_tableau_orthogonal_forms_agree_float_for_float(n):
+    # the two routes share no coefficient code, so the tableau form is an
+    # independent oracle for the cell orthogonal form: w -> relabel(q, w)
+    for shape in skew_shape_family(n):
+        q = row_tableau(shape)
+        cell = build_from_functional(Functional(content_vector(q)), identity(n), ORTHOGONAL)
+        tableau = build_orthogonal_skew(shape)
+        position = {t.rows: j for j, t in enumerate(tableau.basis)}
+        index_map = [position[relabel(q, w).rows] for w in cell.basis]
+        assert sorted(index_map) == list(range(tableau.dim))
+        for g in tableau.gens:
+            assert cell.matrices[g].reindexed(index_map).cols == tableau.matrices[g].cols
+
+
 def test_two_term_builder_stores_no_zeros():
     # basis u, v (indices 0, 1); the step of u along s2 leaves the basis; a zero
     # coefficient comes as None, as the builders hand it

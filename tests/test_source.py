@@ -81,6 +81,71 @@ def private_ayrep_names(source: str) -> list:
     return sorted(found)
 
 
+def call_graph(sources: dict) -> dict:
+    """Each module-level function or class of `sources` (module name -> text)
+    -> the others its body reads, as a name or an attribute; names are unique
+    across `ayrep`'s modules."""
+    bodies = {node.name: node for source in sources.values() for node in ast.parse(source).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return {name: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(body)
+                   if isinstance(n, (ast.Name, ast.Attribute))} & bodies.keys() - {name}
+            for name, body in bodies.items()}
+
+
+def reached(graph: dict, start: str) -> set:
+    """Every name that `start` reaches along `graph`, directly or through others."""
+    seen, todo = set(), [start]
+    while todo:
+        new = graph[todo.pop()] - seen
+        seen |= new
+        todo += new
+    return seen
+
+
+# The classical forms on tableaux are the oracles that the cell builders are
+# checked against, so neither side may reach the other's coefficient code.
+CLASSICAL = ("build_orthogonal_skew", "bn_classical", "_young_matrices")
+CELL_CODE = ("_step_coefficients", "_two_term_matrices", "_cell_rep", "induce", "extend_to_bn")
+CELL_BUILDERS = ("build_from_functional", "build_parabolic", "build_parabolic_from_shapes",
+                 "_cell_rep", "induce", "extend_to_bn")
+
+
+def oracle_breaches(sources: dict) -> list:
+    graph = call_graph(sources)
+    assert set(CLASSICAL + CELL_CODE + CELL_BUILDERS) <= graph.keys()
+    return sorted([f"{form} reaches {name}" for form in CLASSICAL
+                   for name in reached(graph, form) & set(CELL_CODE)]
+                  + [f"{builder} reaches _young_matrices" for builder in CELL_BUILDERS
+                     if "_young_matrices" in reached(graph, builder)])
+
+
+def test_classical_forms_and_cell_builders_share_no_coefficient_code():
+    assert oracle_breaches({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_oracle_check_sees_a_planted_reference():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    writer = "def _young_matrices(words: list, normalization: str) -> dict:\n"
+    assert sources["reps"].count(writer) == 1
+    reps = sources["reps"].replace(writer, writer + "    _step_coefficients\n")
+    assert oracle_breaches(dict(sources, reps=reps)) == [
+        f"{form} reaches _step_coefficients"
+        for form in ("_young_matrices", "bn_classical", "build_orthogonal_skew")]
+    # through a module-level helper of another module, read as an attribute
+    helper = "def _letters(t: Optional[Tableau]) -> set:\n"
+    induction = sources["induction"].replace(helper, helper + "    reps._young_matrices\n")
+    assert oracle_breaches(dict(sources, induction=induction)) == [
+        "extend_to_bn reaches _young_matrices"]
+
+
+def test_reached_follows_chains_and_cycles():
+    graph = call_graph({"a": "def f():\n    return g()\ndef g():\n    return f() + h\n",
+                        "b": "from . import a\ndef h():\n    return 1\nclass K:\n    x = a.g\n"})
+    assert graph == {"f": {"g"}, "g": {"f", "h"}, "h": set(), "K": {"g"}}
+    assert reached(graph, "K") == {"f", "g", "h"}
+    assert reached(graph, "h") == set()
+
+
 def test_source_modules_are_found():
     assert {p.name for p in MODULES} >= {"cells.py", "induction.py", "reps.py"}
 
