@@ -19,6 +19,7 @@ from .groups import (
     _check_cap,
     _integers,
     _inversion_masks,
+    _shown,
     _walls,
     identity,
     is_convex,
@@ -35,7 +36,7 @@ class Functional:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
-        given = tuple(coords)
+        given = _shown(coords)
         self.coords = _integers(given)
         if self.coords is None:
             raise PreconditionError(f"functional coordinates must be integers, got {given}")
@@ -160,13 +161,13 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
 
 
 def parabolic_generators(J: Iterable[int], n: int) -> tuple:
-    """(J sorted, n), once n is an integer by `groups._integers` and J names generators of S_n."""
-    J, ints = set(J), _integers((n,))
+    """(J sorted, n), once both are integers by `groups._integers` and J names generators of S_n."""
+    J, ints = _integers(J), _integers((n,))
     if ints is None:
         raise PreconditionError(f"the number of letters must be an integer, got {n!r}")
-    if not J <= set(range(1, ints[0])):
+    if J is None or not set(J) <= set(range(1, ints[0])):
         raise PreconditionError(f"J must be generator indices within 1..{ints[0] - 1}")
-    return tuple(sorted(J)), ints[0]
+    return tuple(sorted(set(J))), ints[0]
 
 
 def minimal_coset_reps(n: int, J: Iterable[int]) -> set:

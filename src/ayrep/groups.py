@@ -45,20 +45,34 @@ def _check_cap(group_type: str, n: int) -> None:
 
 
 def _integers(values: Iterable) -> Optional[tuple]:
-    """The values as ints, or None unless each equals its int() and none is a bool: the one
-    rule for integer input, so 2.0 passes and 1.5, "1" and True do not."""
-    given = tuple(values)
+    """The values as ints, or None unless they are iterable, each equals its int() and none is
+    a bool: the one rule for integer input, so 2.0 passes and 1.5, "1", True and 5 do not."""
     try:  # a bool is dropped, so the lengths differ
+        given = tuple(values)
         ints = tuple(int(v) for v in given if not isinstance(v, bool))
     except (TypeError, ValueError, OverflowError):
         return None
     return ints if ints == given else None
 
 
+def _shown(values) -> object:
+    """values as the tuple a refusal shows, or the value itself when it is not iterable."""
+    return tuple(values) if isinstance(values, Iterable) else values
+
+
 class _OneLine:
     """One-line words on {1..n}, equal within one class; each class has its own hash."""
 
     __slots__ = ("images",)
+
+    def __init__(self, images: Iterable[int]):
+        # the one integer rule, then `_letter` must take the images onto 1..n once each
+        given = _shown(images)
+        ints = _integers(given)
+        if ints is None or sorted(map(self._letter, ints)) != list(range(1, len(ints) + 1)):
+            size = len(given) if isinstance(given, tuple) else "n"
+            raise ValueError(f"not {self._what} on 1..{size}: {given}")
+        self.images = ints
 
     @property
     def size(self) -> int:
@@ -81,13 +95,10 @@ class Permutation(_OneLine):
     """A permutation of {1..n}, image of i stored at slot i-1."""
 
     __slots__ = ("_length",)
+    _letter, _what = int, "one-line notation"
 
     def __init__(self, images: Iterable[int]):
-        given = tuple(images)
-        images = _integers(given)
-        if images is None or sorted(images) != list(range(1, len(given) + 1)):
-            raise ValueError(f"not one-line notation on 1..{len(given)}: {given}")
-        self.images = images
+        super().__init__(images)
         self._length = None
 
     @classmethod
@@ -292,13 +303,7 @@ class SignedPermutation(_OneLine):
     """A signed permutation of {1..n}; negative images mark sign flips."""
 
     __slots__ = ()
-
-    def __init__(self, images: Iterable[int]):
-        given = tuple(images)
-        images = _integers(given)
-        if images is None or sorted(map(abs, images)) != list(range(1, len(given) + 1)):
-            raise ValueError(f"not a signed one-line word on 1..{len(given)}: {given}")
-        self.images = images
+    _letter, _what = abs, "a signed one-line word"
 
     @classmethod
     def _unsafe(cls, images: tuple) -> "SignedPermutation":

@@ -57,7 +57,7 @@ def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Function
         raise PreconditionError(f"need one shape per generator run ({len(intervals)})")
     coords = [0] * n
     for (a, b), lam in zip(intervals, shapes):
-        shape = SkewShape(tuple(lam))
+        shape = SkewShape(lam)
         if shape.size != b - a + 1:
             raise PreconditionError(f"shape {lam} does not fill letters {a}..{b}")
         coords[a - 1 : b] = content_vector(row_tableau(shape))
@@ -72,38 +72,35 @@ def build_parabolic_from_shapes(J: Sequence[int], n: int, shapes: Sequence,
 def induce(psi: Representation) -> Representation:
     """Extend a parabolic cell representation to the full group.
 
-    Basis vectors are indexed by products m*r over cell members m and minimal
-    coset representatives r; a generator either moves r within the coset
-    representatives or folds back into the parabolic where psi's coefficients
-    apply.
+    Vector i*R + t is m*r_t, m = psi.basis[i], for the R minimal coset
+    representatives r_t in (length, word) order.  A generator s moves r_t, or
+    folds back as s_j in r_t s = s_j r_t (Deodhar's lemma) and reads psi's column
+    of s_j at i, which `verify_axiom_B` limits to rows i and k, m*s_j = psi.basis[k].
     """
     axiom = verify_axiom_B(psi)  # refuses any form outside its domain too
     if not axiom.ok:
         raise PreconditionError(f"input violates the two-term local action: {axiom.failures[0]}")
-    n = psi.n
-    reps_sorted = sorted(minimal_coset_reps(n, psi.gens), key=lambda r: r.sort_key())
-    psi_index = {m: k for k, m in enumerate(psi.basis)}
-    pairs = [(m, r) for m in psi.basis for r in reps_sorted]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    rep_set = set(reps_sorted)
+    reps_sorted = sorted(minimal_coset_reps(psi.n, psi.gens), key=lambda r: r.sort_key())
+    R = len(reps_sorted)
+    position = {r.images: t for t, r in enumerate(reps_sorted)}
     one = _one(psi.normalization)
 
-    def step(m, r, s: int) -> tuple:
-        rs = r.times_simple(s)
-        if rs in rep_set:
-            return (None, one), index[m, rs]
-        # Deodhar's lemma: rs = s_j r, i.e. r(s), r(s+1) are the letters j, j+1
-        j = min(r(s), r(s + 1))
-        psi_j = psi.matrices[j]
-        k = psi_index[m]
-        mp = m.times_simple(j)
-        b = psi_j.entry(psi_index[mp], k) if mp in psi_index else 0
-        return (psi_j.entry(k, k) or None, b or None), index.get((mp, r))
+    def steps(s: int):
+        # r s is no representative exactly when it is s_j r, for j = min(r(s), r(s+1))
+        moves = [(position.get(r.times_simple(s).images), psi.matrices.get(min(r(s), r(s + 1))))
+                 for r in reps_sorted]
+        for i in range(psi.dim):
+            for t, (u, fold) in enumerate(moves):
+                if u is not None:
+                    yield (None, one), i * R + u
+                    continue
+                col = fold.cols.get(i, {})
+                b, k = next(((v, row) for row, v in col.items() if row != i), (0, None))
+                yield (col.get(i) or None, b or None), None if k is None else k * R + t
 
-    mats = _two_term_matrices(len(pairs), ((s, [step(m, r, s) for m, r in pairs])
-                                           for s in range(1, n)))
-    basis = tuple(m * r for m, r in pairs)
-    return Representation(n, basis, mats, psi.normalization)
+    mats = _two_term_matrices(psi.dim * R, ((s, steps(s)) for s in range(1, psi.n)))
+    basis = tuple(m * r for m in psi.basis for r in reps_sorted)
+    return Representation(psi.n, basis, mats, psi.normalization)
 
 
 def _one(normalization: str):
@@ -143,9 +140,9 @@ def _letters(t: Optional[Tableau]) -> set:
 def row_filling_pair(lam: Sequence[int], mu: Sequence[int]) -> tuple:
     """Row fillings of lam on letters 1..k and of mu on letters k+1..n, both
     shapes checked first.  An empty shape gives None in its slot."""
-    first = SkewShape(tuple(lam))
+    first = SkewShape(lam)
     try:
-        second = SkewShape(tuple(mu))
+        second = SkewShape(mu)
     except ValueError as exc:  # a straight shape's errors name lambda's parts; these are mu's
         raise ValueError(str(exc).replace("lambda and mu", "mu").replace("lambda", "mu")) from None
     p, q = (row_tableau(shape) if shape.size else None for shape in (first, second))

@@ -24,7 +24,7 @@ from .errors import (
     NotStandardError,
     PreconditionError,
 )
-from .groups import Permutation, _integers, partitions, sym_group
+from .groups import Permutation, _integers, _shown, partitions, sym_group
 
 
 class SkewShape:
@@ -245,12 +245,12 @@ def tableau_from_content(values: Sequence[int]) -> Tableau:
     >>> tableau_from_content((0, 1, -1, 0)).rows
     ((1, 2), (3, 4))
     """
-    given = tuple(values)
-    if not given:
-        raise EmptyShapeError("an empty content vector has no tableau")
+    given = _shown(values)
     vals = _integers(given)
     if vals is None:
         raise PreconditionError(f"contents must be integers, got {given}")
+    if not vals:
+        raise EmptyShapeError("an empty content vector has no tableau")
     bad = content_violation(vals)
     if bad is not None:
         raise ContentVectorError(
@@ -356,23 +356,20 @@ def map_entries(q: Tableau, mapping: dict) -> Tableau:
 
 
 class ReadingWords(NamedTuple):
-    row_word: Permutation
     column_word_down: Permutation
     column_word_up: Permutation
 
 
 def reading_words(q: Tableau) -> ReadingWords:
-    """Row and column readings of a standard straight-shape tableau.
+    """Column readings of a standard straight-shape tableau.
 
-    The row word scans rows right to left, top to bottom.  Both column
-    readings scan columns left to right; `column_word_up` reads each column
-    bottom to top, `column_word_down` top to bottom.
+    Both scan columns left to right; `column_word_up` reads each column bottom
+    to top, `column_word_down` top to bottom.
     """
     if not q.shape.is_straight:
         raise PreconditionError("reading words are defined for straight shapes")
     if not q.is_standard():
         raise NotStandardError("reading words need a standard tableau")
-    row_word = [v for row in q.rows for v in reversed(row)]
     cols: dict = {}
     for v, (r, c) in q.positions().items():
         cols.setdefault(c, []).append((r, v))
@@ -381,7 +378,7 @@ def reading_words(q: Tableau) -> ReadingWords:
         col = [v for _, v in sorted(cols[c])]
         down.extend(col)
         up.extend(reversed(col))
-    return ReadingWords(Permutation(row_word), Permutation(down), Permutation(up))
+    return ReadingWords(Permutation(down), Permutation(up))
 
 
 # shape enumeration -----------------------------------------------------------

@@ -39,6 +39,7 @@ from .induction import (
     build_parabolic_from_shapes,
     classical_induced_character,
     induce,
+    j_intervals,
     match_signed_forms,
     row_filling_pair,
     shuffle_cell,
@@ -383,21 +384,12 @@ def minimal_suite(n_max: int = SIZES["minimal"].default, seed: int = 0) -> Suite
 
 def induction_suite(n_max: int = SIZES["induction"].default) -> SuiteResult:
     """Induced matrices vs the Frobenius class-sum character; shuffle sizes."""
-    from .induction import j_intervals
-
     bad, details = [], []
     checked = 0
     for n in range(2, n_max + 1):
-        gens = list(range(1, n))
-        subsets = []
-        for mask in range(1 << len(gens)):
-            J = [g for k, g in enumerate(gens) if mask >> k & 1]
-            if len(J) < len(gens):
-                subsets.append(J)
-        for J in subsets:
-            intervals = j_intervals(J)
-            pools = [partitions(b - a + 1) for a, b in intervals]
-            for combo in product(*pools):
+        for mask in range((1 << (n - 1)) - 1):  # every J but the full generator set, the last mask
+            J = [g for g in range(1, n) if mask >> (g - 1) & 1]
+            for combo in product(*(partitions(b - a + 1) for a, b in j_intervals(J))):
                 psi = build_parabolic_from_shapes(J, n, list(combo))
                 induced = induce(psi)
                 if not verify_coxeter(induced).ok:

@@ -37,8 +37,9 @@ from ayrep.groups import (
     weak_interval,
     sym_group,
 )
-from ayrep.induction import j_intervals, row_filling_pair, shuffle_cell
-from ayrep.reps import build_from_functional, build_parabolic
+from ayrep.induction import bn_classical, j_intervals, row_filling_pair, shuffle_cell
+from ayrep.reps import build_from_functional, build_parabolic, mn_character
+from ayrep.tableaux import SkewShape, tableau_from_content
 from ayrep.tops import straight_cell_sets
 from group_oracles import (
     block_cycle_type,
@@ -117,6 +118,32 @@ def test_one_line_words_refuse_non_integer_images(cls, images):
 def test_one_line_words_read_integral_floats_as_ints():
     assert Permutation((2.0, 1.0)).one_line() == "2,1"
     assert SignedPermutation((2.0, -1.0)).one_line() == "2,-1"
+
+
+# Each slot that takes a sequence of integers reads it by the one integer rule,
+# so a value that is no sequence at all is refused as a bad entry is.
+SEQUENCE_SLOTS = {
+    "Functional": (Functional, PreconditionError),
+    "Permutation": (Permutation, ValueError),
+    "SignedPermutation": (SignedPermutation, ValueError),
+    "tableau_from_content": (tableau_from_content, PreconditionError),
+    "SkewShape-lambda": (SkewShape, ValueError),
+    "SkewShape-mu": (lambda x: SkewShape((2,), x), ValueError),
+    "mn_character": (lambda x: mn_character(SkewShape((2,)), x), PreconditionError),
+    "minimal_coset_reps-J": (lambda x: minimal_coset_reps(3, x), PreconditionError),
+    "bn_classical-lambda": (lambda x: bn_classical(x, (1,)), ValueError),
+    "bn_classical-mu": (lambda x: bn_classical((1,), x), ValueError),
+}
+
+
+@pytest.mark.parametrize("value", [None, 5, 1.5])
+@pytest.mark.parametrize("slot", SEQUENCE_SLOTS)
+def test_a_non_iterable_sequence_is_refused_by_the_integer_rule(slot, value):
+    # before, tuple(), set() or len() raised TypeError
+    call, error = SEQUENCE_SLOTS[slot]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("n", [True, -1, 1.5, "2"])

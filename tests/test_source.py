@@ -216,6 +216,55 @@ def test_unread_import_check_sees_names_and_attributes():
     assert unread_imports(init, sources) == ["h", "k"]
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """A NamedTuple subclass, or a class under @dataclass or @dataclass(...)."""
+    names = {ast.unparse(base) for base in node.bases} | {
+        ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+    return bool(names & {"NamedTuple", "dataclass"})
+
+
+def unread_fields(sources: list) -> list:
+    """Fields of the NamedTuples and dataclasses in `sources`, and properties of any class
+    there, that no module in `sources` reads as an attribute of that name."""
+    fields, read = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if _is_record(node):
+                        fields.append((node.name, item.target.id))
+                elif isinstance(item, ast.FunctionDef) and any(
+                        ast.unparse(d) == "property" for d in item.decorator_list):
+                    fields.append((node.name, item.name))
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_every_field_and_property_is_read_by_the_library():
+    # a field that only its tests read is computed for nobody; reads in tests
+    # and in perfbench do not count
+    assert unread_fields([p.read_text() for p in MODULES]) == []
+
+
+def test_unread_field_check_sees_a_planted_field():
+    sources = [
+        "from typing import NamedTuple\n"
+        "from dataclasses import dataclass, field\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n"
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    tag: str = field(default='')\n"
+        "    @property\n    def area(self):\n        return self.size ** 2\n"
+        "class Plain:\n    note: str\n"  # not a record, so not a field
+        "    @property\n    def shown(self):\n        return 1\n",
+        "def use(p, b):\n    p.left = b.size\n    return p.left + b.area\n",
+    ]
+    assert unread_fields(sources) == ["Box.tag", "Pair.right", "Plain.shown"]
+    # a read anywhere in the sources counts, an assignment does not
+    assert unread_fields(sources + ["x = y.right + y.shown\nz.tag = 1\n"]) == ["Box.tag"]
+
+
 def test_oracle_modules_are_found():
     assert {p.name for p in ORACLES} >= {"group_oracles.py", "tableau_oracles.py"}
 

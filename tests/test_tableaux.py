@@ -253,7 +253,6 @@ def test_relabel_bijection_onto_standard_fillings(n):
 def test_reading_words_example():
     q = T((3, 2), (), ((1, 2, 3), (4, 5)))
     words = reading_words(q)
-    assert words.row_word == Permutation((3, 2, 1, 5, 4))
     assert words.column_word_up == Permutation((4, 1, 5, 2, 3))
     assert words.column_word_down == Permutation((1, 4, 2, 5, 3))
     with pytest.raises(PreconditionError):
