@@ -4,6 +4,10 @@ An integer functional represents a linear form on the root space modulo the
 all-ones vector; only pairing differences f_j - f_i matter.  Descent classes
 with respect to the reflections paired to +-1 are the cells everything else
 in the package is built on.
+
+Every walk goes through `_walk_cell`, which holds the walks over the last
+wall set only and each cell found there once, so at most one copy of the
+group's elements: a repeated walk, or a walk into a held cell, returns it.
 """
 
 from __future__ import annotations
@@ -90,16 +94,48 @@ def descent_cell(f: Functional, w: Permutation) -> Cell:
     Found by walking inside the cell from w (see `_walk_cell`).  The walk is
     complete because the cell is convex (an intersection of the half-spaces
     of the reflections paired to +-1), and a convex set is connected: each
-    member is joined to w by a geodesic that never leaves it.
+    member is joined to w by a geodesic that never leaves it.  Repeated on
+    the same +-1 reflections and w, or from another member of a held cell,
+    it returns the held Cell object.
     """
     return _walk_cell(f, w, range(1, w.size))
 
 
+_held = {}  # the last wall set -> (walks by (start word, gens), cells by (first word, gens))
+
+
 def _walk_cell(A, start: Permutation, gens) -> Cell:
+    """`_walk` from start along gens over A (a reflection set, or a Functional
+    of start's size standing for its `boundary_reflections`, found once the
+    type-A cap on start's size has passed), memoised on frozenset(A), start's
+    word and gens.  Only the walks over the last wall set are held; a call
+    over other walls drops them.  A new walk whose cell equals a held one
+    (same first member, then the whole Cell) returns the held object, so each
+    cell, and so each group element, is held once; a walk that differs is
+    returned as walked, so walks from several starts can still drift apart.
+    """
+    _check_cap("A", start.size)
+    if isinstance(A, Functional):
+        if A.size != start.size:
+            raise PreconditionError("functional and permutation sizes differ")
+        A = boundary_reflections(A)
+    walls, gens = frozenset(A), tuple(gens)
+    held = _held.get(walls)
+    if held is None:
+        _held.clear()
+        held = _held[walls] = ({}, {})
+    walks, cells = held
+    key = (start.images, gens)
+    if key not in walks:
+        cell = _walk(walls, start, gens)
+        first = cells.setdefault((cell.members[0].images, gens), cell)
+        walks[key] = first if first == cell else cell
+    return walks[key]
+
+
+def _walk(A: frozenset, start: Permutation, gens: tuple) -> Cell:
     """Breadth-first walk from start along the steps w -> w s_i, i in gens,
-    in the descent cell over A: a reflection set, or a Functional of start's
-    size standing for its `boundary_reflections`, found only once the type-A
-    cap on start's size has passed.
+    in the descent cell over the reflection set A.
 
     The step changes the left inversion set by the one reflection
     t = w s_i w^-1, so it stays in the descent cell over A exactly when t is
@@ -112,12 +148,6 @@ def _walk_cell(A, start: Permutation, gens) -> Cell:
     ~0.3 MiB more peak RSS on `verify --suite flat`, as CPython pools freed
     small tuples.
     """
-    _check_cap("A", start.size)
-    if isinstance(A, Functional):
-        if A.size != start.size:
-            raise PreconditionError("functional and permutation sizes differ")
-        A = boundary_reflections(A)
-    gens = tuple(gens)
     m = len(gens)
     # The walk runs on one-line tuples and (low, high) value pairs; a pair
     # hashes and compares equal to its Reflection, so it is looked up in A.

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .cells import Functional, descent_cell, minimal_coset_reps, parabolic_generators
 from .errors import PreconditionError
-from .groups import _letter_blocks, class_data_parabolic, class_data_symmetric, identity
+from .groups import (_integers, _letter_blocks, _shown, class_data_parabolic, class_data_symmetric,
+                     identity)
 from .linalg import SquareMatrix
 from .reps import (
     SEMINORMAL,
@@ -39,8 +40,13 @@ from .tableaux import (
 
 
 def j_intervals(J: Sequence[int]) -> list:
-    """Letter intervals [a, b] of the maximal runs of consecutive generators."""
-    J = set(J)
+    """Letter intervals [a, b] of the maximal runs of consecutive generators,
+    once J is positive integers by `groups._integers`."""
+    given = _shown(J)
+    ints = _integers(given)
+    if ints is None or min(ints, default=1) < 1:
+        raise PreconditionError(f"J must be positive generator indices, got {given}")
+    J = set(ints)
     return [(a, b) for a, b in _letter_blocks(max(J, default=0) + 1, J) if a < b]
 
 
@@ -52,8 +58,8 @@ def parabolic_functional(J: Sequence[int], n: int, shapes: Sequence) -> Function
     (they pair with nothing inside the parabolic).
     """
     J, n = parabolic_generators(J, n)
-    intervals = j_intervals(J)
-    if len(shapes) != len(intervals):
+    intervals, shapes = j_intervals(J), _shown(shapes)
+    if not isinstance(shapes, tuple) or len(shapes) != len(intervals):
         raise PreconditionError(f"need one shape per generator run ({len(intervals)})")
     coords = [0] * n
     for (a, b), lam in zip(intervals, shapes):

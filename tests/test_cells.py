@@ -26,7 +26,7 @@ from ayrep.cells import (
     is_generic_integer,
     is_minimal_ay_cell,
 )
-from ayrep.errors import PreconditionError
+from ayrep.errors import PreconditionError, SizeCapError
 from ayrep.groups import (
     Permutation,
     _inversion_masks,
@@ -685,3 +685,109 @@ def test_the_walk_matches_the_reference_walk_on_family_cells(n):
     for shape in skew_shape_family(n):
         f = Functional(content_vector(row_tableau(shape)))
         _assert_same_walk(descent_cell(f, identity(n)), _reference_walk(f, identity(n), range(1, n)))
+
+
+# the memo of the walks over the last wall set ----------------------------------
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The starts the inner walk runs from, beginning with nothing held."""
+    starts = []
+    walk = ayrep.cells._walk
+
+    def counting(A, start, gens):
+        starts.append(start)
+        return walk(A, start, gens)
+
+    monkeypatch.setattr(ayrep.cells, "_held", {})
+    monkeypatch.setattr(ayrep.cells, "_walk", counting)
+    return starts
+
+
+def test_a_repeated_walk_returns_the_held_cell(walked):
+    f = Functional((0, 1, 5, 9))
+    cell = descent_cell(f, identity(4))
+    assert descent_cell(Functional(f.coords), identity(4)) is cell
+    assert walked == [identity(4)]
+
+
+def test_walks_from_every_member_of_a_cell_keep_one_cell(walked):
+    group = sym_group(5)
+    cells = [_walk_cell(frozenset(), w, range(1, 5)) for w in group]
+    assert all(cell is cells[0] for cell in cells) and cells[0].members == group
+    assert len(walked) == 120
+
+
+def test_a_walk_over_other_walls_drops_the_held_walks(walked):
+    start, gens = identity(4), range(1, 4)
+    cell = _walk_cell(frozenset(), start, gens)
+    _walk_cell(frozenset({reflection(1, 2)}), start, gens)
+    assert list(ayrep.cells._held) == [frozenset({reflection(1, 2)})]
+    again = _walk_cell(frozenset(), start, gens)
+    assert again == cell and again is not cell
+    assert len(walked) == 3
+
+
+def test_a_wall_set_mutated_after_a_call_is_walked_again(walked):
+    A, start, gens = set(), identity(3), range(1, 3)
+    assert _walk_cell(A, start, gens).size == 6
+    A.add(reflection(1, 2))
+    cell = _walk_cell(A, start, gens)
+    assert cell.size == 3
+    _assert_same_walk(cell, _reference_walk(frozenset(A), start, gens))
+
+
+def test_the_cap_and_the_size_check_come_before_the_held_walks(walked, monkeypatch):
+    # (0,1,5,9) and (0,1,5) both pair only (1, 2) to +-1: one wall set
+    f, start = Functional((0, 1, 5, 9)), identity(4)
+    descent_cell(f, start)
+    with pytest.raises(PreconditionError, match="functional and permutation sizes differ"):
+        _walk_cell(Functional((0, 1, 5)), start, range(1, 4))
+    monkeypatch.setenv("AYREP_MAX_N", "3")
+    with pytest.raises(SizeCapError, match=r"capped at n=3 \(requested 4\)"):
+        descent_cell(f, start)
+    assert len(walked) == 1
+
+
+def test_flat_reports_a_walk_that_drifts_from_its_held_cell(monkeypatch):
+    from ayrep import verify
+
+    walk, drifted = ayrep.cells._walk, []
+
+    def drifting(A, start, gens):
+        # the first walk from a member that is not its cell's first loses
+        # the cell's last member, with the first member kept
+        cell = walk(A, start, gens)
+        if drifted or start == cell.members[0]:
+            return cell
+        drifted.append(start)
+        return dataclasses.replace(cell, members=cell.members[:-1])
+
+    monkeypatch.setattr(ayrep.cells, "_held", {})
+    monkeypatch.setattr(ayrep.cells, "_walk", drifting)
+    result = verify.flat_suite()
+    assert not result.ok and result.counterexamples
+    assert all("cell drift" in line and f"v={drifted[0].one_line()}" in line
+               for line in result.counterexamples)
+
+
+def test_flat_and_the_cells_workload_walk_each_input_once(walked, monkeypatch):
+    import ayrep.reps
+    from ayrep import verify
+
+    calls = []
+
+    def counted(A, start, gens):
+        calls.append(start)
+        return _walk_cell(A, start, gens)
+
+    monkeypatch.setattr(ayrep.cells, "_walk_cell", counted)
+    monkeypatch.setattr(ayrep.reps, "_walk_cell", counted)
+    assert verify.flat_suite().ok
+    assert (len(walked), len(calls)) == (474, 1474)
+    walked.clear()
+    calls.clear()
+    ayrep.cells._held.clear()
+    assert all(verify.run_suites(["cells", "axiomB", "convexity"], 6))
+    assert (len(walked), len(calls)) == (368, 450)

@@ -61,6 +61,21 @@ def _letters_shifted(lam, k):
 def test_j_intervals():
     assert j_intervals([1, 2, 4]) == [(1, 3), (4, 5)]
     assert j_intervals([]) == []
+    assert j_intervals([1, 2.0]) == [(1, 3)]  # an integral float, by the integer rule
+
+
+@pytest.mark.parametrize("J", [[1.5], None, [True], [0], [-2]])
+def test_j_intervals_reads_J_by_the_integer_rule(J):
+    # before: TypeError, TypeError, [(1, 2)], IndexError and []
+    with pytest.raises(PreconditionError, match="J must be positive generator indices"):
+        j_intervals(J)
+
+
+@pytest.mark.parametrize("build", [parabolic_functional, build_parabolic_from_shapes])
+def test_parabolic_builders_refuse_missing_shapes(build):
+    # before: TypeError from len(None)
+    with pytest.raises(PreconditionError, match=r"need one shape per generator run \(1\)"):
+        build([1], 3, None)
 
 
 def test_induce_trivial_from_two_letters():
