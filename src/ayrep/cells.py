@@ -219,7 +219,7 @@ def descent_classes(n: int, A: frozenset) -> list:
     refl = reflections(n)
     a_mask = sum(1 << k for k, t in enumerate(refl) if t in A)
     buckets = {}
-    for w, mask in zip(group, _inversion_masks(n)):
+    for w, (mask, _) in zip(group, _inversion_masks(n).values()):
         buckets.setdefault(mask & a_mask, []).append(w)
     ordered = sorted(buckets, key=lambda m: [t for k, t in enumerate(refl) if m >> k & 1])
     return [tuple(buckets[m]) for m in ordered]
@@ -323,13 +323,14 @@ def is_minimal_ay_cell(members: Iterable[Permutation]):
 def _content_functional_for(members: frozenset) -> Optional[tuple]:
     """A content vector whose identity cell equals the given set, or None.
 
-    The set must contain the identity and be convex, so its walls
-    (`groups._walls`) cut it out.  If it is the identity cell of c, each
-    wall (x, y) is a reflection paired to +-1: c_y - c_x = +-1.  The walls
-    join the letters into pieces; inside a piece one sign per letter after
-    the first, in breadth-first order, fixes the contents.  Each new piece
-    starts more than n above the contents so far, so no pairing across
-    pieces is 0 or +-1.  That loses no cell: pulling the pieces of c apart
+    The set must contain the identity and be convex, so its walls (read off
+    the inversion masks by `groups._walls`, as `is_convex` reads them) cut
+    it out.  If it is the identity cell of c, each wall is a reflection
+    (x, y) paired to +-1: c_y - c_x = +-1.  The walls join the letters into
+    pieces; inside a piece one sign per letter after the first, in
+    breadth-first order, fixes the contents.  Each new piece starts more
+    than n above the contents so far, so no pairing across pieces is 0 or
+    +-1.  That loses no cell: pulling the pieces of c apart
     drops only reflections paired to +-1 that are not walls, so the cell
     stays between c's and the one the walls cut out, and the +1 and -1
     between two equal contents of a piece lie in that piece.  Of the at
@@ -337,10 +338,9 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
     identity cell is the set is returned.
     """
     n = next(iter(members)).size
-    neighbours = {x: set() for x in range(1, n + 1)}
-    for x, y in _walls({w.images for w in members}):
-        neighbours[x].add(y)
-        neighbours[y].add(x)
+    lo, hi, _ = _walls({w.images for w in members})
+    walls = [t for k, t in enumerate(reflections(n)) if (lo | hi) >> k & 1]
+    neighbours = {x: {y for t in walls if x in t for y in t if y != x} for x in range(1, n + 1)}
     order, seen = [], set()  # (letter, the letter it hangs from or None)
     for first in range(1, n + 1):
         if first in seen:

@@ -202,12 +202,14 @@ def _sym_group(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _inversion_masks(n: int) -> tuple:
-    """Each element of `_sym_group(n)`'s left inversion set, in its order: bit k is
-    set when reflections(n)[k] = (x, y) has y left of x.  Callers check the cap first."""
-    bit = {t: 1 << k for k, t in enumerate(reflections(n))}
-    return tuple([sum(bit[y, x] for a, x in enumerate(w.images) for y in w.images[a + 1:] if y < x)
-                  for w in _sym_group(n)])
+def _inversion_masks(n: int) -> dict:
+    """Each word of `_sym_group(n)`, in its order -> (its left inversion set, the bits its
+    steps w s_1, ..., w s_(n-1) flip, Bjorner-Brenti 1.4): bit k is reflections(n)[k] =
+    (x, y), set when y is left of x.  Callers check the cap first."""
+    bit = {p: 1 << k for k, t in enumerate(reflections(n)) for p in (t, t[::-1])}
+    return {img: (sum(bit[y, x] for a, x in enumerate(img) for y in img[a + 1:] if y < x),
+                  tuple(map(bit.__getitem__, zip(img, img[1:]))))
+            for img in (w.images for w in _sym_group(n))}
 
 
 def reduced_word(w) -> tuple:
@@ -263,40 +265,33 @@ def is_convex(members: Iterable[Permutation]) -> bool:
     crosses its wall once, so these half-spaces cut out K: an intersection
     of convex sets.  (=>) ws lies on a geodesic from w to any member across
     the wall, its inversion set being sandwiched between theirs.
-    For ws = w s_i the wall is the transposition of the letters w(i), w(i+1),
-    and u lies on w's side when its one-line word orders those two letters as
-    w's does: read off a position list filled once per member, O(|K| n^2).
-    Checked against the sandwich test and a brute-force path search.
+    The walls and their sides are read off the inversion masks (`_walls`), so
+    each member costs one AND and one compare.  Checked against the sandwich
+    test and a brute-force path search.
     """
+    members = tuple(members)
     K = {w.images for w in members}
-    if len({len(img) for img in K}) != 1:
-        raise PreconditionError("convexity needs members of one size, not none or different sizes")
-    n = len(next(iter(K)))
-    _check_cap("A", n)
-    walls = _walls(K)
-    where = [0] * (n + 1)  # where[v]: v's position in the member's word
-    for img in K:
-        for pos, v in enumerate(img):
-            where[v] = pos
-        if any(where[x] > where[y] for x, y in walls):
-            return False
-    return True
+    if set(map(type, members)) != {Permutation} or len(set(map(len, K))) != 1:
+        raise PreconditionError("convexity needs permutations of one size, "
+                                "not none, signed words or different sizes")
+    _check_cap("A", len(next(iter(K))))
+    lo, hi, inside = _walls(K)
+    return all(m & (lo | hi) == hi for m in inside)
 
 
-def _walls(K: set) -> set:
-    """The walls of a set of one-line words, as letter pairs (x, y).
-
-    (x, y) is a wall when some member has x just left of y and swapping the
-    two leaves the set.  A convex set is exactly the words that put every
-    wall's x left of its y (see `is_convex`).
-    """
-    walls = set()
-    for img in K:
-        for i in range(len(img) - 1):
-            x, y = img[i], img[i + 1]
-            if (x, y) not in walls and img[:i] + (y, x) + img[i + 2:] not in K:
-                walls.add((x, y))
-    return walls
+def _walls(K: set) -> tuple:
+    """The walls of a set of one-line words as masks (lo, hi), and the members' masks:
+    w s_i crosses a wall when its mask, w's with the step's bit flipped, is no member's,
+    and the bit goes to hi when w has it set, else to lo.  A convex set is exactly the
+    words whose masks agree with hi on lo | hi (see `is_convex`).  Callers check the cap."""
+    member = list(map(_inversion_masks(len(next(iter(K)))).__getitem__, K))
+    inside = {m for m, _ in member}
+    lo = hi = 0
+    for m, bits in member:
+        for b in bits:
+            if m ^ b not in inside:
+                lo, hi = lo | b & ~m, hi | b & m
+    return lo, hi, inside
 
 
 class SignedPermutation(_OneLine):

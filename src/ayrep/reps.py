@@ -291,22 +291,27 @@ def verify_axiom_B(rep: Representation) -> VerificationReport:
     It alone reads a column's support against the labels, whatever built the
     matrices, so it guards `character`'s diagonal traces and `induce`'s input
     too.  Any form `_on_permutations` refuses raises PreconditionError.
+    Each word is read as one integer, a letter per digit, so neighbors are found
+    without a swapped word or the group (the class-sum oracle calls this guard).
     """
     if not _on_permutations(rep):
         raise PreconditionError("the two-term local action is read on type A forms "
                                 "over permutations of the n letters")
-    # Columns are read in place; neighbors are found on the one-line words.
-    index = {w.images: k for k, w in enumerate(rep.basis)}
-    failures = []
-    seen: dict = {}
+    # Columns are read in place.  With base 2^bits, w s_g, which swaps x = w(g) and
+    # y = w(g+1), reads w's integer + (x - y) (2^bits - 1) 2^(bits (g-1)).
+    bits = 8 if rep.n < 256 else 64  # a byte holds a letter up to 255
+    keys = [int.from_bytes(bytes(w.images) if bits == 8 else b"".join(
+        v.to_bytes(8, "little") for v in w.images), "little") for w in rep.basis]
+    index = {m: k for k, m in enumerate(keys)}
+    failures, seen, none = [], {}, {}
     for g in rep.gens:
         cols = rep.matrices[g].cols
-        for j, w in enumerate(rep.basis):
-            img = w.images
-            x, y = img[g - 1], img[g]
-            k = index.get(img[:g - 1] + (y, x) + img[g + 1:])
-            col = cols.get(j, {})
-            if len(col) > (j in col) + (k is not None and k in col):
+        step = ((1 << bits) - 1) << bits * (g - 1)
+        for j, (w, m) in enumerate(zip(rep.basis, keys)):
+            x, y = pair = w.images[g - 1:g + 1]
+            k = index.get(m + (x - y) * step)
+            col = cols.get(j, none)
+            if len(col) > (j in col) + (k in col):
                 # steps leaving the basis may only carry the diagonal term
                 failures.append(f"s{g} at {w.one_line()}: support outside C_w, C_ws")
                 continue
@@ -315,12 +320,12 @@ def verify_axiom_B(rep: Representation) -> VerificationReport:
             # the ordered letter pair names the reflection w s_g w^-1 and the
             # direction of the step (x < y: it goes up)
             coefficients = (col.get(j, 0), col.get(k, 0))
-            if (x, y) in seen and seen[x, y] != coefficients:
+            if seen.get(pair, coefficients) != coefficients:
                 failures.append(
                     f"s{g} at {w.one_line()}: coefficients differ for {reflection(x, y)} going "
                     f"{'up' if x < y else 'down'}"
                 )
-            seen[x, y] = coefficients
+            seen[pair] = coefficients
     return VerificationReport(not failures, tuple(failures))
 
 

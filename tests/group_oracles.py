@@ -3,7 +3,8 @@
 `ayrep` itself never enumerates a parabolic subgroup S_J: it reads S_J's
 classes from cycle types.  These scans are the tests' independent check.
 `left_descents_in` reads descents off w^{-1} one reflection at a time, where
-`ayrep` buckets cells on cached inversion masks.
+`ayrep` buckets cells on cached inversion masks; `swap_walls` finds walls by
+building each swapped word, where `ayrep` flips one bit of a mask.
 """
 
 from ayrep.errors import PreconditionError
@@ -65,3 +66,15 @@ def left_descents_in(candidates, w):
     if not all(t.i in where and t.j in where for t in candidates):
         raise PreconditionError(f"reflections must move letters within 1..{w.size}")
     return {t for t in candidates if where[t.i] > where[t.j]}
+
+
+def swap_walls(K):
+    """The walls of a set K of one-line words, as letter pairs (x, y): some
+    member has x just left of y, and swapping the two leaves the set."""
+    walls = set()
+    for img in K:
+        for i in range(len(img) - 1):
+            x, y = img[i], img[i + 1]
+            if img[:i] + (y, x) + img[i + 2:] not in K:
+                walls.add((x, y))
+    return walls

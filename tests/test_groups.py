@@ -23,6 +23,7 @@ from ayrep.groups import (
     Permutation,
     SignedPermutation,
     _letter_blocks,
+    _walls,
     braid_order,
     class_data_parabolic,
     class_data_signed,
@@ -47,6 +48,7 @@ from group_oracles import (
     left_descents_in,
     parabolic_elements,
     run_intervals,
+    swap_walls,
 )
 
 
@@ -348,6 +350,41 @@ def test_convexity_examples():
     for members in ([], [identity(2), identity(3)], [Permutation((2, 1)), Permutation((1, 3, 2))]):
         with pytest.raises(PreconditionError, match="one size"):
             is_convex(members)
+
+
+def test_convexity_refuses_signed_words():
+    for members in ([SignedPermutation((-1, 2))],
+                    [SignedPermutation((-1, 2)), SignedPermutation((1, 2))],
+                    [identity(2), SignedPermutation((1, 2))]):
+        with pytest.raises(PreconditionError, match="signed words"):
+            is_convex(members)
+
+
+def _letter_pairs(lo, hi, n):
+    """The walls (lo, hi) of `groups._walls` as letter pairs (x, y), x just left of y."""
+    return ({(t.i, t.j) for k, t in enumerate(reflections(n)) if lo >> k & 1}
+            | {(t.j, t.i) for k, t in enumerate(reflections(n)) if hi >> k & 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mask_walls_match_swapped_words(n):
+    for K in _suite_descent_cells(n):
+        for L in [K, *_near_misses(K)]:
+            words = {w.images for w in L}
+            lo, hi, _ = _walls(words)
+            assert _letter_pairs(lo, hi, n) == swap_walls(words), sorted(words)
+
+
+def test_a_wall_seen_from_both_sides_refuses_convexity():
+    # 1,3,2 steps out across (1,3) to 3,1,2, and 2,3,1 across it from the
+    # other side to 2,1,3: only the recorded sides tell the two apart
+    K = {identity(3), Permutation((1, 3, 2)), Permutation((2, 3, 1))}
+    walls = swap_walls({w.images for w in K})
+    assert walls == {(1, 2), (1, 3), (2, 3), (3, 1)}  # (1,3) from both sides, the rest from one
+    lo, hi, _ = _walls({w.images for w in K})
+    assert _letter_pairs(lo, hi, 3) == walls
+    assert lo & hi == 1 << reflections(3).index((1, 3))
+    assert not is_convex(K)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

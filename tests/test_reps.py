@@ -156,6 +156,22 @@ def test_axiom_b_reads_one_coefficient_pair_per_reflection_and_direction():
     assert verify_axiom_B(rep).failures == ("s2 at 3,1,2: coefficients differ for (1,2) going up",)
 
 
+@pytest.mark.parametrize("n", [4, 255, 256, 300])
+def test_axiom_b_finds_neighbours_on_words_of_any_size(n):
+    # the regular form of <s_1, s_(n-1)>, four words whose letters run past a
+    # byte from n = 256 on; no group of n letters is enumerated
+    gens = (1, n - 1)
+    basis = [identity(n), identity(n).times_simple(1)]
+    basis += [w.times_simple(n - 1) for w in basis]
+    index = {w: k for k, w in enumerate(basis)}
+    mats = {g: SquareMatrix(4, {j: {index[w.times_simple(g)]: Fraction(1)}
+                                for j, w in enumerate(basis)}) for g in gens}
+    assert verify_axiom_B(Representation(n, tuple(basis), mats, SEMINORMAL)).ok
+    mats[1].cols[index[basis[2]]][index[basis[3]]] = Fraction(2)
+    assert verify_axiom_B(Representation(n, tuple(basis), mats, SEMINORMAL)).failures == (
+        f"s1 at {basis[2].one_line()}: coefficients differ for (1,2) going up",)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_axiom_b_step_direction_is_the_descent_test(n):
     """verify_axiom_B reads "w s_g is longer than w" off the one-line word."""

@@ -138,6 +138,34 @@ def test_oracle_check_sees_a_planted_reference():
         "extend_to_bn reaches _young_matrices"]
 
 
+def walk_reached_by_the_guard(sources: dict) -> list:
+    """The functions and classes of `cells` that `reps.verify_axiom_B` reaches.
+    The guard vouches for every cell builder's columns, so it finds each
+    neighbour on its own, never with the walk that built the cell."""
+    cells = {node.name for node in ast.parse(sources["cells"]).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return sorted(reached(call_graph(sources), "verify_axiom_B") & cells)
+
+
+def test_the_guard_reaches_nothing_in_cells():
+    assert walk_reached_by_the_guard({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_guard_check_sees_a_planted_walk():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    helper = "def _on_permutations(rep: Representation) -> bool:\n"
+    assert sources["reps"].count(helper) == 1
+    reps = sources["reps"].replace(helper, helper + "    _walk_cell\n")
+    walk = ["Cell", "Functional", "_walk", "_walk_cell", "boundary_reflections"]
+    assert walk_reached_by_the_guard(dict(sources, reps=reps)) == walk
+    # through a helper of another module, read as an attribute
+    helper = "def reflection(i: int, j: int) -> Reflection:\n"
+    assert sources["groups"].count(helper) == 1
+    groups = sources["groups"].replace(helper, helper + "    cells.genericity_violation\n")
+    assert walk_reached_by_the_guard(dict(sources, groups=groups)) == [
+        "Cell", "Functional", "genericity_violation"]
+
+
 def test_reached_follows_chains_and_cycles():
     graph = call_graph({"a": "def f():\n    return g()\ndef g():\n    return f() + h\n",
                         "b": "from . import a\ndef h():\n    return 1\nclass K:\n    x = a.g\n"})
