@@ -12,9 +12,8 @@ group's elements: a repeated walk, or a walk into a held cell, returns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import PreconditionError
 from .groups import (
@@ -65,8 +64,7 @@ class Functional:
         return f"Functional({','.join(map(str, self.coords))})"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """A descent class, its interior and boundary reflection sets, and its step graph."""
 
     members: tuple  # sorted by (length, one-line word)
@@ -370,19 +368,24 @@ def _content_functional_for(members: frozenset) -> Optional[tuple]:
 # basic flats -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicFlat:
-    """Solution set of equations <f, t> = eps_t, one per constrained reflection."""
-
+class _BasicFlat(NamedTuple):
     n: int
     constraints: frozenset  # of (Reflection, +1 | -1)
 
-    def __post_init__(self):
-        for t, eps in self.constraints:
+
+class BasicFlat(_BasicFlat):
+    """Solution set of equations <f, t> = eps_t, one per constrained reflection."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` goes through __new__
+
+    def __new__(cls, n: int, constraints: frozenset):
+        for t, eps in constraints:
             if eps not in (1, -1):
                 raise ValueError("constraint signs must be +1 or -1")
-            if not 1 <= t.i < t.j <= self.n:
-                raise ValueError(f"reflection {t} outside 1..{self.n}")
+            if not 1 <= t.i < t.j <= n:
+                raise ValueError(f"reflection {t} outside 1..{n}")
+        return super().__new__(cls, n, constraints)
 
 
 def _flat_solve(flat: BasicFlat) -> list:

@@ -265,15 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
         payload = {
             "command": "verify",
             "ok": ok,
-            "suites": [
-                {
-                    "name": r.name,
-                    "ok": r.ok,
-                    "details": list(r.details),
-                    "counterexamples": list(r.counterexamples),
-                }
-                for r in results
-            ],
+            "suites": [r._asdict() for r in results],  # tuples dump as JSON lists
         }
         return (0 if ok else 1), _dump(payload)
     lines = []

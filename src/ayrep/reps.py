@@ -25,12 +25,11 @@ word, type B and the float forms included, through `word_trace`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cells import (Cell, Functional, descent_cell, genericity_violation, parabolic_generators,
                     _walk_cell)
@@ -52,29 +51,36 @@ SEMINORMAL = "seminormal"
 ORTHOGONAL = "orthogonal-float"
 
 
-@dataclass(frozen=True, eq=False)
-class Representation:
-    """Matrices of the basis's size over an ordered basis of labels: all of s_0..s_(n-1) for
-    the signed group, else any of s_1..s_(n-1); checked with the normalization on construction."""
-
+class _Representation(NamedTuple):
     n: int  # number of letters
     basis: tuple
     matrices: dict  # generator index -> SquareMatrix
     normalization: str
-    gens: tuple = field(init=False)  # the matrices' generator indices, in order
+    gens: tuple  # the matrices' generator indices, in order
 
-    def __post_init__(self):
-        if self.normalization not in (SEMINORMAL, ORTHOGONAL):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        ints = _integers((self.n, *self.matrices))
-        n, gens = (ints[0], sorted(ints[1:])) if ints else (0, [])
-        if n < 1 or (gens != list(range(n)) and gens and (gens[0] < 1 or gens[-1] >= n)) or any(
-                getattr(m, "dim", None) != self.dim for m in self.matrices.values()):
+
+class Representation(_Representation):
+    """Matrices of the basis's size over an ordered basis of labels: all of s_0..s_(n-1) for
+    the signed group, else any of s_1..s_(n-1); checked with the normalization on construction.
+    Equal only to itself, and hashed by identity."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    # `_replace` and copies go through __new__, which checks them and reads gens off the matrices
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))
+    __getnewargs__ = lambda self: self[:4]
+
+    def __new__(cls, n: int, basis: tuple, matrices: dict, normalization: str):
+        if normalization not in (SEMINORMAL, ORTHOGONAL):
+            raise ValueError(f"unknown normalization {normalization!r}")
+        ints, dim = _integers((n, *matrices)), len(basis)
+        k, gens = (ints[0], sorted(ints[1:])) if ints else (0, [])  # k letters
+        if k < 1 or (gens != list(range(k)) and gens and (gens[0] < 1 or gens[-1] >= k)) or any(
+                getattr(m, "dim", None) != dim for m in matrices.values()):
             raise PreconditionError(
-                f"a form on n >= 1 letters needs one dim {self.dim} matrix per generator, "
-                f"all within 1..n-1 or all of 0..n-1: got n={self.n!r}, {tuple(self.matrices)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", tuple(gens))
+                f"a form on n >= 1 letters needs one dim {dim} matrix per generator, "
+                f"all within 1..n-1 or all of 0..n-1: got n={n!r}, {tuple(matrices)}")
+        return super().__new__(cls, k, basis, matrices, normalization, tuple(gens))
 
     @property
     def group_type(self) -> str:
@@ -237,8 +243,7 @@ def _young_matrices(words: list, normalization: str) -> dict:
 # verification ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     failures: tuple
 
@@ -332,8 +337,7 @@ def verify_axiom_B(rep: Representation) -> VerificationReport:
 # characters -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Character:
+class Character(NamedTuple):
     """Class function determined by values on conjugacy class representatives."""
 
     kind: tuple
@@ -346,6 +350,9 @@ class Character:
             return False
         _require_exact((self, other), "characters are compared in exact arithmetic")
         return self.kind == other.kind and self.values == other.values
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self):
         return hash((self.kind, tuple(sorted((k.images, v) for k, v in self.values.items()))))

@@ -9,8 +9,8 @@ disagree under the composition conventions pinned in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cells import Functional
 from .errors import PreconditionError
@@ -68,8 +68,7 @@ def is_top_brute(pi: Permutation) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class TopRow:
+class TopRow(NamedTuple):
     lam: tuple
     interval_size: int
     maximum: Permutation  # unique longest element of the row filling's cell
@@ -80,8 +79,7 @@ class TopRow:
     oracle_certified: bool
 
 
-@dataclass(frozen=True)
-class TopReport:
+class TopReport(NamedTuple):
     n: int
     p_n: int
     rows: tuple

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, inf
+from typing import NamedTuple
 
 from .cells import (
     BasicFlat,
@@ -71,8 +71,7 @@ from .tableaux import (
 from .tops import top_elements
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     details: tuple

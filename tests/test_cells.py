@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -170,7 +169,7 @@ def test_cell_tableau_bijection_rejects_non_bijections(monkeypatch):
                 cell_tableau_bijection(q)
         monkeypatch.undo()
         members = cell.members
-        broken = [dataclasses.replace(cell, members=members[:-1] + members[:1])] * (count > 1)
+        broken = [cell._replace(members=members[:-1] + members[:1])] * (count > 1)
         others = [c for c in cells if c.members != members]
         assert others
         foreign_of_the_same_size += sum(c.size == cell.size for c in others)
@@ -281,6 +280,16 @@ def test_flat_partition_examples():
 
     for c in cells:
         assert is_convex(c.members)
+
+
+def test_a_replaced_flat_is_checked_as_a_built_one():
+    flat = BasicFlat(3, frozenset({(reflection(1, 3), -1)}))
+    assert flat._replace(n=4) == BasicFlat(4, flat.constraints)
+    for changes, message in (({"n": 2}, "outside 1..2"),
+                             ({"constraints": frozenset({(reflection(1, 3), 2)})}, "signs")):
+        for make in (flat._replace, lambda **c: BasicFlat(**{**flat._asdict(), **c})):
+            with pytest.raises(ValueError, match=message):
+                make(**changes)
 
 
 def test_flat_determined_closure():
@@ -484,7 +493,7 @@ def test_descent_partition_refuses_a_walk_that_misses_a_member(monkeypatch):
 
     def short_walk(*args):
         cell = walk(*args)
-        return dataclasses.replace(cell, members=cell.members[:-1])
+        return cell._replace(members=cell.members[:-1])
 
     monkeypatch.setattr(ayrep.cells, "_walk_cell", short_walk)
     with pytest.raises(AssertionError, match="the walk from 1,2,3 missed its descent class"):
@@ -656,8 +665,8 @@ def _reference_walk(A, start, gens):
 
 
 def _assert_same_walk(cell, reference):
-    for field in dataclasses.fields(Cell):
-        assert getattr(cell, field.name) == getattr(reference, field.name), field.name
+    for field in Cell._fields:
+        assert getattr(cell, field) == getattr(reference, field), field
     assert [w.length() for w in cell.members] == [w.length() for w in reference.members]
 
 
@@ -762,7 +771,7 @@ def test_flat_reports_a_walk_that_drifts_from_its_held_cell(monkeypatch):
         if drifted or start == cell.members[0]:
             return cell
         drifted.append(start)
-        return dataclasses.replace(cell, members=cell.members[:-1])
+        return cell._replace(members=cell.members[:-1])
 
     monkeypatch.setattr(ayrep.cells, "_held", {})
     monkeypatch.setattr(ayrep.cells, "_walk", drifting)

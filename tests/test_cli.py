@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -6,6 +5,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -300,6 +300,17 @@ def test_entry_point_subprocess():
     assert "members" in proc.stdout
 
 
+def test_a_fresh_cli_import_loads_no_dataclasses_or_inspect():
+    # every command is a fresh interpreter that writes no bytecode, so it pays for each
+    # module `import ayrep.cli` loads; `dataclasses` would bring `inspect`, `ast` and `dis`
+    src = str(Path(ayrep.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ayrep.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_a_closed_pipe_exits_1_without_a_traceback():
     # about 115 KB of JSON, more than a pipe holds, so the writer meets the closed end
     with subprocess.Popen(
@@ -415,8 +426,8 @@ def test_a_perturbed_classical_entry_fails_both_bn_and_the_bn_suite(monkeypatch)
         m = classical.matrices[0]
         cols = {j: dict(col) for j, col in m.cols.items()}
         cols[0][0] += 2  # a sign, so it becomes 3 or 1
-        classical = dataclasses.replace(
-            classical, matrices={**classical.matrices, 0: SquareMatrix(m.dim, cols)})
+        classical = classical._replace(
+            matrices={**classical.matrices, 0: SquareMatrix(m.dim, cols)})
         return ext, classical, index_map
 
     monkeypatch.setattr(verify, "match_signed_forms", perturbed)
@@ -443,8 +454,8 @@ def test_a_row_marked_non_interval_fails_both_tops_and_the_tops_suite(monkeypatc
 
     def marked(n):
         report = tops.top_elements(n)
-        rows = (dataclasses.replace(report.rows[0], is_interval=False), *report.rows[1:])
-        return dataclasses.replace(report, rows=rows)
+        rows = (report.rows[0]._replace(is_interval=False), *report.rows[1:])
+        return report._replace(rows=rows)
 
     for module in (ayrep.cli, verify):
         monkeypatch.setattr(module, "top_elements", marked)

@@ -427,17 +427,19 @@ def _sandwich_convex(members):
     return True
 
 
+@lru_cache(maxsize=None)
 def _suite_descent_cells(n):
-    """The distinct descent cells over the +-1 patterns of coordinates in -3..3."""
+    """The distinct descent cells over the +-1 patterns of coordinates in -3..3, built
+    once per n for every test that reads them."""
     refl = reflections(n)
     patterns = {
         frozenset(t for t in refl if abs(coords[t.j - 1] - coords[t.i - 1]) == 1)
         for coords in itertools.product(range(-3, 4), repeat=n)
     }
-    return sorted(
+    return tuple(sorted(
         {frozenset(members) for A in patterns for members in descent_classes(n, A)},
         key=lambda K: sorted(w.sort_key() for w in K),
-    )
+    ))
 
 
 def _near_misses(K):
@@ -459,7 +461,7 @@ def _near_misses(K):
 def test_convexity_matches_sandwich_oracle(n):
     rng = random.Random(n)
     group = perms(n)
-    convex = _suite_descent_cells(n) + [frozenset(weak_interval(w)) for w in group]
+    convex = [*_suite_descent_cells(n), *(frozenset(weak_interval(w)) for w in group)]
     candidates = list(convex)
     for K in convex:
         candidates.extend(_near_misses(K))

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 from itertools import product
@@ -124,6 +125,42 @@ def test_verify_coxeter_detects_perturbation():
     report = verify_coxeter(bad)
     assert not report.ok
     assert any("s1^2" in f for f in report.failures)
+
+
+def test_a_report_is_false_exactly_when_a_check_failed():
+    rep = build_from_functional(Functional((0, 1, -1)), identity(3))
+    cols = {j: dict(c) for j, c in rep.matrices[1].cols.items()}
+    cols[0][0] += 1
+    bad = rep._replace(matrices={**rep.matrices, 1: SquareMatrix(rep.dim, cols)})
+    assert bool(verify_coxeter(rep)) is True and bool(verify_axiom_B(rep)) is True
+    report = verify_coxeter(bad)
+    assert report.failures and bool(report) is False
+
+
+def test_forms_with_equal_fields_are_unequal_and_hash_by_identity():
+    rep = build_from_functional(Functional((0, 1, -1)), identity(3))
+    for twin in (Representation(rep.n, rep.basis, rep.matrices, rep.normalization),
+                 copy.copy(rep), rep._replace()):
+        assert tuple(twin) == tuple(rep) and twin is not rep
+        assert twin != rep and not twin == rep and rep == rep and not rep != rep
+        assert len({rep, twin}) == 2
+    assert hash(rep) == object.__hash__(rep)
+
+
+def test_a_replaced_form_is_checked_as_a_built_one():
+    rep = build_from_functional(Functional((0, 1, -1)), identity(3))
+    # gens is read off the matrices again, never taken as given
+    assert rep._replace(matrices={2: rep.matrices[2]}).gens == (2,)
+    assert rep._replace(gens=(0,)).gens == (1, 2)
+    one = SquareMatrix(1, {0: {0: Fraction(1)}})
+    for changes in ({"n": 2}, {"n": 0}, {"matrices": {**rep.matrices, 1: one}},
+                    {"basis": rep.basis[:1]}):
+        with pytest.raises(PreconditionError, match="all within 1..n-1 or all of 0..n-1"):
+            rep._replace(**changes)
+        with pytest.raises(PreconditionError, match="all within 1..n-1 or all of 0..n-1"):
+            Representation(**{**dict(zip(rep._fields[:4], rep)), **changes})
+    with pytest.raises(ValueError, match="unknown normalization"):
+        rep._replace(normalization="float")
 
 
 def test_axiom_b_on_regular_representation():
@@ -446,6 +483,19 @@ def test_character_equality_rejects_float_characters():
             a == b
     assert exact == character(build_from_functional(Functional((0, 1, 2)), identity(3)))
     assert exact != "not a character"
+
+
+def test_character_inequality_negates_equality_and_is_exact_only():
+    exact = character(build_from_functional(Functional((0, 1, 2)), identity(3)))
+    same = character(build_from_functional(Functional((0, 1, 2)), identity(3)))
+    doubled = exact._replace(values={k: 2 * v for k, v in exact.values.items()})
+    for other in (same, doubled, "not a character"):
+        assert (exact != other) is (not exact == other)
+    assert not exact != same and exact != doubled
+    chi = character(build_from_functional(Functional((0, 1, 2)), identity(3), ORTHOGONAL))
+    for a, b in ((chi, chi), (chi, exact), (exact, chi)):
+        with pytest.raises(PreconditionError):
+            a != b
 
 
 def test_character_word_independent_of_reduced_word():

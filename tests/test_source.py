@@ -194,6 +194,36 @@ def test_unused_import_check_sees_a_leftover_name():
     assert unused_imports(source) == ["descent_cell"]
 
 
+def imported_modules(source: str) -> set:
+    """Top-level names of the absolute imports anywhere in the module, as
+    `import a.b` or `from a.b import c` name a."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses_or_inspect(path):
+    # each CLI run starts a fresh interpreter, which would import `dataclasses` and with it
+    # `inspect`, `ast`, `dis` and `tokenize` for nothing else; records are NamedTuples
+    assert imported_modules(path.read_text()) & {"dataclasses", "inspect"} == set()
+
+
+def test_import_check_sees_a_planted_import():
+    source = (
+        "import os.path, json as j\n"
+        "from .cells import Cell\n"  # a relative import names a module of the package
+        "from dataclasses import dataclass\n"
+        "def late():\n"
+        "    import inspect\n"
+    )
+    assert imported_modules(source) == {"os", "json", "dataclasses", "inspect"}
+
+
 def test_every_private_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_definitions(sources) == []

@@ -1,6 +1,5 @@
 """Suite-level checks on `ayrep.verify` that the acceptance criteria do not make."""
 
-import dataclasses
 import re
 from fractions import Fraction
 from functools import partial
@@ -54,7 +53,7 @@ def test_flat_suite_traces_a_rep_that_differs(monkeypatch):
             # s1 -> 2 * identity changes the trace at the class of s1
             doubled = SquareMatrix(rep.dim, {j: {j: Fraction(2)} for j in range(rep.dim)})
             altered.append((f, v))
-            return dataclasses.replace(rep, matrices={**rep.matrices, 1: doubled})
+            return rep._replace(matrices={**rep.matrices, 1: doubled})
         return rep
 
     monkeypatch.setattr(verify, "build_from_functional", build)
@@ -73,7 +72,7 @@ def test_flat_suite_fails_when_every_build_of_a_cell_drifts(monkeypatch):
     # before, it raised IndexError, and `ayrep verify --suite flat` printed a traceback
     def reversed_basis(f, v, normalization):
         rep = reps.build_from_functional(f, v, normalization)
-        return dataclasses.replace(rep, basis=rep.basis[::-1])
+        return rep._replace(basis=rep.basis[::-1])
 
     monkeypatch.setattr(verify, "build_from_functional", reversed_basis)
     result = verify.flat_suite()
@@ -86,7 +85,7 @@ def test_specht_suite_traces_each_shape_once_and_reports_a_bad_norm(monkeypatch)
     def doubled(rep):
         chi = reps.character(rep)
         if rep.n == 3 and rep.dim == 2:  # (2,1) and the skew shapes of dimension 2
-            chi = dataclasses.replace(chi, values={k: 2 * v for k, v in chi.values.items()})
+            chi = chi._replace(values={k: 2 * v for k, v in chi.values.items()})
         return chi
 
     monkeypatch.setattr(verify, "character", doubled)
@@ -114,7 +113,7 @@ def test_bn_suite_reports_a_classical_mismatch_in_each_form(monkeypatch, form):
             m = classical.matrices[0]
             moved = {j: {i: v + shift for i, v in col.items()} for j, col in m.cols.items()}
             matrices = {**classical.matrices, 0: SquareMatrix(m.dim, moved)}
-            classical = dataclasses.replace(classical, matrices=matrices)
+            classical = classical._replace(matrices=matrices)
         return ext, classical, index_map
 
     monkeypatch.setattr(verify, "match_signed_forms", partial(perturbed, shift=Fraction(1, 10**12)))
@@ -182,6 +181,13 @@ def test_one_sweep_serves_suites_of_different_size_bounds():
     assert results == [verify.coxeter_suite(), verify.cells_suite()]
     assert [r.details for r in results] == [("150 shapes checked (exact and tol 1e-09)",),
                                             ("400 shapes checked up to n=6",)]
+
+
+def test_a_suite_result_is_false_exactly_when_the_suite_failed():
+    passed, = verify.run_suites(["tops"], 2)
+    checked_nothing, = verify.run_suites(["tops"], 0)
+    assert bool(passed) is True and bool(checked_nothing) is False
+    assert checked_nothing.details == ("no checks performed",)
 
 
 def test_the_sweep_reports_a_filling_missing_from_the_rows(monkeypatch):
