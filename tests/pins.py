@@ -49,6 +49,7 @@ def workloads() -> dict:
 TIER1 = {  # stdout of `ayrep <args>` is tests/pinned/<name>.json
     "rep_seminormal": "rep --n 5 --f 0,1,2,-1,0 --json",
     "rep_orthogonal_float": "rep --n 5 --f 0,1,2,-1,0 --form orthogonal-float --json",
+    "rep_orthogonal_float_text": "rep --n 5 --f 0,1,2,-1,0 --form orthogonal-float",
     "induce_seminormal": "induce --n 4 --j 1,3 --shapes 2;1,1 --json",
     "induce_orthogonal_float":
         "induce --n 5 --j 1,2,4 --shapes 2,1;2 --form orthogonal-float --json",
