@@ -302,6 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true")
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cell = sub.add_parser("cell", parents=[common], help="descent cell of a functional")
@@ -314,26 +316,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_syt.add_argument("--shape", type=_int_list, required=True)
     p_syt.add_argument("--mu", type=_int_list, default="")
 
-    p_rep = sub.add_parser("rep", parents=[common],
+    p_rep = sub.add_parser("rep", parents=[common, form],
                             help="representation matrices from a functional")
     p_rep.add_argument("--n", type=int, required=True)
     p_rep.add_argument("--f", type=_int_list, required=True)
     p_rep.add_argument("--w", type=_int_list)
-    p_rep.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
 
-    p_ind = sub.add_parser("induce", parents=[common],
+    p_ind = sub.add_parser("induce", parents=[common, form],
                             help="induce a parabolic cell representation")
     p_ind.add_argument("--n", type=int, required=True)
     p_ind.add_argument("--j", type=_int_list, required=True, help="generator indices, e.g. 1,2,4")
     p_ind.add_argument("--shapes", type=_int_lists, default="",
                        help="semicolon-separated partitions")
-    p_ind.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
 
-    p_bn = sub.add_parser("bn", parents=[common],
+    p_bn = sub.add_parser("bn", parents=[common, form],
                            help="signed-group representation of a shape pair")
     p_bn.add_argument("--lam", type=_int_list, default="", help="first partition, e.g. 2,1")
     p_bn.add_argument("--mu", type=_int_list, default="", help="second partition")
-    p_bn.add_argument("--form", choices=[SEMINORMAL, ORTHOGONAL], default=SEMINORMAL)
 
     p_tops = sub.add_parser("tops", parents=[common], help="classify top elements")
     p_tops.add_argument("--n", type=int, required=True)

@@ -19,16 +19,8 @@ from .errors import PreconditionError
 from .groups import (_integers, _letter_blocks, _shown, class_data_parabolic, class_data_symmetric,
                      identity)
 from .linalg import SquareMatrix
-from .reps import (
-    SEMINORMAL,
-    Representation,
-    _letter_places,
-    _two_term_matrices,
-    _young_matrices,
-    build_parabolic,
-    character,
-    verify_axiom_B,
-)
+from .reps import (SEMINORMAL, Representation, _letter_places, _normalization, _two_term_matrices,
+                   _young_matrices, build_parabolic, character, verify_axiom_B)
 from .tableaux import (
     SkewShape,
     Tableau,
@@ -89,7 +81,7 @@ def induce(psi: Representation) -> Representation:
     reps_sorted = sorted(minimal_coset_reps(psi.n, psi.gens), key=lambda r: r.sort_key())
     R = len(reps_sorted)
     position = {r.images: t for t, r in enumerate(reps_sorted)}
-    one = _one(psi.normalization)
+    one = _normalization(psi.normalization)[1]
 
     def steps(s: int):
         # r s is no representative exactly when it is s_j r, for j = min(r(s), r(s+1))
@@ -107,10 +99,6 @@ def induce(psi: Representation) -> Representation:
     mats = _two_term_matrices(psi.dim * R, ((s, steps(s)) for s in range(1, psi.n)))
     basis = tuple(m * r for m in psi.basis for r in reps_sorted)
     return Representation(psi.n, basis, mats, psi.normalization)
-
-
-def _one(normalization: str):
-    return Fraction(1) if normalization == SEMINORMAL else 1.0
 
 
 def classical_induced_character(psi: Representation) -> dict:
@@ -200,7 +188,7 @@ def extend_to_bn(p: Tableau, q: Optional[Tableau],
     basis = tuple(sorted(induced.basis, key=lambda w: w.sort_key()))
     position = {w: j for j, w in enumerate(basis)}
     index_map = [position[w] for w in induced.basis]
-    one = _one(normalization)
+    one = _normalization(normalization)[1]
     mats = {0: SquareMatrix(len(basis), {j: {j: one if w(1) <= k else -one}
                                          for j, w in enumerate(basis)})}
     for g, m in induced.matrices.items():
@@ -235,7 +223,7 @@ def bn_classical(lam: Sequence[int], mu: Sequence[int],
     """
     basis = signed_pair_basis(lam, mu)
     words = [_letter_places(pair) for pair in basis]
-    one = _one(normalization)
+    one = _normalization(normalization)[1]
     mats = {0: SquareMatrix(len(basis), {j: {j: one if word[0][0] == 0 else -one}
                                          for j, word in enumerate(words)}),
             **_young_matrices(words, normalization)}

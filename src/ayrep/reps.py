@@ -4,7 +4,9 @@ All exact matrices use the seminormal normalization: going up from C_w to
 C_{ws} carries off-diagonal coefficient 1, coming back carries 1 - a^2 where
 a is the reciprocal pairing of the conjugated reflection.  The orthogonal
 variant puts sqrt(1 - a^2) on both sides and is kept in floating point purely
-for display and cross-checks; characters agree between the two.
+for display and cross-checks; characters agree between the two.  One table,
+`_NORMALIZATIONS`, says what each name means (exact or not, and its one), and
+`_normalization` refuses any other value before a coefficient is made.
 
 `_step_coefficients` is one memoised table shared by every cell builder, so
 each distinct coefficient is one Fraction (or float) that all matrices hold,
@@ -49,6 +51,15 @@ from .tableaux import SkewShape, enumerate_standard
 
 SEMINORMAL = "seminormal"
 ORTHOGONAL = "orthogonal-float"
+_NORMALIZATIONS = {SEMINORMAL: (True, Fraction(1)), ORTHOGONAL: (False, 1.0)}  # (exact, one)
+_NAMES = tuple(_NORMALIZATIONS)
+
+
+def _normalization(name) -> tuple:
+    """(exact, one) of a name; any other value, hashable or not, raises ValueError."""
+    if name not in _NAMES:
+        raise ValueError(f"unknown normalization {name!r}")
+    return _NORMALIZATIONS[name]
 
 
 class _Representation(NamedTuple):
@@ -71,8 +82,7 @@ class Representation(_Representation):
     __getnewargs__ = lambda self: self[:4]
 
     def __new__(cls, n: int, basis: tuple, matrices: dict, normalization: str):
-        if normalization not in (SEMINORMAL, ORTHOGONAL):
-            raise ValueError(f"unknown normalization {normalization!r}")
+        _normalization(normalization)
         ints, dim = _integers((n, *matrices)), len(basis)
         k, gens = (ints[0], sorted(ints[1:])) if ints else (0, [])  # k letters
         if k < 1 or (gens != list(range(k)) and gens and (gens[0] < 1 or gens[-1] >= k)) or any(
@@ -92,7 +102,7 @@ class Representation(_Representation):
 
     @property
     def is_exact(self) -> bool:
-        return self.normalization == SEMINORMAL
+        return _normalization(self.normalization)[0]
 
 
 @lru_cache(maxsize=None)
@@ -104,12 +114,9 @@ def _step_coefficients(h, up: bool, normalization: str) -> tuple:
     a is never zero.  Memoised: equal arguments return the same shared objects,
     so each coefficient is tested for zero once.
     """
-    if normalization == SEMINORMAL:
-        a = Fraction(1, h)
-        b = Fraction(1) if up else 1 - a * a
-    else:
-        a = 1.0 / h
-        b = math.sqrt(1.0 - a * a)
+    exact, one = _normalization(normalization)
+    a = one / h
+    b = (one if up else one - a * a) if exact else math.sqrt(one - a * a)
     return a, (b if b else None)
 
 
@@ -152,6 +159,7 @@ def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Repr
     neighbour.  The table holds each letter pair's (a, b) once, so a column
     costs a lookup.
     """
+    _normalization(normalization)  # refused before any coefficient is made and cached
     bad = genericity_violation(f, cell)
     if bad is not None:
         raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
@@ -217,8 +225,7 @@ def _young_matrices(words: list, normalization: str) -> dict:
     number = {place: i for i, place in enumerate(places)}
     words = [tuple(map(number.__getitem__, word)) for word in words]
     index = {word: j for j, word in enumerate(words)}
-    exact = normalization == SEMINORMAL
-    one = Fraction(1) if exact else 1.0
+    exact, one = _normalization(normalization)
     table = [[None] * len(places) for _ in places]  # (a, b) per places x, y
     mats = {}
     for g in range(1, len(places)):

@@ -395,12 +395,13 @@ def test_weak_intervals_convex(n):
 
 @lru_cache(maxsize=None)
 def _left_inversion_masks(n):
-    """Left inversion set of every element, as a bitmask over reflections(n)."""
+    """Left inversion set of every element, as a bitmask over reflections(n), keyed by
+    the element's one-line tuple."""
     refl = reflections(n)
     masks = {}
     for w in perms(n):
         descents = left_descents_in(refl, w)
-        masks[w] = sum(1 << k for k, t in enumerate(refl) if t in descents)
+        masks[w.images] = sum(1 << k for k, t in enumerate(refl) if t in descents)
     return masks
 
 
@@ -411,8 +412,8 @@ def _sandwich_convex(members):
     sandwiched between the intersection and the union of theirs.  Only an x
     sandwiched between the intersection and the union over all of K can be.
     """
-    K = set(members)
-    masks = _left_inversion_masks(next(iter(K)).size)
+    K = {w.images for w in members}
+    masks = _left_inversion_masks(len(next(iter(K))))
     inside = [masks[w] for w in K]
     lo_all, hi_all = reduce(and_, inside), reduce(or_, inside)
     outside = [

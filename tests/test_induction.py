@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -31,6 +32,7 @@ from ayrep.reps import (
     ORTHOGONAL,
     Representation,
     SEMINORMAL,
+    _step_coefficients,
     char_inner,
     character,
     is_irreducible,
@@ -279,15 +281,29 @@ def test_extend_to_bn_sign_block():
     assert verify_coxeter(rep).ok
 
 
+# a name that is none, and two values that cannot be hashed (before, TypeError)
+UNKNOWN_NORMALIZATIONS = ["bogus", [], {}]
+
+
 def test_bn_classical_rejects_an_unknown_normalization():
     # before, it built a float form labelled "bogus"
-    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
-        bn_classical((1,), (), "bogus")
+    for normalization in UNKNOWN_NORMALIZATIONS:
+        with pytest.raises(ValueError, match=re.escape(f"unknown normalization {normalization!r}")):
+            bn_classical((1,), (), normalization)
 
 
 def test_extend_to_bn_rejects_an_unknown_normalization():
-    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
-        extend_to_bn(*row_filling_pair((1,), (1,)), "bogus")
+    for normalization in UNKNOWN_NORMALIZATIONS:
+        with pytest.raises(ValueError, match=re.escape(f"unknown normalization {normalization!r}")):
+            extend_to_bn(*row_filling_pair((1,), (1,)), normalization)
+
+
+@pytest.mark.parametrize("normalization", UNKNOWN_NORMALIZATIONS, ids=["str", "list", "dict"])
+def test_match_signed_forms_rejects_an_unknown_normalization(normalization):
+    cached = _step_coefficients.cache_info().currsize
+    with pytest.raises(ValueError, match=re.escape(f"unknown normalization {normalization!r}")):
+        match_signed_forms(*row_filling_pair((2,), (1,)), normalization)
+    assert _step_coefficients.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

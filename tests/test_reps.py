@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -663,16 +664,38 @@ def test_builder_matches_index_builder_on_every_flat_build(monkeypatch):
         _assert_same_build(rep, f, v)
 
 
+# a name that is none, and two values that cannot be hashed (before, TypeError)
+UNKNOWN_NORMALIZATIONS = ["bogus", [], {}]
+
+
+def refused(build, normalization) -> None:
+    """build(normalization) raises ValueError naming it, and caches no coefficient first."""
+    cached = _step_coefficients.cache_info().currsize
+    with pytest.raises(ValueError, match=re.escape(f"unknown normalization {normalization!r}")):
+        build(normalization)
+    assert _step_coefficients.cache_info().currsize == cached
+
+
 def test_a_form_needs_a_known_normalization():
     # before, only the cell and parabolic builders checked it
     exact = build_from_functional(Functional((0, 1)), identity(2))
-    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
-        Representation(2, exact.basis, exact.matrices, "bogus")
+    for normalization in UNKNOWN_NORMALIZATIONS:
+        refused(lambda form: Representation(2, exact.basis, exact.matrices, form), normalization)
 
 
 def test_parabolic_builder_rejects_an_unknown_normalization():
-    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
-        build_parabolic(Functional((0, 1, 0)), [1], "bogus")
+    for normalization in UNKNOWN_NORMALIZATIONS:
+        refused(lambda form: build_parabolic(Functional((0, 1, 0)), [1], form), normalization)
+
+
+@pytest.mark.parametrize("normalization", UNKNOWN_NORMALIZATIONS, ids=["str", "list", "dict"])
+@pytest.mark.parametrize("build", [
+    lambda form: build_from_functional(Functional((0, 2, 5)), identity(3), form),
+    lambda form: build_parabolic_from_shapes([1, 2], 3, [(2, 1)], form),
+], ids=["cell", "parabolic_from_shapes"])
+def test_a_refused_normalization_caches_no_coefficient(build, normalization):
+    # before, "bogus" left 6 float coefficients of f = (0, 2, 5) in the cache
+    refused(build, normalization)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

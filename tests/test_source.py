@@ -392,6 +392,51 @@ def test_one_module_sets_the_float_tolerance():
     assert setters == ["linalg"]
 
 
+NORMALIZATION_NAMES = {"SEMINORMAL", "ORTHOGONAL", reps.SEMINORMAL, reps.ORTHOGONAL}
+
+
+def normalization_comparisons(source: str) -> list:
+    """Comparisons of a value with a normalization name, by its constant or its
+    text, alone or in a tuple, list or set: what a name means is `reps`'s table's."""
+    def names(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names, node.elts))
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.Constant: "value"}.get(type(node))
+        return field is not None and getattr(node, field) in NORMALIZATION_NAMES
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and any(map(names, [node.left, *node.comparators]))]
+
+
+def test_only_the_table_says_what_a_normalization_means():
+    found = {p.stem: normalization_comparisons(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: sites for module, sites in found.items() if sites} == {}
+
+
+def test_normalization_check_sees_a_planted_comparison():
+    source = (
+        "exact = normalization == SEMINORMAL\n"
+        "if rep.normalization != reps.ORTHOGONAL:\n    pass\n"
+        "known = form in ('seminormal', 'orthogonal-float')\n"
+        "listed = ['orthogonal-float'] == forms\n"
+        # a table, a loop over the names and a test against a tuple of them are no comparison
+        "TABLE = {SEMINORMAL: (True, 1), ORTHOGONAL: (False, 1.0)}\n"
+        "for form in (SEMINORMAL, ORTHOGONAL):\n    pass\n"
+        "known = form in NAMES\n"
+    )
+    assert normalization_comparisons(source) == [
+        "normalization == SEMINORMAL", "rep.normalization != reps.ORTHOGONAL",
+        "form in ('seminormal', 'orthogonal-float')", "['orthogonal-float'] == forms"]
+
+
+def test_the_cli_states_form_once():
+    # one parent parser gives rep, induce and bn their --form
+    tree = ast.parse((SRC / "cli.py").read_text())
+    declared = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "add_argument"
+                and any(getattr(arg, "value", None) == "--form" for arg in node.args)]
+    assert len(declared) == 1
+
+
 def test_assignment_check_sees_every_binding_but_an_import():
     source = ("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\nfrom x import F\n"
               "def g():\n    H = 6\n    for K in A:\n        pass\n")
