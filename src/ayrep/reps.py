@@ -16,8 +16,9 @@ Every cell builder writes its columns in one pass through `_two_term_matrices`,
 which takes zeros as None and calls no number's truth test; the cell and
 parabolic builders share one body, `_cell_rep`, which reads each neighbour
 w s_g off the step graph of the walked cell and its coefficients off a
-table over the letter pairs.  The classical forms on tableaux, which check
-them, state Young's rule apart, in `_young_matrices`.
+table over the letter pairs, and holds one form: the last, once its walked
+Cell, f and name are built twice in a row.  The classical forms on tableaux,
+which check them, state Young's rule apart, in `_young_matrices`.
 
 `character` traces a class word with distinct letters from the diagonals
 when the form is exact and passes `verify_axiom_B`, and pushes every other
@@ -53,6 +54,7 @@ SEMINORMAL = "seminormal"
 ORTHOGONAL = "orthogonal-float"
 _NORMALIZATIONS = {SEMINORMAL: (True, Fraction(1)), ORTHOGONAL: (False, 1.0)}  # (exact, one)
 _NAMES = tuple(_NORMALIZATIONS)
+_last = [(None,), None]  # (cell, f's coords, normalization) of the last cell build; its form
 
 
 def _normalization(name) -> tuple:
@@ -158,8 +160,15 @@ def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Repr
     (None), but for the seminormal b = 1 going up, dropped with the missing
     neighbour.  The table holds each letter pair's (a, b) once, so a column
     costs a lookup.
+
+    `_last` keys a build on the walked Cell object (`is`), f's coordinates and
+    the name; a form built once is never held, so a sweep still frees each one.
     """
     _normalization(normalization)  # refused before any coefficient is made and cached
+    key, held = _last
+    repeat = key[0] is cell and key[1:] == (f.coords, normalization)
+    if repeat and held is not None:
+        return held
     bad = genericity_violation(f, cell)
     if bad is not None:
         raise GenericityError(f"functional not generic for {where}: {bad[1]}", bad[0])
@@ -176,7 +185,9 @@ def _cell_rep(f: Functional, cell: Cell, normalization: str, where: str) -> Repr
         return zip(pairs, islice(cell.steps, p, None, len(gens)))
 
     mats = _two_term_matrices(len(words), ((g, column(p, g)) for p, g in enumerate(gens)))
-    return Representation(n, cell.members, mats, normalization)
+    rep = Representation(n, cell.members, mats, normalization)
+    _last[:] = (cell, f.coords, normalization), (rep if repeat else None)
+    return rep
 
 
 def build_from_functional(f: Functional, w: Permutation,

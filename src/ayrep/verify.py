@@ -256,18 +256,17 @@ def sample_flats() -> list:
 
 
 def _same_matrices(a, b) -> bool:
-    """The same generator matrix entries, on bases the caller found equal."""
-    if a.matrices.keys() != b.matrices.keys():
-        return False
-    return all(m.cols == b.matrices[g].cols for g, m in a.matrices.items())
+    """The same form, or the same generator matrix entries on bases the caller found equal."""
+    return a is b or a.matrices.keys() == b.matrices.keys() and all(
+        m.cols == b.matrices[g].cols for g, m in a.matrices.items())
 
 
 def flat_suite() -> SuiteResult:
     """Characters agree across generic functionals on a flat and base elements.
 
-    The representation is built from every base element of the cell; its
-    character is traced again only when its basis or matrices differ from
-    the representation last traced for the same functional.
+    Every base element of the cell is walked and built, and a repeat on the
+    held cell returns the held form; the character is traced again only when
+    the matrices differ from the form last built for the same functional.
     """
     bad, details = [], []
     points_needed = 3  # generic functionals per cell
@@ -290,14 +289,14 @@ def flat_suite() -> SuiteResult:
             words = [w.images for w in cell.members]  # compared as words: no __eq__ per member
             tables = []
             for f in generics:
-                traced = None  # (rep, character) last traced for this f
+                traced = None  # the form last built for this f, and its character
                 for v in cell.members:
                     rep = build_from_functional(f, v, SEMINORMAL)
                     if [w.images for w in rep.basis] != words:  # both in (length, word) order
                         bad.append(f"{flat}: cell drift for f={f!r}, v={v.one_line()}")
                         continue
-                    if traced is None or not _same_matrices(rep, traced[0]):
-                        traced = (rep, character(rep))
+                    same = traced is not None and _same_matrices(rep, traced[0])
+                    traced = (rep, traced[1] if same else character(rep))
                     tables.append((f, v, traced[1]))
             for f, v, chi in tables[1:]:  # none when every build drifted
                 if chi != tables[0][2]:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import re
 from fractions import Fraction
@@ -6,6 +7,8 @@ from itertools import product
 
 import pytest
 
+import ayrep.cells
+import ayrep.reps
 from ayrep import verify
 from ayrep.cells import Functional, _walk_cell, descent_cell
 from ayrep.errors import GenericityError, PreconditionError
@@ -794,3 +797,67 @@ def test_step_coefficients_equal_fresh_values(h, up):
     a, b = _step_coefficients(h, up, ORTHOGONAL)
     assert (a, b) == (1.0 / h, math.sqrt(1.0 - (1.0 / h) ** 2))
     assert type(a) is float and type(b) is float
+
+
+# the one form `_cell_rep` holds: the last (walked cell, f, normalization) built twice in a row
+
+F, W = Functional((0, 1, 5, 9)), identity(4)  # only (1, 2) pairs to +-1: a cell of 12 members
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The dimension of each form `_cell_rep` writes, beginning with no build recorded."""
+    written, write = [], ayrep.reps._two_term_matrices
+
+    def counting(dim, columns):
+        written.append(dim)
+        return write(dim, columns)
+
+    monkeypatch.setattr(ayrep.reps, "_last", [(None,), None])
+    monkeypatch.setattr(ayrep.reps, "_two_term_matrices", counting)
+    return written
+
+
+def test_a_repeated_build_returns_the_held_form(writes):
+    first, second = build_from_functional(F, W), build_from_functional(Functional(F.coords), W)
+    members = descent_cell(F, W).members
+    assert first is not second and len(members) == 12
+    assert all(build_from_functional(F, v) is second for v in members)
+    assert writes == [12, 12]
+
+
+ANOTHER_KEY = {
+    "functional": lambda: build_from_functional(Functional((0, 1, 6, 9)), W),
+    "normalization": lambda: build_from_functional(F, W, ORTHOGONAL),
+    "cell": lambda: ayrep.cells._held.clear() or build_from_functional(F, W),
+}
+
+
+@pytest.mark.parametrize("key", ANOTHER_KEY)
+def test_another_functional_normalization_or_cell_builds_anew(writes, key):
+    cell, held = descent_cell(F, W), build_from_functional(F, W)
+    assert build_from_functional(F, W) is not held
+    held = build_from_functional(F, W)
+    form = ANOTHER_KEY[key]()
+    assert form is not held and writes == [12, 12, 12]
+    # the walls are F's, so only the key named differs: a walk after the clear is another Cell
+    assert (ayrep.reps._last[0][0] is cell) == (key != "cell") and form.basis == cell.members
+    assert build_from_functional(F, W) is not held
+
+
+def test_a_refused_build_is_not_held(writes):
+    build_from_functional(F, W)
+    held = build_from_functional(F, W)
+    for _ in range(2):
+        with pytest.raises(GenericityError):
+            build_from_functional(Functional((0, 1, 0, 9)), W)
+        with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+            build_from_functional(F, W, "bogus")
+    assert ayrep.reps._last[1] is held and writes == [12, 12]
+
+
+def test_a_form_built_once_is_left_to_its_caller(writes):
+    once = build_from_functional(F, W)
+    assert gc.get_referrers(once) == []  # nothing keeps it once the caller drops it
+    twice = build_from_functional(F, W)
+    assert gc.get_referrers(twice) == [ayrep.reps._last]

@@ -38,10 +38,14 @@ def _traced_pairs(result) -> int:
 def test_flat_suite_traces_each_cell_and_functional_once(monkeypatch):
     traced = _count_calls(monkeypatch, "character")
     built = _count_calls(monkeypatch, "build_from_functional")
+    written, write = [], reps._two_term_matrices
+    monkeypatch.setattr(reps, "_last", [(None,), None])
+    monkeypatch.setattr(reps, "_two_term_matrices", lambda *args: written.append(args) or write(*args))
     result = verify.flat_suite()
     assert result.ok
     assert len(traced) == _traced_pairs(result) == 78
     assert len(built) == 1440  # every base element of every cell is still built
+    assert len(written) == 156  # and written twice per pair: the second build is held
 
 
 def test_flat_suite_traces_a_rep_that_differs(monkeypatch):
