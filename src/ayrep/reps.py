@@ -54,7 +54,7 @@ SEMINORMAL = "seminormal"
 ORTHOGONAL = "orthogonal-float"
 _NORMALIZATIONS = {SEMINORMAL: (True, Fraction(1)), ORTHOGONAL: (False, 1.0)}  # (exact, one)
 _NAMES = tuple(_NORMALIZATIONS)
-_last = [(None,), None]  # (cell, f's coords, normalization) of the last cell build; its form
+_last = [(None,), None]  # (cell, f.coords, name) of the last build; its form once built twice
 
 
 def _normalization(name) -> tuple:
