@@ -28,14 +28,28 @@ pushed e_j that comes back fixed vouches for every e_k reached from it
 along such entries, and a moved vector shows at the first push of its
 block.  Matrices with float entries (the orthogonal form) run the same
 loops with scale 1, push every vector and compare within FLOAT_TOL, so
-the entries alone decide how matrices compare.  Float braid checks still
-form s_g s_h and raise it to the power (`power_is_identity`): pushing the
-word instead would round in another order and change the float results.
+the entries alone decide how matrices compare; each comparison is written
+so that a NaN fails it.
+
+A float relation (s t)^m = 1, or s^2 = 1 as (s, s, 1), is checked once per
+distinct block (`float_relation_holds`).  The connected pieces of the
+union of the supports of s and t are invariant under both, so s, t and
+(s t)^m are block diagonal on them, and the relation holds exactly when it
+holds on every piece.  A block, relabelled in ascending order, is keyed on
+m and its local entries, and one table, `_block_holds`, forms each distinct
+key's local s t and raises it to the power (`power_is_identity`).  An entry
+of s t sums the same terms in the same order as in the whole product, and
+a pushed vector never leaves its block, so each float verdict is bit for
+bit that of the whole product, with no rounding argument needed; pushing
+the word s t s t ... instead would round in another order.  A block is
+judged in the arithmetic of its own entries: every entry of a float form
+the library builds is a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
 
@@ -78,8 +92,8 @@ class SquareMatrix:
             if tol is None:
                 if a != b:
                     return False
-            elif any(abs(a.get(i, 0) - b.get(i, 0)) > tol for i in a.keys() | b.keys()):
-                return False
+            elif not all(abs(a.get(i, 0) - b.get(i, 0)) <= tol for i in a.keys() | b.keys()):
+                return False  # written so that a NaN compares unequal
         return True
 
     def reindexed(self, index_map: Sequence[int]) -> "SquareMatrix":
@@ -185,9 +199,9 @@ def word_is_identity(matrices: Sequence[SquareMatrix],
         if exact:
             if vec != {j: one}:
                 return False
-        elif abs(vec.pop(j, 0) / one - 1) > FLOAT_TOL or any(
-                abs(v / one) > FLOAT_TOL for v in vec.values()):
-            return False
+        elif not abs(vec.pop(j, 0) / one - 1) <= FLOAT_TOL or not all(
+                abs(v / one) <= FLOAT_TOL for v in vec.values()):
+            return False  # written so that a NaN fails
         fixed[j] = 1
         block = [j]
         for v in block:  # S e_v = a e_v + b e_k, b != 0: P fixes S e_v, so b e_k, so e_k
@@ -202,3 +216,51 @@ def word_is_identity(matrices: Sequence[SquareMatrix],
 def power_is_identity(m: SquareMatrix, k: int) -> bool:
     """Whether m^k is the identity, exactly or (m holding a float) within FLOAT_TOL."""
     return word_is_identity([m] * k)
+
+
+def float_relation_holds(s: SquareMatrix, t: SquareMatrix, m: int) -> bool:
+    """Whether (s t)^m is the identity within FLOAT_TOL, s and t holding floats,
+    with the verdict of `power_is_identity(s * t, m)`; s^2 = 1 is (s, s, 1).
+
+    Each block (see the module notes) is keyed on m, its size and its local
+    columns of s and t: the triples (column, row, value) in stored order, its
+    indices relabelled 0, 1, ... in ascending order.  One table holds each
+    key's verdict.
+    """
+    parent = list(range(s.dim))  # union-find over the support of s and t
+    for cols in (s.cols,) if t is s else (s.cols, t.cols):
+        for j, col in cols.items():
+            for i in col:
+                while parent[i] != i:
+                    i = parent[i]
+                while parent[j] != j:
+                    j = parent[j]
+                parent[i] = j
+    blocks: dict = {}
+    for v in range(s.dim):  # ascending, so each block comes out sorted
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        parent[v] = root
+        blocks.setdefault(root, []).append(v)
+    where, empty = [0] * s.dim, {}
+    for block in blocks.values():
+        for local, v in enumerate(block):
+            where[v] = local
+        s_key, t_key = ([(k, where[i], x) for k, j in enumerate(block)
+                         for i, x in cols.get(j, empty).items()] for cols in (s.cols, t.cols))
+        if not _block_holds((m, len(block), tuple(s_key), tuple(t_key))):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _block_holds(key: tuple) -> bool:
+    """`power_is_identity(s * t, m)` on the local matrices a key of
+    `float_relation_holds` spells out, entries in their stored order."""
+    m, dim, *triples = key
+    s, t = (SquareMatrix(dim) for _ in triples)
+    for matrix, entries in zip((s, t), triples):
+        for j, i, x in entries:
+            matrix.cols.setdefault(j, {})[i] = x
+    return power_is_identity(s * t, m)

@@ -47,7 +47,7 @@ from .groups import (
     reduced_word,
     reflection,
 )
-from .linalg import SquareMatrix, power_is_identity, word_is_identity, word_trace
+from .linalg import SquareMatrix, float_relation_holds, word_is_identity, word_trace
 from .tableaux import SkewShape, enumerate_standard
 
 SEMINORMAL = "seminormal"
@@ -276,8 +276,9 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
     squares = {}  # g -> whether s_g^2 = 1
     for g in gens:
         s = rep.matrices[g]
-        # s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed (used if exact)
-        squares[g] = word_is_identity([s, s], closed_under=(s,))
+        # s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed
+        squares[g] = (word_is_identity([s, s], closed_under=(s,)) if rep.is_exact
+                      else float_relation_holds(s, s, 1))
         if not squares[g]:
             failures.append(f"s{g}^2 != 1")
     for a in range(len(gens)):
@@ -291,8 +292,7 @@ def verify_coxeter(rep: Representation) -> VerificationReport:
                 closed = pair if squares[g] and squares[h] else ()
                 holds = word_is_identity(list(pair) * m, closed_under=closed)
             else:
-                # floats form s_g s_h first; the word would round in another order
-                holds = power_is_identity(rep.matrices[g] * rep.matrices[h], m)
+                holds = float_relation_holds(rep.matrices[g], rep.matrices[h], m)
             if not holds:
                 failures.append(f"(s{g} s{h})^{m} != 1")
     return VerificationReport(not failures, tuple(failures))

@@ -74,9 +74,9 @@ PINS = [
           ROOT / "perfbench" / "golden" / f"{label}.json",
           env={"PYTHONHASHSEED": str(seed)}, limit=None if label == "oracles-bn" else 20)
       for seed in (0, 1) for rows in workloads().values() for label, args, _ in rows),
-    # the relations of all 400 skew shapes up to n = 6 (5 s), the shape family (7 s)
+    # the relations of all 400 skew shapes up to n = 6 (3 s), the shape family (7 s)
     Pin("verify_coxeter_n6", cli("verify --n 6 --suite coxeter --json"),
-        PINNED / "verify_coxeter_n6.json", env=SEED1, limit=60),
+        PINNED / "verify_coxeter_n6.json", env=SEED1, limit=30),
     Pin("verify_family_n6", cli("verify --n 6 --suite specht,cells,coxeter,axiomB --json"),
         PINNED / "verify_family_n6.json", env=SEED1, limit=60),
     # the minimal-cell recognizer at the suite's limit, n = 5 (about 2.5 s)

@@ -13,6 +13,7 @@ import pytest
 from ayrep import linalg
 from ayrep.cells import Functional
 from ayrep.groups import (
+    braid_order,
     class_data_signed,
     class_data_symmetric,
     identity,
@@ -84,7 +85,7 @@ def _skew_reps(n_max: int, form: str) -> list:
     return reps
 
 
-def _induced_reps(n_max: int) -> list:
+def _induced_reps(n_max: int, form: str = SEMINORMAL) -> list:
     reps = []
     for n in range(2, n_max + 1):
         gens = list(range(1, n))
@@ -94,7 +95,7 @@ def _induced_reps(n_max: int) -> list:
                 continue
             pools = [partitions(b - a + 1) for a, b in j_intervals(J)]
             for combo in product(*pools):
-                reps.append(induce(build_parabolic_from_shapes(J, n, list(combo))))
+                reps.append(induce(build_parabolic_from_shapes(J, n, list(combo), form)))
     return reps
 
 
@@ -337,8 +338,88 @@ def test_exact_relations_form_no_products(monkeypatch):
     products = _count_calls(monkeypatch, SquareMatrix, "__mul__")
     assert verify_coxeter(build_from_functional(f, identity(5))).ok
     assert products == []
-    assert verify_coxeter(build_from_functional(f, identity(5), ORTHOGONAL)).ok
-    assert len(products) == 6  # one per pair of the four generators
+    # a float relation multiplies only the blocks its table has not seen
+    linalg._block_holds.cache_clear()
+    orthogonal = build_from_functional(f, identity(5), ORTHOGONAL)
+    assert verify_coxeter(orthogonal).ok
+    assert products and all(m.dim < orthogonal.dim for m in products)
+    products.clear()
+    assert verify_coxeter(orthogonal).ok
+    assert products == []
+
+
+# float relations, one check per distinct block
+
+
+def _float_forms() -> list:
+    family = [build_orthogonal_skew(s) for n in range(1, 6) for s in skew_shape_family(n)]
+    signed = [rep for rep in _signed_reps(4) if not rep.is_exact]
+    return family + _skew_reps(5, ORTHOGONAL) + signed + _induced_reps(3, ORTHOGONAL)
+
+
+def _relations(rep):
+    """(s, t, m) for every square (s, s, 1) and braid of rep's generators."""
+    mats = rep.matrices
+    yield from ((mats[g], mats[g], 1) for g in rep.gens)
+    yield from ((mats[g], mats[h], braid_order(g, h))
+                for a, g in enumerate(rep.gens) for h in rep.gens[a + 1:])
+
+
+def test_block_verdicts_equal_whole_matrix_powers():
+    checked = 0
+    for rep in _float_forms():
+        for s, t, m in _relations(rep):
+            assert linalg.float_relation_holds(s, t, m) == power_is_identity(s * t, m) is True
+            checked += 1
+    assert checked > 1500
+
+
+def _nudged(rep, amount):
+    """rep with amount added to the first entry of its first generator."""
+    g = rep.gens[0]
+    j, col = next(iter(rep.matrices[g].cols.items()))
+    i, v = next(iter(col.items()))
+    return _replaced(rep, g, j, i, v + amount)
+
+
+def test_a_float_form_nudged_by_1e_7_fails():
+    shapes = [s for n in range(2, 6) for s in skew_shape_family(n)]
+    assert len(shapes) == 127
+    for shape in shapes:
+        bad = _nudged(build_orthogonal_skew(shape), 1e-7)
+        assert not verify_coxeter(bad).ok, shape
+        for s, t, m in _relations(bad):
+            assert linalg.float_relation_holds(s, t, m) == power_is_identity(s * t, m)
+
+
+def test_a_block_verdict_does_not_depend_on_what_the_table_holds():
+    forms = [build_orthogonal_skew(s) for n in range(2, 5) for s in skew_shape_family(n)]
+    nudged = [_nudged(rep, amount) for rep in forms for amount in (1e-7, 1e-12, -0.5)]
+    linalg._block_holds.cache_clear()
+    cold = [verify_coxeter(rep).failures for rep in nudged]
+    assert any(cold) and not all(cold)  # 1e-12 stays within FLOAT_TOL
+    for rep in forms:
+        assert verify_coxeter(rep).ok
+    assert [verify_coxeter(rep).failures for rep in nudged] == cold
+    linalg._block_holds.cache_clear()
+    assert [verify_coxeter(rep).failures for rep in reversed(nudged)] == cold[::-1]
+
+
+def test_float_comparisons_reject_nan():
+    nan = float("nan")
+    one_by_one = SquareMatrix(1, {0: {0: nan}})
+    assert not linalg.word_is_identity([one_by_one])
+    assert not power_is_identity(one_by_one, 2)
+    assert not linalg.float_relation_holds(one_by_one, one_by_one, 1)
+    assert not one_by_one.equals(one_by_one)
+    assert not one_by_one.equals(SquareMatrix(1, {0: {0: 1.0}}))
+    off = SquareMatrix(2, {0: {0: 1.0, 1: nan}, 1: {1: 1.0}})
+    assert not linalg.word_is_identity([off]) and not off.equals(off)
+    rep = build_from_functional(Functional((0, 1, 2, -1, 0)), identity(5), ORTHOGONAL)
+    for g in rep.gens:
+        for j, col in rep.matrices[g].cols.items():
+            for i in col:
+                assert not verify_coxeter(_replaced(rep, g, j, i, nan)).ok, (g, j, i)
 
 
 # the two-term shortcuts: class traces along the diagonal, one push per orbit block
