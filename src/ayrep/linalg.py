@@ -33,17 +33,15 @@ so that a NaN fails it.
 
 A float relation (s t)^m = 1, or s^2 = 1 as (s, s, 1), is checked once per
 distinct block (`float_relation_holds`).  The connected pieces of the
-union of the supports of s and t are invariant under both, so s, t and
-(s t)^m are block diagonal on them, and the relation holds exactly when it
-holds on every piece.  A block, relabelled in ascending order, is keyed on
-m and its local entries, and one table, `_block_holds`, forms each distinct
-key's local s t and raises it to the power (`power_is_identity`).  An entry
-of s t sums the same terms in the same order as in the whole product, and
-a pushed vector never leaves its block, so each float verdict is bit for
-bit that of the whole product, with no rounding argument needed; pushing
-the word s t s t ... instead would round in another order.  A block is
-judged in the arithmetic of its own entries: every entry of a float form
-the library builds is a float.
+union of the supports of s and t are invariant under both, so the relation
+holds exactly when it holds on each piece.  A piece, relabelled in
+ascending order, is keyed on m and its entries, and one table forms each
+distinct key's local s t and raises it to the power.  Each entry of s t
+sums the same terms in the same order as in the whole product, and a pushed
+vector stays in its piece, so every float verdict is bit for bit the whole
+product's (pushing the word s t s t ... would round in another order).  A
+piece is judged in its own entries' arithmetic; a float form the library
+builds holds only floats.
 """
 
 from __future__ import annotations
@@ -219,15 +217,10 @@ def power_is_identity(m: SquareMatrix, k: int) -> bool:
 
 
 def float_relation_holds(s: SquareMatrix, t: SquareMatrix, m: int) -> bool:
-    """Whether (s t)^m is the identity within FLOAT_TOL, s and t holding floats,
-    with the verdict of `power_is_identity(s * t, m)`; s^2 = 1 is (s, s, 1).
-
-    Each block (see the module notes) is keyed on m, its size and its local
-    columns of s and t: the triples (column, row, value) in stored order, its
-    indices relabelled 0, 1, ... in ascending order.  One table holds each
-    key's verdict.
-    """
-    parent = list(range(s.dim))  # union-find over the support of s and t
+    """Whether (s t)^m is the identity within FLOAT_TOL, with the verdict of
+    `power_is_identity(s * t, m)`, checked once per distinct block (see the
+    module notes); s^2 = 1 is (s, s, 1)."""
+    parent = list(range(s.dim))  # union-find over the supports of s and t
     for cols in (s.cols,) if t is s else (s.cols, t.cols):
         for j, col in cols.items():
             for i in col:
@@ -247,17 +240,18 @@ def float_relation_holds(s: SquareMatrix, t: SquareMatrix, m: int) -> bool:
     for block in blocks.values():
         for local, v in enumerate(block):
             where[v] = local
-        s_key, t_key = ([(k, where[i], x) for k, j in enumerate(block)
-                         for i, x in cols.get(j, empty).items()] for cols in (s.cols, t.cols))
-        if not _block_holds((m, len(block), tuple(s_key), tuple(t_key))):
+        # m, the size, and the (column, row, value) triples of s and of t in stored order
+        key = (m, len(block), *(tuple([(k, where[i], x) for k, j in enumerate(block)
+                                       for i, x in cols.get(j, empty).items()])
+                                for cols in (s.cols, t.cols)))
+        if not _block_holds(key):
             return False
     return True
 
 
 @lru_cache(maxsize=None)
 def _block_holds(key: tuple) -> bool:
-    """`power_is_identity(s * t, m)` on the local matrices a key of
-    `float_relation_holds` spells out, entries in their stored order."""
+    """`power_is_identity(s * t, m)` on the local s and t that a key spells out."""
     m, dim, *triples = key
     s, t = (SquareMatrix(dim) for _ in triples)
     for matrix, entries in zip((s, t), triples):
