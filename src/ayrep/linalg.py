@@ -16,31 +16,34 @@ word with distinct letters on an exact form that passes
 `reps.verify_axiom_B` comes back to each basis vector along the diagonal
 alone; `reps.character` has it traced from the scaled diagonals, unpushed.
 
-A relation is checked as a word too: `word_is_identity` pushes a basis
-vector through M1 * ... * Mk and compares the result with (s1 * ... * sk)
-times that vector, so an exact braid check (s_g s_h)^m never forms s_g s_h.
-An exact check pushes one basis vector per orbit block.  S commutes with
-P = S^2, and once S^2 = T^2 = 1, S P S = T P T = P^-1 for P = (ST)^m;
-either way P S e = S e when P e = e, so the vectors P fixes are closed
-under S (and T).  A generator column has at most one off-diagonal entry,
-S e_j = a e_j + b e_k, so if P fixes e_j it fixes b e_k and so e_k: a
-pushed e_j that comes back fixed vouches for every e_k reached from it
-along such entries, and a moved vector shows at the first push of its
-block.  Matrices with float entries (the orthogonal form) run the same
-loops with scale 1, push every vector and compare within FLOAT_TOL, so
-the entries alone decide how matrices compare; each comparison is written
-so that a NaN fails it.
+`word_is_identity` and `power_is_identity` push every basis vector through
+a word and compare the result with (s1 * ... * sk) times that vector, so no
+product is formed.  Matrices with float entries (the orthogonal form) run
+the same loops with scale 1 and compare within FLOAT_TOL, so the entries
+alone decide how matrices compare; each comparison is written so that a
+NaN fails it.
 
-A float relation (s t)^m = 1, or s^2 = 1 as (s, s, 1), is checked once per
-distinct block (`float_relation_holds`).  The connected pieces of the
-union of the supports of s and t are invariant under both, so the relation
-holds exactly when it holds on each piece.  A piece, relabelled in
-ascending order, is keyed on m and its entries, and one table forms each
+A relation (s t)^m = 1, or s^2 = 1 as (s, s, 1), is checked block by block
+(`relation_holds`).  A block is walked forward from a basis vector e_j that
+no earlier block covers, along the stored entries of the columns of s and
+t, in the order found.  It holds every image of its vectors, so s and t
+keep its span, even where a support is one-way, and the relation holds
+exactly when it holds on every block; blocks may overlap.  An exact block
+pushes e_j through s t ... s t once.  If e_j comes back fixed, the block
+is done when every column of s and t in it has at most one off-diagonal
+entry, that entry nonzero, and s is t or both squares hold: S commutes with
+P = S^2, and once S^2 = T^2 = 1, S P S = T P T = P^-1 for P = (ST)^m, so
+either way the vectors P fixes are closed under S and T, and S e_v = a e_v
++ b e_k with b != 0 fixed puts e_k among them.  Any other exact block
+pushes every vector it holds.  A square's
+verdict is decided once per matrix and kept, as its scaled form is.  A
+float block (s or t holding a float) is keyed on m and its entries,
+relabelled in walk order, and one table (`_block_holds`) forms each
 distinct key's local s t and raises it to the power.  Each entry of s t
 sums the same terms in the same order as in the whole product, and a pushed
-vector stays in its piece, so every float verdict is bit for bit the whole
+vector stays in its block, so every float verdict is bit for bit the whole
 product's (pushing the word s t s t ... would round in another order).  A
-piece is judged in its own entries' arithmetic; a float form the library
+block is judged in its own entries' arithmetic; a float form the library
 builds holds only floats.
 """
 
@@ -55,12 +58,12 @@ FLOAT_TOL = 1e-9  # entrywise slack of every comparison of matrices that hold a 
 
 
 class SquareMatrix:
-    __slots__ = ("dim", "cols", "_form")
+    __slots__ = ("dim", "cols", "_form", "_square")
 
     def __init__(self, dim: int, cols: dict = None):
         self.dim = dim
         self.cols = cols if cols is not None else {}
-        self._form = None
+        self._form = self._square = None  # kept by scaled_form and relation_holds
 
     def entry(self, i: int, j: int):
         return self.cols.get(j, {}).get(i, 0)
@@ -173,26 +176,17 @@ def word_trace(matrices: Sequence[SquareMatrix], dim: int, along_diagonal: bool 
     return Fraction(total, prod(s for s, _, _, _ in forms))
 
 
-def word_is_identity(matrices: Sequence[SquareMatrix],
-                     closed_under: Sequence[SquareMatrix] = ()) -> bool:
+def word_is_identity(matrices: Sequence[SquareMatrix]) -> bool:
     """Whether matrices[0] * matrices[1] * ... is the identity, without forming it.
 
-    Exact, or entrywise within FLOAT_TOL when a matrix holds a float.  An
-    exact check may name in `closed_under` matrices S under which the
-    vectors the product P fixes are closed (S P = P S, or S P S = P^-1);
-    each basis vector reached from a fixed one along a column of S with one
-    off-diagonal entry is then fixed too, and is not pushed.
+    Exact, or entrywise within FLOAT_TOL when a matrix holds a float; every
+    basis vector is pushed.
     """
     forms = [m.scaled_form() for m in matrices]
     chain = [columns for _, columns, _, _ in forms]
     one = prod(s for s, _, _, _ in forms)
     exact = not any(form[2] for form in forms)
-    closed = [m.scaled_form()[1] for m in closed_under] if exact else []
-    dim = matrices[0].dim if matrices else 0  # the empty word is the identity at any size
-    fixed = bytearray(dim)
-    for j in range(dim):
-        if fixed[j]:
-            continue
+    for j in range(matrices[0].dim if matrices else 0):  # the empty word is the identity
         vec = _push(chain, j)
         if exact:
             if vec != {j: one}:
@@ -200,14 +194,6 @@ def word_is_identity(matrices: Sequence[SquareMatrix],
         elif not abs(vec.pop(j, 0) / one - 1) <= FLOAT_TOL or not all(
                 abs(v / one) <= FLOAT_TOL for v in vec.values()):
             return False  # written so that a NaN fails
-        fixed[j] = 1
-        block = [j]
-        for v in block:  # S e_v = a e_v + b e_k, b != 0: P fixes S e_v, so b e_k, so e_k
-            for columns in closed:
-                off = [i for i, _ in columns[v] if i != v]
-                if len(off) == 1 and not fixed[off[0]]:
-                    fixed[off[0]] = 1
-                    block.append(off[0])
     return True
 
 
@@ -216,37 +202,45 @@ def power_is_identity(m: SquareMatrix, k: int) -> bool:
     return word_is_identity([m] * k)
 
 
-def float_relation_holds(s: SquareMatrix, t: SquareMatrix, m: int) -> bool:
-    """Whether (s t)^m is the identity within FLOAT_TOL, with the verdict of
-    `power_is_identity(s * t, m)`, checked once per distinct block (see the
-    module notes); s^2 = 1 is (s, s, 1)."""
-    parent = list(range(s.dim))  # union-find over the supports of s and t
-    for cols in (s.cols,) if t is s else (s.cols, t.cols):
-        for j, col in cols.items():
-            for i in col:
-                while parent[i] != i:
-                    i = parent[i]
-                while parent[j] != j:
-                    j = parent[j]
-                parent[i] = j
-    blocks: dict = {}
-    for v in range(s.dim):  # ascending, so each block comes out sorted
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        parent[v] = root
-        blocks.setdefault(root, []).append(v)
-    where, empty = [0] * s.dim, {}
-    for block in blocks.values():
-        for local, v in enumerate(block):
-            where[v] = local
-        # m, the size, and the (column, row, value) triples of s and of t in stored order
-        key = (m, len(block), *(tuple([(k, where[i], x) for k, j in enumerate(block)
-                                       for i, x in cols.get(j, empty).items()])
-                                for cols in (s.cols, t.cols)))
-        if not _block_holds(key):
-            return False
-    return True
+def relation_holds(s: SquareMatrix, t: SquareMatrix, m: int) -> bool:
+    """Whether (s t)^m is the identity, exactly or (s or t holding a float)
+    within FLOAT_TOL, checked block by block (see the module notes); s^2 = 1
+    is (s, s, 1), decided once per matrix and kept."""
+    square = s is t and m == 1
+    if square and s._square is not None:
+        return s._square
+    (scale_s, cols_s, float_s, _), (scale_t, cols_t, float_t, _) = s.scaled_form(), t.scaled_form()
+    exact = not (float_s or float_t)
+    chain, one = [cols_s, cols_t] * m, (scale_s * scale_t) ** m
+    vouch = exact and (s is t or relation_holds(s, s, 1) and relation_holds(t, t, 1))
+    pair = (cols_s,) if s is t else (cols_s, cols_t)
+    # start[i]: the first vector of the last block that holds e_i; where[i]: e_i's place in it
+    start, where, holds, empty = [-1] * s.dim, [0] * s.dim, True, {}
+    for j in range(s.dim):
+        if start[j] >= 0:
+            continue
+        start[j], block, two_term = j, [j], vouch
+        for v in block:  # the block holds every image of its vectors
+            for columns in pair:
+                off = 0  # a stored zero counts as two off-diagonal entries
+                for i, x in columns[v]:
+                    if i != v:
+                        off += 1 if x else 2
+                        if start[i] != j:
+                            start[i], where[i] = j, len(block)
+                            block.append(i)
+                two_term = two_term and off < 2
+        if exact:
+            holds = all(_push(chain, v) == {v: one} for v in (block[:1] if two_term else block))
+        else:  # m, the size, and the (column, row, value) triples of s and of t in stored order
+            holds = _block_holds((m, len(block), *(
+                tuple([(k, where[i], x) for k, v in enumerate(block)
+                       for i, x in cols.get(v, empty).items()]) for cols in (s.cols, t.cols))))
+        if not holds:
+            break
+    if square:
+        s._square = holds
+    return holds
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,7 @@ from .groups import (
     reduced_word,
     reflection,
 )
-from .linalg import SquareMatrix, float_relation_holds, word_is_identity, word_trace
+from .linalg import SquareMatrix, relation_holds, word_trace
 from .tableaux import SkewShape, enumerate_standard
 
 SEMINORMAL = "seminormal"
@@ -271,29 +271,12 @@ class VerificationReport(NamedTuple):
 
 def verify_coxeter(rep: Representation) -> VerificationReport:
     """Check involutivity and all braid relations, float matrices within linalg.FLOAT_TOL."""
-    failures = []
-    gens = list(rep.gens)
-    squares = {}  # g -> whether s_g^2 = 1
-    for g in gens:
-        s = rep.matrices[g]
-        # s_g commutes with s_g^2, so it keeps the vectors s_g^2 fixes fixed
-        squares[g] = (word_is_identity([s, s], closed_under=(s,)) if rep.is_exact
-                      else float_relation_holds(s, s, 1))
-        if not squares[g]:
-            failures.append(f"s{g}^2 != 1")
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            g, h = gens[a], gens[b]
+    mats, gens = rep.matrices, rep.gens
+    failures = [f"s{g}^2 != 1" for g in gens if not relation_holds(mats[g], mats[g], 1)]
+    for a, g in enumerate(gens):
+        for h in gens[a + 1:]:
             m = braid_order(g, h)
-            if rep.is_exact:
-                # with both squares 1, s_g and s_h conjugate P = (s_g s_h)^m to P^-1,
-                # so they keep its fixed vectors fixed; else every vector is pushed
-                pair = (rep.matrices[g], rep.matrices[h])
-                closed = pair if squares[g] and squares[h] else ()
-                holds = word_is_identity(list(pair) * m, closed_under=closed)
-            else:
-                holds = float_relation_holds(rep.matrices[g], rep.matrices[h], m)
-            if not holds:
+            if not relation_holds(mats[g], mats[h], m):
                 failures.append(f"(s{g} s{h})^{m} != 1")
     return VerificationReport(not failures, tuple(failures))
 

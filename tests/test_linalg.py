@@ -13,6 +13,7 @@ import pytest
 from ayrep import linalg
 from ayrep.cells import Functional
 from ayrep.groups import (
+    Permutation,
     braid_order,
     class_data_signed,
     class_data_symmetric,
@@ -369,7 +370,7 @@ def test_block_verdicts_equal_whole_matrix_powers():
     checked = 0
     for rep in _float_forms():
         for s, t, m in _relations(rep):
-            assert linalg.float_relation_holds(s, t, m) == power_is_identity(s * t, m) is True
+            assert linalg.relation_holds(s, t, m) == power_is_identity(s * t, m) is True
             checked += 1
     assert checked > 1500
 
@@ -389,7 +390,7 @@ def test_a_float_form_nudged_by_1e_7_fails():
         bad = _nudged(build_orthogonal_skew(shape), 1e-7)
         assert not verify_coxeter(bad).ok, shape
         for s, t, m in _relations(bad):
-            assert linalg.float_relation_holds(s, t, m) == power_is_identity(s * t, m)
+            assert linalg.relation_holds(s, t, m) == power_is_identity(s * t, m)
 
 
 def test_a_block_verdict_does_not_depend_on_what_the_table_holds():
@@ -410,7 +411,7 @@ def test_float_comparisons_reject_nan():
     one_by_one = SquareMatrix(1, {0: {0: nan}})
     assert not linalg.word_is_identity([one_by_one])
     assert not power_is_identity(one_by_one, 2)
-    assert not linalg.float_relation_holds(one_by_one, one_by_one, 1)
+    assert not linalg.relation_holds(one_by_one, one_by_one, 1)
     assert not one_by_one.equals(one_by_one)
     assert not one_by_one.equals(SquareMatrix(1, {0: {0: 1.0}}))
     off = SquareMatrix(2, {0: {0: 1.0, 1: nan}, 1: {1: 1.0}})
@@ -541,13 +542,15 @@ def test_a_broken_square_sends_its_braids_to_the_full_word():
                 assert failures == _full_word_failures(bad)
                 assert f"s{g}^2 != 1" in failures
                 cases += 1
-                # pushing one vector per block would miss some of these braid failures
+                # with a true square verdict planted on the broken matrix, one push
+                # per block would miss some of these braid failures
+                planted = SquareMatrix(rep.dim, bad.matrices[g].cols)
+                planted._square = True
                 for h in rep.gens:
                     if h != g:
-                        pair = [bad.matrices[g], bad.matrices[h]]
-                        word = pair * (3 if abs(g - h) == 1 else 2)
-                        unsound += (linalg.word_is_identity(word, closed_under=pair)
-                                    and not linalg.word_is_identity(word))
+                        m = 3 if abs(g - h) == 1 else 2
+                        unsound += (linalg.relation_holds(planted, bad.matrices[h], m)
+                                    and not linalg.word_is_identity([planted, bad.matrices[h]] * m))
     assert cases > 600 and unsound > 50
 
 
@@ -569,5 +572,37 @@ def test_blocks_follow_only_columns_with_one_off_diagonal_entry():
     # column 0, which has two off-diagonal entries
     s = SquareMatrix(3, {0: {1: 1, 2: 1}, 1: {1: 1, 2: 1}, 2: {0: 1, 1: -1, 2: -1}})
     assert linalg._push([s.scaled_form()[1]] * 2, 0) == {0: 1}
-    assert not linalg.word_is_identity([s, s], closed_under=[s])
+    assert not linalg.relation_holds(s, s, 1)
     assert not power_is_identity(s, 2)
+
+
+def test_blocks_follow_stored_entries_forward_only():
+    # both squares hold and (s t)^2 fixes e0 but not e1; e1 points to e0, not back,
+    # so a block that also followed entries backwards would vouch for e1 from e0
+    s = SquareMatrix(2, {0: {0: Fraction(-1)}, 1: {1: Fraction(1), 0: Fraction(3)}})
+    t = SquareMatrix(2, {0: {0: Fraction(-1)}, 1: {1: Fraction(1)}})
+    assert linalg.relation_holds(s, s, 1) and linalg.relation_holds(t, t, 1)
+    assert linalg._push([s.scaled_form()[1], t.scaled_form()[1]] * 2, 0) == {0: 1}
+    assert not linalg.relation_holds(s, t, 2)
+    assert not linalg.word_is_identity([s, t] * 2)
+
+
+STORED_ZERO = {0: {0: Fraction(1), 1: Fraction(0)}}  # s e0 = e0 + 0 e1
+
+
+def test_a_stored_zero_vouches_for_no_square():
+    # s1^2 fixes e0, and the zero stored at (1, 0) must not count it for e1: s1^2 = diag(1, 4)
+    basis = (Permutation((1, 2)), Permutation((2, 1)))
+    s1 = SquareMatrix(2, {**STORED_ZERO, 1: {1: Fraction(2)}})
+    assert verify_coxeter(Representation(2, basis, {1: s1}, SEMINORMAL)).failures == ("s1^2 != 1",)
+    s1 = SquareMatrix(2, {0: {0: 1.0, 1: 0.0}, 1: {1: 2.0}})
+    assert verify_coxeter(Representation(2, basis, {1: s1}, ORTHOGONAL)).failures == ("s1^2 != 1",)
+
+
+def test_a_stored_zero_vouches_for_no_braid():
+    # both squares hold and (s1 s2)^3 fixes e0, but sends e1 to -e1
+    basis = (identity(3), Permutation((2, 1, 3)))
+    s1 = SquareMatrix(2, {**STORED_ZERO, 1: {1: Fraction(-1)}})
+    s2 = SquareMatrix(2, {0: {0: Fraction(1)}, 1: {1: Fraction(1)}})
+    rep = Representation(3, basis, {1: s1, 2: s2}, SEMINORMAL)
+    assert verify_coxeter(rep).failures == ("(s1 s2)^3 != 1",)

@@ -367,8 +367,9 @@ SIGNATURES = {
     induction.classical_induced_character: ["psi"],
     induction.signed_pair_basis: ["lam", "mu"],
     reps.build_parabolic: ["f", "J", "normalization"],
-    linalg.word_is_identity: ["matrices", "closed_under"],
+    linalg.word_is_identity: ["matrices"],
     linalg.power_is_identity: ["m", "k"],
+    linalg.relation_holds: ["s", "t", "m"],
     linalg.SquareMatrix.equals: ["self", "other"],
     reps.Representation: ["n", "basis", "matrices", "normalization"],
     groups.braid_order: ["g", "h"],
@@ -378,6 +379,44 @@ SIGNATURES = {
 def test_no_parameter_repeats_what_another_argument_fixes():
     found = {fn.__name__: list(inspect.signature(fn).parameters) for fn in SIGNATURES}
     assert found == {fn.__name__: params for fn, params in SIGNATURES.items()}
+
+
+# How a relation is checked (which vectors are pushed, and the block table)
+# is `linalg`'s to decide: every other module asks `relation_holds`.
+RELATION_INTERNALS = {"word_is_identity", "power_is_identity", "_push", "_block_holds"}
+
+
+def relation_internals_used(sources: dict) -> list:
+    """'module.name' for each name of RELATION_INTERNALS that a module of
+    `sources` (module name -> text) but `linalg` imports or reads, as a name
+    or as an attribute."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = {node.id if isinstance(node, ast.Name) else node.attr}
+            else:
+                continue
+            found.update(f"{module}.{name}" for name in names & RELATION_INTERNALS)
+    return sorted(name for name in found if not name.startswith("linalg."))
+
+
+def test_only_linalg_knows_how_a_relation_is_checked():
+    assert relation_internals_used({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_relation_check_sees_a_planted_import_and_call():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert "def _push(" in sources["linalg"]  # linalg's own uses do not count
+    planted = "from .linalg import SquareMatrix, _push, relation_holds, word_trace"
+    reps = sources["reps"].replace("from .linalg import SquareMatrix, relation_holds, word_trace",
+                                   planted)
+    assert planted in reps
+    verify = sources["verify"] + "\ndef _late(s):\n    return linalg.power_is_identity(s, 2)\n"
+    assert relation_internals_used(dict(sources, reps=reps, verify=verify)) == [
+        "reps._push", "verify.power_is_identity"]
 
 
 def assigned_names(source: str) -> set:
