@@ -33,18 +33,17 @@ pushes e_j through s t ... s t once.  If e_j comes back fixed, the block
 is done when every column of s and t in it has at most one off-diagonal
 entry, that entry nonzero, and s is t or both squares hold: S commutes with
 P = S^2, and once S^2 = T^2 = 1, S P S = T P T = P^-1 for P = (ST)^m, so
-either way the vectors P fixes are closed under S and T, and S e_v = a e_v
-+ b e_k with b != 0 fixed puts e_k among them.  Any other exact block
-pushes every vector it holds.  A square's
-verdict is decided once per matrix and kept, as its scaled form is.  A
-float block (s or t holding a float) is keyed on m and its entries,
-relabelled in walk order, and one table (`_block_holds`) forms each
-distinct key's local s t and raises it to the power.  Each entry of s t
-sums the same terms in the same order as in the whole product, and a pushed
-vector stays in its block, so every float verdict is bit for bit the whole
-product's (pushing the word s t s t ... would round in another order).  A
-block is judged in its own entries' arithmetic; a float form the library
-builds holds only floats.
+either way the vectors P fixes are closed under S and T, and when P fixes
+e_v and S e_v = a e_v + b e_k with b != 0, it fixes e_k.  Any other exact
+block pushes every vector it holds.  A square's verdict is decided once
+per matrix and kept, as its scaled form is.  A float block (s or t holding
+a float) is keyed on m and its entries, relabelled in walk order, and one
+table (`_block_holds`) forms each distinct key's local s t and raises it to
+the power.  Each entry of s t sums the same terms in the same order as in
+the whole product, and a pushed vector stays in its block, so every float
+verdict is bit for bit the whole product's (pushing the word s t s t ...
+would round in another order).  A block is judged in its own entries'
+arithmetic; a float form the library builds holds only floats.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def _scaled(m: SquareMatrix) -> tuple:
     columns = [()] * m.dim
     if _holds_float(m):
         for j, col in m.cols.items():
-            columns[j] = tuple(col.items())
+            columns[j] = col.items()  # a view: the matrix never changes
         return 1, columns, True, None
     s = lcm(*(v.denominator for col in m.cols.values() for v in col.values()))
     for j, col in m.cols.items():

@@ -392,6 +392,8 @@ def relation_internals_used(sources: dict) -> list:
     or as an attribute."""
     found = set()
     for module, source in sources.items():
+        if module == "linalg":
+            continue
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
@@ -400,7 +402,7 @@ def relation_internals_used(sources: dict) -> list:
             else:
                 continue
             found.update(f"{module}.{name}" for name in names & RELATION_INTERNALS)
-    return sorted(name for name in found if not name.startswith("linalg."))
+    return sorted(found)
 
 
 def test_only_linalg_knows_how_a_relation_is_checked():
